@@ -345,6 +345,8 @@ def cmd_verify_clue(args):
             "symmetry": sym,
             "ha_imag": abs(ha.imag),
         },
+        "certificates": {
+            "h_taylor": block.diagnostics["h_taylor_certificate"]},
     }, ok
 
 

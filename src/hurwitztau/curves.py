@@ -22,6 +22,7 @@ Conventions (fixed, documented):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,6 +167,10 @@ def _tracked_sqrt(vals, seed=None):
     return out
 
 
+_odd_characteristics = lru_cache(maxsize=None)(
+    ThetaCharacteristic.odd_characteristics)
+
+
 class HyperellipticCurve:
     """Hyperelliptic curve y^2 = prod(z - e_i) with 2g + 2 finite branch
     points and the degree-2 covering map f = z."""
@@ -194,6 +199,7 @@ class HyperellipticCurve:
         self._abel_cache = {}
         self._branch_cache = {}
         self._pair_cache = {}
+        self._chart_cache = {}
         self._grad_cache = None
         self._inf_cache = None
         self._K_half_cache = None
@@ -401,8 +407,8 @@ class HyperellipticCurve:
             "marking": "swapped" if self.marking == "standard" else "standard",
             "_pair_cache": self._pair_cache,
             "_abel_cache": {},
-            "_branch_cache": {}, "_grad_cache": None, "_inf_cache": None,
-            "_K_half_cache": None,
+            "_branch_cache": {}, "_chart_cache": {}, "_grad_cache": None,
+            "_inf_cache": None, "_K_half_cache": None,
         })
         other._build_periods()
         return other
@@ -597,6 +603,22 @@ class HyperellipticCurve:
         vals = 2.0 * self.v_poly(zm + xs ** 2) / sq[1:-1][:, None]
         return bd.abel + np.einsum("k,kg->g", wg, vals) * complex(x) / 2
 
+    def chart_nodes(self, m, xs, kind):
+        """Chart data at the nodes xs near branch point m, shape xs.shape +
+        (g,): kind "abel" is :meth:`abel_branch_chart`, kind "v" the
+        distinguished-chart differentials v_hat * 2x at
+        :meth:`branch_chart_point`.  Each distinct node runs the scalar
+        primitive once per curve (memo keyed by the chart value)."""
+        xs = np.asarray(xs, dtype=complex)
+        memo = self._chart_cache.setdefault((kind, m), {})
+        uniq, inv = np.unique(xs.ravel(), return_inverse=True)
+        for x in map(complex, uniq):
+            if x not in memo:
+                memo[x] = self.abel_branch_chart(m, x) if kind == "abel" else \
+                    self.v_hat(self.branch_chart_point(m, x)) * (2.0 * x)
+        rows = np.array([memo[x] for x in map(complex, uniq)])
+        return rows[inv].reshape(xs.shape + (self.g,))
+
     def infinity_data(self, direction=None, zjun_factor=8.0, nseg=40, ngl=16):
         """Both points over z = infinity with sheet markers +1 and -1.
 
@@ -689,7 +711,7 @@ class HyperellipticCurve:
         if self._grad_cache is None:
             out = []
             basis = [tuple(np.eye(self.g)[i]) for i in range(self.g)]
-            for ch in ThetaCharacteristic.odd_characteristics(self.g):
+            for ch in _odd_characteristics(self.g):
                 grad = np.array(self.theta_bundle(
                     np.zeros(self.g), char=ch,
                     derivs_list=[(b,) for b in basis]))
@@ -700,24 +722,24 @@ class HyperellipticCurve:
         return self._grad_cache
 
     def _log_deriv_matrix(self, t, char):
-        """L_ij = theta_ij/theta - theta_i theta_j / theta^2 at t."""
+        """L_ij = theta_ij/theta - theta_i theta_j / theta^2 at each row of
+        t (shape (n, g)); returns shape (n, g, g)."""
         g = self.g
         basis = [tuple(np.eye(g)[i]) for i in range(g)]
         specs = [()]
         specs += [(b,) for b in basis]
         specs += [(basis[i], basis[j]) for i in range(g) for j in range(g)]
         vals = self.theta_bundle(t, char=char, derivs_list=specs)
-        th = vals[0]
-        if th == 0:
+        th = vals[:, 0, None, None]
+        if np.any(th == 0):
             raise DiagonalTooClose("theta vanished in the bidifferential kernel")
-        grad = np.array(vals[1 : 1 + g])
-        hess = np.array(vals[1 + g :]).reshape(g, g)
-        return hess / th - np.outer(grad, grad) / th ** 2
+        grad = vals[:, 1 : 1 + g]
+        hess = vals[:, 1 + g :].reshape(-1, g, g)
+        return hess / th - grad[:, :, None] * grad[:, None, :] / th ** 2
 
     def _w_char(self):
         """Fixed odd characteristic for the bidifferential kernel."""
-        chars = ThetaCharacteristic.odd_characteristics(self.g)
-        return chars[0]
+        return _odd_characteristics(self.g)[0]
 
     # ------------------------------------------------------------------
     # canonical bidifferential and projective connections
@@ -728,33 +750,43 @@ class HyperellipticCurve:
         if abs(P.z - Q.z) + abs(P.y - Q.y) < min_sep_rel * self.scale:
             raise DiagonalTooClose("bidifferential requested on the diagonal")
         t = self.abel_between(P, Q)
-        L = self._log_deriv_matrix(t, self._w_char())
+        L = self._log_deriv_matrix(t[None], self._w_char())[0]
         return -complex(np.einsum("ij,j,i->", L, self.v_hat(P), self.v_hat(Q)))
 
     def w_hat_branch_chart(self, m, x1, x2):
         """Distinguished-chart value of W at two chart points near branch m."""
-        if abs(x1 - x2) < 1e-10 * max(abs(x1), abs(x2), 1e-30):
+        return complex(self.w_hat_branch_chart_pairs(m, x1, x2))
+
+    def w_hat_branch_chart_pairs(self, m, x1s, x2s):
+        """Distinguished-chart W at the chart-point pairs (x1s, x2s) near
+        branch m (broadcast arrays): node data from :meth:`chart_nodes`,
+        one batched theta call, one contraction."""
+        x1s, x2s = np.broadcast_arrays(np.asarray(x1s, dtype=complex),
+                                       np.asarray(x2s, dtype=complex))
+        near = np.maximum(np.maximum(np.abs(x1s), np.abs(x2s)), 1e-30)
+        if np.any(np.abs(x1s - x2s) < 1e-10 * near):
             raise DiagonalTooClose("bidifferential requested on the diagonal")
-        t = self.abel_branch_chart(m, x2) - self.abel_branch_chart(m, x1)
-        L = self._log_deriv_matrix(t, self._w_char())
-        P1 = self.branch_chart_point(m, x1)
-        P2 = self.branch_chart_point(m, x2)
-        v1 = self.v_hat(P1) * (2.0 * x1)
-        v2 = self.v_hat(P2) * (2.0 * x2)
-        return -complex(np.einsum("ij,j,i->", L, v1, v2))
+        t = self.chart_nodes(m, x2s, "abel") - self.chart_nodes(m, x1s, "abel")
+        L = self._log_deriv_matrix(t.reshape(-1, self.g), self._w_char())
+        v1 = self.chart_nodes(m, x1s, "v").reshape(-1, self.g)
+        v2 = self.chart_nodes(m, x2s, "v").reshape(-1, self.g)
+        return -np.einsum("nij,nj,ni->n", L, v1, v2).reshape(x1s.shape)
 
     @staticmethod
-    def _richardson_even(fun, delta, tol, what="H-limit"):
-        """Limit of an even-in-delta quantity fun(delta) -> L + c d^2 + e d^4,
-        from samples at delta, delta/2, delta/4 (two Richardson levels)."""
-        h = [fun(delta), fun(delta / 2), fun(delta / 4)]
+    def _richardson_even(h, tol, what="H-limit"):
+        """Limit of an even-in-delta quantity h(delta) -> L + c d^2 + e d^4
+        from the samples h = (h(delta), h(delta/2), h(delta/4)), each an
+        array over nodes (two Richardson levels); every node's certificate
+        must meet ``tol``."""
         e1 = (4 * h[1] - h[0]) / 3
         e2 = (4 * h[2] - h[1]) / 3
         extrap = (16 * e2 - e1) / 15
-        cert = abs(e2 - e1)
-        if cert > tol * max(1.0, abs(extrap)):
+        cert = np.abs(e2 - e1)
+        bad = cert > tol * np.maximum(1.0, np.abs(extrap))
+        if np.any(bad):
             raise ExtrapolationUnstable(
-                f"{what} Richardson certificate {cert:.2e} above tolerance"
+                f"{what} Richardson certificate {np.max(cert[bad]):.2e} "
+                "above tolerance"
             )
         return extrap, cert
 
@@ -764,7 +796,8 @@ class HyperellipticCurve:
             u, v = x0 + d, x0 - d
             return w_of_pair(u, v) - 1.0 / (u - v) ** 2
 
-        return self._richardson_even(H, delta, tol)
+        return self._richardson_even(
+            np.array([H(delta), H(delta / 2), H(delta / 4)]), tol)
 
     def bergman_sb_z(self, P, delta_rel=1e-2, tol=1e-4):
         """Bergman projective connection S_B in the z chart at P."""
@@ -779,55 +812,27 @@ class HyperellipticCurve:
         return 6.0 * val
 
     def bergman_sb_branch(self, m, x0, delta_rel=2e-2, tol=1e-4):
-        """S_B in the distinguished chart at branch point m, chart point x0."""
-        delta = delta_rel * max(abs(x0), np.sqrt(self.scale) * 1e-2)
-        val, _ = self._h_limit(lambda u, v: self.w_hat_branch_chart(m, u, v),
-                               x0, delta, tol)
+        """S_B in the distinguished chart at branch point m, chart point x0
+        (a scalar, or an array of nodes sampled in one batched W call)."""
+        x0 = np.asarray(x0, dtype=complex)
+        delta = delta_rel * np.maximum(np.abs(x0), np.sqrt(self.scale) * 1e-2)
+        d = np.stack([delta, delta / 2, delta / 4])
+        u, v = x0 + d, x0 - d
+        h = self.w_hat_branch_chart_pairs(m, u, v) - 1.0 / (u - v) ** 2
+        val, _ = self._richardson_even(h, tol)
         return 6.0 * val
 
     def h_taylor_branch(self, m, order=1, rho_rel=(0.33, 0.21), n_fft=16,
                         certify=True):
         """Taylor coefficients H_{pq} (p, q < order) of the regular part
         H(x, y) = W(x, y) - (x - y)^{-2} in the distinguished chart at branch
-        point m, by Fourier extraction on the torus |x| = rho1, |y| = rho2.
-
-        Distinct radii keep the diagonal away from the sampling torus, so no
-        small-separation amplification occurs; a grid-doubling certificate is
-        attached when ``certify``.
-        """
+        point m, by Fourier extraction on the torus |x| = rho1, |y| = rho2
+        (see :func:`h_taylor_torus`)."""
         r0 = np.sqrt(0.1 * float(np.min(np.abs(np.delete(self.e, m)
                                                - self.e[m]))))
-        rho1, rho2 = rho_rel[0] * r0, rho_rel[1] * r0
-
-        def taylor(N):
-            th = np.arange(N) * 2 * np.pi / N
-            xs = rho1 * np.exp(1j * th)
-            ys = rho2 * np.exp(1j * th)
-            vals = np.empty((N, N), dtype=complex)
-            for i, x in enumerate(xs):
-                for j, y in enumerate(ys):
-                    vals[i, j] = self.w_hat_branch_chart(m, x, y) \
-                        - 1.0 / (x - y) ** 2
-            coefs = np.fft.fft2(vals) / N ** 2
-            out = np.empty((order, order), dtype=complex)
-            for p in range(order):
-                for q in range(order):
-                    out[p, q] = coefs[(-p) % N, (-q) % N] \
-                        / (rho1 ** p * rho2 ** q)
-            return out
-
-        out = taylor(n_fft)
-        cert = np.nan
-        if certify:
-            out2 = taylor(2 * n_fft)
-            cert = float(np.max(np.abs(out - out2))
-                         / max(1.0, float(np.max(np.abs(out2)))))
-            if cert > 1e-7:
-                raise ExtrapolationUnstable(
-                    f"H Taylor grid-doubling certificate {cert:.2e}"
-                )
-            out = out2
-        return out, cert
+        return h_taylor_torus(
+            lambda x, y: self.w_hat_branch_chart_pairs(m, x, y),
+            rho_rel[0] * r0, rho_rel[1] * r0, order, n_fft, certify)
 
     def h_branch_origin(self, m, **kw):
         """H(0, 0) in the distinguished chart at branch point m (spectral)."""
@@ -841,11 +846,12 @@ class HyperellipticCurve:
         if delta is None:
             delta = 0.05 * np.sqrt(
                 np.min(np.abs(np.delete(self.e, m) - self.e[m])))
-
-        def H(d):
-            return self.w_hat_branch_chart(m, d, -d) - 1.0 / (2 * d) ** 2
-
-        val, _cert = self._richardson_even(H, delta, tol, what="H(0,0)")
+        # one theta lattice per sample: the terms that cancel in W at these
+        # pairs reach ~1e7 |W|, so a lattice shared by the three samples
+        # moves H(0,0) by up to ~3e-5 through rounding alone
+        h = [self.w_hat_branch_chart(m, d, -d) - 1.0 / (2 * d) ** 2
+             for d in (delta, delta / 2, delta / 4)]
+        val, _cert = self._richardson_even(np.array(h), tol, what="H(0,0)")
         return val
 
     def schiffer_branch_origin_richardson(self, m, **kw):
@@ -1035,6 +1041,42 @@ class HyperellipticCurve:
                 f"lattice identification residual {resid:.2e} > {tol}"
             )
         return Z.astype(int), Zp.astype(int), resid
+
+
+def h_taylor_torus(w_pairs, rho1, rho2, order, n_fft=16, certify=True):
+    """Taylor coefficients H_{pq} (p, q < order) of the regular part
+    H(x, y) = W(x, y) - (x - y)^{-2} of a bidifferential by 2-D Fourier
+    extraction on the torus |x| = rho1, |y| = rho2; ``w_pairs(X, Y)`` gives W
+    on two equal-shape arrays of chart points.
+
+    Distinct radii keep the diagonal away from the sampling torus, so no
+    small-separation amplification occurs.  With ``certify`` the 2N grid is
+    sampled once, its even-index subgrid is the N grid (same nodes), and the
+    grid-doubling certificate must stay below 1e-7.  Returns (coefficients,
+    certificate), the certificate nan when not certified.
+    """
+    N = 2 * n_fft if certify else n_fft
+    th = np.arange(N) * 2 * np.pi / N
+    X, Y = np.meshgrid(rho1 * np.exp(1j * th), rho2 * np.exp(1j * th),
+                       indexing="ij")
+    vals = w_pairs(X, Y) - 1.0 / (X - Y) ** 2
+
+    def taylor(v):
+        n = v.shape[0]
+        idx = (-np.arange(order)) % n
+        p = np.arange(order)
+        return (np.fft.fft2(v) / n ** 2)[np.ix_(idx, idx)] \
+            / (rho1 ** p[:, None] * rho2 ** p[None, :])
+
+    out = taylor(vals)
+    if not certify:
+        return out, np.nan
+    coarse = taylor(vals[::2, ::2])
+    cert = float(np.max(np.abs(coarse - out)) / max(1.0, np.max(np.abs(out))))
+    if cert > 1e-7:
+        raise ExtrapolationUnstable(
+            f"H Taylor grid-doubling certificate {cert:.2e}")
+    return out, cert
 
 
 class Genus0Cover:

@@ -42,34 +42,39 @@ __all__ = [
 # Bessel / Hankel
 # ---------------------------------------------------------------------------
 
+def _hankel_contract(name, nu, z, evaluate):
+    """Domain contract and precision flag of the Hankel wrappers: DomainError
+    for z = 0 or Im z < 0, LossOfPrecision when AMOS signals a partial loss
+    of significance (a non-finite value)."""
+    z = complex(z)
+    if z == 0:
+        raise DomainError(f"{name} is singular at z = 0")
+    if z.imag < -1e-12 * abs(z):
+        raise DomainError(f"argument must satisfy Im z >= 0, got {z}")
+    out = complex(evaluate(z))
+    if not np.isfinite(out):
+        raise LossOfPrecision(f"{name}({nu}, {z}) lost all significance")
+    return out
+
+
 def hankel1(nu, z):
     """Hankel function of the first kind, real order nu >= 0, Im z >= 0, z != 0.
 
     Backed by scipy's AMOS routines; the domain contract and precision flag
-    live here.  Raises DomainError off the supported domain and
-    LossOfPrecision when AMOS signals a partial loss of significance (nan).
+    live in :func:`_hankel_contract`.
     """
     nu = float(nu)
-    z = complex(z)
     if nu < 0:
         raise DomainError(f"order must be >= 0, got {nu}")
-    if z == 0:
-        raise DomainError("hankel1 is singular at z = 0")
-    if z.imag < -1e-12 * abs(z):
-        raise DomainError(f"argument must satisfy Im z >= 0, got {z}")
-    out = sps.hankel1(nu, z)
-    if not np.isfinite(out.real) or not np.isfinite(out.imag):
-        raise LossOfPrecision(f"hankel1({nu}, {z}) lost all significance")
-    return complex(out)
+    return _hankel_contract("hankel1", nu, z, lambda z: sps.hankel1(nu, z))
 
 
 def hankel1_deriv(nu, z):
-    """d/dz H^(1)_nu(z) via the two-sided recurrence (H_{nu-1} - H_{nu+1})/2."""
+    """d/dz H^(1)_nu(z) via the two-sided recurrence (H_{nu-1} - H_{nu+1})/2,
+    under the contract of :func:`hankel1`."""
     nu = float(nu)
-    z = complex(z)
-    if z == 0:
-        raise DomainError("hankel1_deriv is singular at z = 0")
-    return (sps.hankel1(nu - 1.0, z) - sps.hankel1(nu + 1.0, z)) / 2.0
+    return _hankel_contract("hankel1_deriv", nu, z, lambda z: (
+        sps.hankel1(nu - 1.0, z) - sps.hankel1(nu + 1.0, z)) / 2.0)
 
 
 def besselj(nu, z):
@@ -153,6 +158,7 @@ class ThetaCharacteristic:
 # ---------------------------------------------------------------------------
 
 _RADIUS_CAP = 120.0
+_THETA_CHUNK = 32     # batch arguments per lattice in riemann_theta_bundle
 
 
 def _theta_lattice(B, shift_a, radius):
@@ -171,93 +177,68 @@ def riemann_theta(t, B, char=None, derivs=(), tol=1e-12):
     theta[a,b](t; B) = sum_n exp(i pi <n+a, B(n+a)> + 2 pi i <n+a, t+b>),
     with each entry of ``derivs`` a length-g direction u contributing a
     factor 2 pi i <n+a, u>.  Multi-index derivatives are directional
-    derivatives along coordinate vectors.
-
-    Truncation radius is chosen from the Cholesky factor of pi Im B so the
-    Gaussian tail bound is below ``tol`` times the central magnitude;
-    TruncationFailure is raised if that radius exceeds the cap.
+    derivatives along coordinate vectors.  One spec of
+    :func:`riemann_theta_bundle`, which holds the truncation rule.
     """
-    if isinstance(B, RiemannMatrix):
-        B = B.B
-    B = np.atleast_2d(np.asarray(B, dtype=complex))
-    g = B.shape[0]
-    t = np.asarray(t, dtype=complex).reshape(g)
-    if char is None:
-        a = np.zeros(g)
-        b = np.zeros(g)
-    else:
-        a = np.asarray(char.a, dtype=float)
-        b = np.asarray(char.b, dtype=float)
-    derivs = [np.asarray(u, dtype=complex).reshape(g) for u in derivs]
-
-    Y = B.imag
-    lam_min = float(np.linalg.eigvalsh(Y).min())
-    if lam_min <= 0:
-        raise DomainError("Im B must be positive definite")
-    # dominant lattice region is centered near -Y^{-1} Im(t); tail bound
-    # exp(-pi lam_min (r - r0)^2) <= tol with polynomial safety margin
-    center = np.linalg.solve(Y, t.imag)
-    r0 = float(np.linalg.norm(center)) + float(np.linalg.norm(a)) + 1.0
-    # solve pi lam_min s^2 = -log(tol) + g log cap-ish slack
-    s = np.sqrt(max(-np.log(tol) + 8.0, 1.0) / (np.pi * lam_min))
-    radius = r0 + s + 2.0
-    if radius > _RADIUS_CAP:
-        raise TruncationFailure(
-            f"required lattice radius {radius:.1f} exceeds cap {_RADIUS_CAP}"
-        )
-    q = _theta_lattice(B, a, radius)
-    expo = 1j * np.pi * np.einsum("mi,ij,mj->m", q, B, q) + 2j * np.pi * (q @ (t + b))
-    # subtract the max for overflow safety; restored at the end
-    shift = float(np.max(expo.real))
-    vals = np.exp(expo - shift)
-    for u in derivs:
-        vals = vals * (2j * np.pi * (q @ u))
-    return complex(vals.sum() * np.exp(shift))
+    return riemann_theta_bundle(t, B, char, (tuple(derivs),), tol)[0]
 
 
 def riemann_theta_bundle(t, B, char=None, derivs_list=((),), tol=1e-12):
     """Evaluate theta for several derivative specs in one lattice pass.
 
     ``derivs_list`` is a sequence of derivative specs (each a tuple of
-    direction vectors, as in :func:`riemann_theta`).  Returns a list of
-    complex values in the same order.
+    direction vectors, as in :func:`riemann_theta`).  A single argument t of
+    shape (g,) returns a list of complex values in spec order; a batch t of
+    shape (n, g) returns an (n, len(derivs_list)) array.
+
+    The truncation radius of each t is chosen from the smallest eigenvalue
+    of pi Im B so the Gaussian tail of the undifferentiated sum is below
+    ``tol`` times the central magnitude (derivative factors are not in the
+    bound).  A batch is summed in chunks of ``_THETA_CHUNK`` arguments over
+    one lattice each, whose radius is the largest over the chunk.
+    TruncationFailure is raised if any radius exceeds the cap.
     """
     if isinstance(B, RiemannMatrix):
         B = B.B
     B = np.atleast_2d(np.asarray(B, dtype=complex))
     g = B.shape[0]
-    t = np.asarray(t, dtype=complex).reshape(g)
-    if char is None:
-        a = np.zeros(g)
-        b = np.zeros(g)
-    else:
-        a = np.asarray(char.a, dtype=float)
-        b = np.asarray(char.b, dtype=float)
+    t = np.asarray(t, dtype=complex)
+    batched = t.ndim == 2
+    t = t.reshape(-1, g)
+    a = np.zeros(g) if char is None else np.asarray(char.a, dtype=float)
+    b = np.zeros(g) if char is None else np.asarray(char.b, dtype=float)
+    dirs = [[np.asarray(u, dtype=complex).reshape(g) for u in derivs]
+            for derivs in derivs_list]
     Y = B.imag
     lam_min = float(np.linalg.eigvalsh(Y).min())
     if lam_min <= 0:
         raise DomainError("Im B must be positive definite")
-    center = np.linalg.solve(Y, t.imag)
-    r0 = float(np.linalg.norm(center)) + float(np.linalg.norm(a)) + 1.0
+    # dominant lattice region is centered near -Y^{-1} Im(t); tail bound
+    # exp(-pi lam_min (r - r0)^2) <= tol with polynomial safety margin
+    center = np.linalg.solve(Y, t.imag.T).T
+    r0 = np.linalg.norm(center, axis=1) + float(np.linalg.norm(a)) + 1.0
     s = np.sqrt(max(-np.log(tol) + 8.0, 1.0) / (np.pi * lam_min))
     radius = r0 + s + 2.0
-    if radius > _RADIUS_CAP:
+    if len(t) and radius.max() > _RADIUS_CAP:
         raise TruncationFailure(
-            f"required lattice radius {radius:.1f} exceeds cap {_RADIUS_CAP}"
+            f"required lattice radius {radius.max():.1f} exceeds cap {_RADIUS_CAP}"
         )
-    q = _theta_lattice(B, a, radius)
-    expo = 1j * np.pi * np.einsum("mi,ij,mj->m", q, B, q) + 2j * np.pi * (q @ (t + b))
-    shift = float(np.max(expo.real))
-    base = np.exp(expo - shift)
-    scale = np.exp(shift)
-    out = []
-    for derivs in derivs_list:
-        vals = base
-        for u in derivs:
-            u = np.asarray(u, dtype=complex).reshape(g)
-            vals = vals * (2j * np.pi * (q @ u))
-        out.append(complex(vals.sum() * scale))
-    return out
+    out = np.empty((len(t), len(dirs)), dtype=complex)
+    for lo in range(0, len(t), _THETA_CHUNK):
+        chunk = slice(lo, lo + _THETA_CHUNK)
+        q = _theta_lattice(B, a, radius[chunk].max())
+        expo = 1j * np.pi * np.einsum("mi,ij,mj->m", q, B, q) \
+            + 2j * np.pi * (q @ (t[chunk] + b).T).T
+        # subtract the max for overflow safety; restored at the end
+        shift = expo.real.max(axis=1)
+        base = np.exp(expo - shift[:, None])
+        scale = np.exp(shift)
+        for k, derivs in enumerate(dirs):
+            vals = base
+            for u in derivs:
+                vals = vals * (2j * np.pi * (q @ u))
+            out[chunk, k] = vals.sum(axis=1) * scale
+    return out if batched else [complex(v) for v in out[0]]
 
 
 def theta1_prime(tau, tol=1e-12):

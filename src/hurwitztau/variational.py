@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curves import HyperellipticCurve
+from .curves import HyperellipticCurve, h_taylor_torus
 from .errors import (
     ContourTooLarge,
     DifferentiationUnstable,
@@ -133,18 +133,24 @@ def trace_identity_check(ell, block):
 # ---------------------------------------------------------------------------
 
 def _trapezoid_doubling(fun, radius, nodes, max_doublings=3, target=None):
-    """Closed-contour trapezoid of fun(x) dx over |x| = radius with doubling."""
-    def quad(N):
+    """Closed-contour trapezoid of fun(x) dx over |x| = radius with doubling.
+
+    ``fun`` maps an array of nodes to the array of integrand values.  The
+    2N rule's even nodes are the N rule's nodes (bit-identical), so each
+    doubling evaluates ``fun`` only at the N new odd nodes."""
+    def circle(N):
         th = np.arange(N) * 2 * np.pi / N
-        xs = radius * np.exp(1j * th)
-        vals = np.array([fun(x) for x in xs])
-        return np.mean(vals * 1j * xs) * 2 * np.pi
+        return radius * np.exp(1j * th)
 
     N = nodes
-    prev = quad(N)
+    xs = circle(N)
+    vals = np.asarray(fun(xs), dtype=complex)
+    prev = np.mean(vals * 1j * xs) * 2 * np.pi
     for _ in range(max_doublings):
         N *= 2
-        cur = quad(N)
+        xs = circle(N)
+        vals = np.stack([vals, fun(xs[1::2])], axis=-1).ravel()
+        cur = np.mean(vals * 1j * xs) * 2 * np.pi
         cert = abs(cur - prev) / max(abs(cur), 1e-300)
         if target is None or cert < target:
             return ContourIntegralResult(cur, radius, N, cert)
@@ -173,10 +179,9 @@ def rauch_contour(curve, m, nodes=32, target=1e-9):
     g = curve.g
 
     def entry_fun(a, b):
-        def fun(x):
-            P = curve.branch_chart_point(m, x)
-            vx = curve.v_hat(P) * (2.0 * x)
-            return vx[a] * vx[b] / (2.0 * x)
+        def fun(xs):
+            vx = curve.chart_nodes(m, xs, "v")
+            return vx[:, a] * vx[:, b] / (2.0 * xs)
         return fun
 
     out = np.zeros((g, g), dtype=complex)
@@ -223,10 +228,9 @@ def det_imB_derivative(curve_factory, base_points, m, h=1e-5):
     dB, cert, r = rauch_contour(curve, m)
     trace_route = complex(np.trace(dB @ Yi) / 2j)
 
-    def q_fun(x):
-        P = curve.branch_chart_point(m, x)
-        vx = curve.v_hat(P) * (2.0 * x)
-        return complex(vx @ Yi @ vx) / (2.0 * x)
+    def q_fun(xs):
+        vx = curve.chart_nodes(m, xs, "v")
+        return np.einsum("ni,ij,nj->n", vx, Yi, vx) / (2.0 * xs)
 
     res = _trapezoid_doubling(q_fun, r, 32, target=1e-9)
     contour_route = res.value / 2j
@@ -265,10 +269,10 @@ def vardwa_rhs_curve(curve, m, nodes=24, sb_tol=1e-4, target=1e-8):
     r = _branch_contour_radius(curve, m)
     coef = schwarzian_chart_pullback(1)
 
-    def fun(x):
-        sb = curve.bergman_sb_branch(m, x, tol=sb_tol)
-        sf = coef / x ** 2
-        return (sb - sf) / (2.0 * x)
+    def fun(xs):
+        sb = curve.bergman_sb_branch(m, xs, tol=sb_tol)
+        sf = coef / xs ** 2
+        return (sb - sf) / (2.0 * xs)
 
     res = _trapezoid_doubling(fun, r, nodes, max_doublings=1, target=target)
     return ContourIntegralResult(
@@ -323,28 +327,8 @@ def varodin_rhs_curve(curve, m, **kw):
 def varodin_rhs_genus0(cover: RationalCoverP1, m, delta_rel=0.02):
     """Genus-0 chain value: S_Sch = S_B in the distinguished chart x at the
     critical point (no holomorphic differentials)."""
-    wm = cover.critical_points[m]
     zm = cover.critical_values[m]
-    f2 = cover.f2(wm)
-
-    def w_of_x(x):
-        # Newton solve f(w) = zm + x^2 seeded by the quadratic model
-        w = wm + x * np.sqrt(2.0 / f2)
-        for _ in range(40):
-            fw = cover.cover.f(w)
-            fpw = cover.fprime(w)
-            step = (fw - (zm + x * x)) / fpw
-            w = w - step
-            if abs(step) < 1e-14 * max(1.0, abs(w)):
-                break
-        return w
-
-    def w_hat_x(x1, x2):
-        w1, w2 = w_of_x(x1), w_of_x(x2)
-        dw1 = 2 * x1 / cover.fprime(w1)
-        dw2 = 2 * x2 / cover.fprime(w2)
-        return dw1 * dw2 / (w1 - w2) ** 2
-
+    w_hat_x = _genus0_chart_w(cover, m)
     others = np.delete(cover.critical_values, m)
     dz = 0.1 * float(np.min(np.abs(others - zm))) if len(others) else 0.1
     delta = delta_rel * np.sqrt(dz)
@@ -361,27 +345,37 @@ def varodin_rhs_genus0(cover: RationalCoverP1, m, delta_rel=0.02):
             "schiffer_at_origin": s}
 
 
+def _genus0_chart_w(cover: RationalCoverP1, m):
+    """Distinguished-chart W(x1, x2) at critical point m of a genus-0 cover,
+    vectorised over the chart points: the global-chart double pole pulled
+    back through w(x), the Newton solve of f(w) = z_m + x^2 seeded by the
+    quadratic model."""
+    wm = cover.critical_points[m]
+    zm = cover.critical_values[m]
+    f2 = cover.f2(wm)
+
+    def w_of_x(x):
+        w = wm + x * np.sqrt(2.0 / f2)
+        active = np.ones(np.shape(x), dtype=bool)
+        for _ in range(40):
+            step = (cover.cover.f(w) - (zm + x * x)) / cover.fprime(w)
+            w = np.where(active, w - step, w)
+            active &= ~(np.abs(step) < 1e-14 * np.maximum(1.0, np.abs(w)))
+            if not active.any():
+                break
+        return w
+
+    def w_hat_x(x1, x2):
+        w1, w2 = w_of_x(x1), w_of_x(x2)
+        return (2 * x1 / cover.fprime(w1)) * (2 * x2 / cover.fprime(w2)) \
+            / (w1 - w2) ** 2
+
+    return w_hat_x
+
+
 # ---------------------------------------------------------------------------
 # S-matrix block at zero energy
 # ---------------------------------------------------------------------------
-
-def _h_taylor_fft(w_hat_pair, rho1, rho2, order, N=16):
-    """Taylor coefficients H_{pq} (p, q < order) of the regular bidifferential
-    part H(x, y) = W(x, y) - (x - y)^{-2} by 2-D Fourier extraction on the
-    torus |x| = rho1, |y| = rho2 (rho1 != rho2 keeps the diagonal clear)."""
-    th = np.arange(N) * 2 * np.pi / N
-    xs = rho1 * np.exp(1j * th)
-    ys = rho2 * np.exp(1j * th)
-    vals = np.empty((N, N), dtype=complex)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            vals[i, j] = w_hat_pair(x, y) - 1.0 / (x - y) ** 2
-    coefs = np.fft.fft2(vals) / N ** 2
-    out = np.empty((order, order), dtype=complex)
-    for p in range(order):
-        for q in range(order):
-            out[p, q] = coefs[(-p) % N, (-q) % N] / (rho1 ** p * rho2 ** q)
-    return out
 
 
 def smatrix_hh_zero(target, m, ell=2, rho_rel=(0.3, 0.21), n_fft=16):
@@ -403,7 +397,7 @@ def smatrix_hh_zero(target, m, ell=2, rho_rel=(0.3, 0.21), n_fft=16):
     n = ell - 1
     if isinstance(target, HyperellipticCurve):
         curve = target
-        H, _cert = curve.h_taylor_branch(m, order=ell, n_fft=n_fft)
+        H, cert = curve.h_taylor_branch(m, order=ell, n_fft=n_fft)
         vlead = curve.branch_data(m).v_lead
         Yi = curve.imB_inv()
         # v derivatives in the chart: for ell = 2 only the leading value enters
@@ -416,29 +410,13 @@ def smatrix_hh_zero(target, m, ell=2, rho_rel=(0.3, 0.21), n_fft=16):
         ha = np.array([curve.bergman_kernel(vlead)])
     else:
         cover = target
-        wm = cover.critical_points[m]
         zm = cover.critical_values[m]
-        f2 = cover.f2(wm)
-
-        def w_of_x(x):
-            w = wm + x * np.sqrt(2.0 / f2)
-            for _ in range(40):
-                step = (cover.cover.f(w) - (zm + x * x)) / cover.fprime(w)
-                w = w - step
-                if abs(step) < 1e-14 * max(1.0, abs(w)):
-                    break
-            return w
-
-        def wpair(x, y):
-            w1, w2 = w_of_x(x), w_of_x(y)
-            return (2 * x / cover.fprime(w1)) * (2 * y / cover.fprime(w2)) \
-                / (w1 - w2) ** 2
-
         others = np.delete(cover.critical_values, m)
         dz = 0.1 * float(np.min(np.abs(others - zm))) if len(others) else 0.1
         r0 = np.sqrt(dz)
-        rho1, rho2 = rho_rel[0] * r0, rho_rel[1] * r0
-        H = _h_taylor_fft(wpair, rho1, rho2, order=ell, N=n_fft)
+        # a single grid: the genus-0 pullback is exact, no certificate
+        H, cert = h_taylor_torus(_genus0_chart_w(cover, m), rho_rel[0] * r0,
+                                 rho_rel[1] * r0, ell, n_fft, certify=False)
         Yi = None
         vder = None
         ha = np.array([0.0 + 0.0j])
@@ -454,18 +432,15 @@ def smatrix_hh_zero(target, m, ell=2, rho_rel=(0.3, 0.21), n_fft=16):
                 c = c + np.pi * quad / (factorial(l) * factorial(k - 1))
             S[k - 1, l - 1] = np.sqrt(l / k) * c
     return SMatrixBlock(ell=ell, hh=S, ha_diag=ha,
-                        diagnostics={"H00": complex(H[0, 0])})
+                        diagnostics={"H00": complex(H[0, 0]),
+                                     "h_taylor_certificate": cert})
 
 
 def _v_chart_derivs(curve, m, nmax, rho, N):
     """Chart-derivatives v^{(r)}(0), r = 1..nmax-1, of the normalized
     differentials in the distinguished chart, by Fourier extraction."""
     th = np.arange(N) * 2 * np.pi / N
-    xs = rho * np.exp(1j * th)
-    vals = np.empty((N, curve.g), dtype=complex)
-    for i, x in enumerate(xs):
-        P = curve.branch_chart_point(m, x)
-        vals[i] = curve.v_hat(P) * (2.0 * x)
+    vals = curve.chart_nodes(m, rho * np.exp(1j * th), "v")
     coefs = np.fft.fft(vals, axis=0) / N
     from math import factorial
     out = np.zeros((nmax - 1 if nmax > 1 else 0, curve.g), dtype=complex)

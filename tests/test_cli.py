@@ -164,6 +164,7 @@ def test_verify_clue_command(tmp_path):
     code, rep = run_cli(["--input", inp, "verify-clue"], tmp_path)
     assert code == 0
     assert rep["discrepancies"]["clue"] < 1e-5
+    assert 0.0 <= rep["certificates"]["h_taylor"] < 1e-7
 
 
 def test_tau_genus2_command(tmp_path):

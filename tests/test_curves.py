@@ -426,3 +426,76 @@ def test_distinguished_parameter_pole(genus1_curve):
 
 def test_quadrature_doubling_certificate(genus2_curve):
     assert genus2_curve.period_certificate < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched bidifferential kernel
+# ---------------------------------------------------------------------------
+
+def _fixture_genus2_curve():
+    import json
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        "curve_genus2.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    return HyperellipticCurve([complex(*p) for p in data["branch_points"]])
+
+
+# recorded on fixtures/curve_genus2.json with the one-pair-at-a-time kernel
+# that preceded the batched one
+_GOLDEN_H_TAYLOR = {
+    0: [[0.45217869495207197 + 0.0037194266209997612j,
+         -5.041621863525285e-13 + 4.569655369561077e-13j],
+        [-5.488383499226132e-13 + 3.5294863086235334e-13j,
+         7.346558627808053e-12 - 1.7257664446339782e-12j]],
+    2: [[0.48843503910800246 + 0.18169559781872713j,
+         -8.374797501932302e-13 + 3.2261506022663805e-13j],
+        [-4.4065126450327106e-13 + 1.8368456757979504e-13j,
+         -4.7596228331016495e-12 + 9.414668923223214e-12j]],
+}
+_GOLDEN_VARDWA = {0: -0.2260893526771891 - 0.0018597127951592064j,
+                  2: -0.24421751599684918 - 0.09084779912265303j}
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_batched_kernel_golden_values(m):
+    from hurwitztau.variational import vardwa_rhs_curve
+
+    cur = _fixture_genus2_curve()
+    H, cert = cur.h_taylor_branch(m, order=2)
+    assert cert < 1e-7
+    assert np.max(np.abs(H - np.array(_GOLDEN_H_TAYLOR[m]))) < 1e-9
+    assert abs(vardwa_rhs_curve(cur, m).value - _GOLDEN_VARDWA[m]) < 1e-9
+
+
+def test_w_pairs_match_single_pairs(genus2_curve):
+    # well-separated pairs: near the diagonal W cancels terms far larger
+    # than itself, and the shared chunk lattice changes their rounding
+    cur = genus2_curve
+    x1 = np.array([0.2, 0.3j, 0.1 - 0.25j])
+    x2 = np.array([-0.25j, -0.3, -0.2 + 0.1j])
+    batch = cur.w_hat_branch_chart_pairs(3, x1, x2)
+    for w, a, b in zip(batch, x1, x2):
+        single = cur.w_hat_branch_chart(3, a, b)
+        assert abs(w - single) < 1e-12 * abs(single)
+    with pytest.raises(DiagonalTooClose):
+        cur.w_hat_branch_chart_pairs(3, x1, np.array([x2[0], x1[1], x2[2]]))
+
+
+def test_chart_node_data_computed_once_per_node():
+    cur = HyperellipticCurve([-1.9, -0.85, 0.6 + 0.25j, 1.7])
+    calls = []
+    primitive = cur.abel_branch_chart
+
+    def counting(m, x, **kw):
+        calls.append(x)
+        return primitive(m, x, **kw)
+
+    cur.abel_branch_chart = counting
+    cur.h_taylor_branch(1, order=2, n_fft=8)
+    # the 16 x 16 certificate grid: 16 nodes on each circle of the torus
+    assert len(calls) == len(set(calls)) == 32
+    cur.h_taylor_branch(1, order=2, n_fft=8)
+    assert len(calls) == 32

@@ -77,6 +77,20 @@ def test_theta_truncation_cap():
         specfun.riemann_theta([0.0 + 4000.0j], [[0.01j]])
 
 
+def test_hankel1_deriv_domain_error():
+    with pytest.raises(DomainError):
+        specfun.hankel1_deriv(0.5, 1.0 - 1.0j)
+    with pytest.raises(DomainError):
+        specfun.hankel1_deriv(0.5, 0.0)
+
+
+def test_hankel1_deriv_loss_of_precision_flagged():
+    from hurwitztau.errors import LossOfPrecision
+
+    with pytest.raises(LossOfPrecision):
+        specfun.hankel1_deriv(800.0, 1e-8j)
+
+
 def test_hankel1_deriv_vs_fd():
     for nu in (0.0, 0.37, 1.5):
         z = 2.0 + 0.5j
@@ -155,6 +169,53 @@ def test_theta_derivative_vs_fd():
           - specfun.riemann_theta(t - h * u, B)) / (2 * h)
     dv = specfun.riemann_theta(t, B, derivs=[u])
     assert abs(dv - fd) < 1e-7 * max(1.0, abs(fd))
+
+
+def _theta_specs(g):
+    """Value, gradient and Hessian specs along the coordinate axes."""
+    basis = [tuple(np.eye(g)[i]) for i in range(g)]
+    return [()] + [(u,) for u in basis] + [(u, v) for u in basis for v in basis]
+
+
+@pytest.mark.parametrize("B", [
+    np.array([[0.3 + 1.1j]]),
+    np.array([[1.2j, 0.3 + 0.1j], [0.3 + 0.1j, 0.9j]]),
+])
+def test_theta_batch_matches_scalar_calls(B, rng):
+    g = B.shape[0]
+    specs = _theta_specs(g)
+    t = rng.normal(size=(9, g)) * 0.4 + 1j * rng.normal(size=(9, g)) * 0.3
+    for char in specfun.ThetaCharacteristic.all_characteristics(g):
+        batch = specfun.riemann_theta_bundle(t, B, char=char, derivs_list=specs)
+        assert batch.shape == (len(t), len(specs))
+        for row, tk in zip(batch, t):
+            single = np.array(specfun.riemann_theta_bundle(
+                tk, B, char=char, derivs_list=specs))
+            assert np.all(np.abs(row - single) <= 1e-12 * np.abs(single))
+
+
+def test_theta_batch_chunk_remainder(rng, monkeypatch):
+    # 37 arguments: one full chunk of 32 plus a remainder of 5
+    B = np.array([[1.2j, 0.3 + 0.1j], [0.3 + 0.1j, 0.9j]])
+    specs = _theta_specs(2)
+    t = rng.normal(size=(37, 2)) * 0.4 + 1j * rng.normal(size=(37, 2)) * 0.3
+    char = specfun.ThetaCharacteristic((0.5, 0.0), (0.5, 0.5))
+    chunked = specfun.riemann_theta_bundle(t, B, char=char, derivs_list=specs)
+    monkeypatch.setattr(specfun, "_THETA_CHUNK", len(t))
+    whole = specfun.riemann_theta_bundle(t, B, char=char, derivs_list=specs)
+    assert np.all(np.abs(chunked - whole) <= 1e-12 * np.abs(whole))
+
+
+def test_theta_batch_truncation_cap_any_argument():
+    from hurwitztau.errors import TruncationFailure
+
+    B = np.array([[0.01j]])
+    t = np.zeros((40, 1), dtype=complex)
+    t[33, 0] = 4000.0j
+    with pytest.raises(TruncationFailure):
+        specfun.riemann_theta_bundle(t, B)
+    assert specfun.riemann_theta_bundle(np.delete(t, 33, axis=0), B).shape \
+        == (39, 1)
 
 
 def test_riemann_matrix_validation():

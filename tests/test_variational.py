@@ -270,3 +270,51 @@ def test_contour_certificates_present(g1):
     assert res.certificate < 1e-7
     _, cert, _ = V.rauch_contour(cur, 0)
     assert cert < 1e-9
+
+
+def _trapezoid_doubling_reference(fun, radius, nodes, max_doublings=3,
+                                  target=None):
+    """The doubling rule before node reuse: every rule re-evaluates all of
+    its nodes one at a time."""
+    def quad(N):
+        th = np.arange(N) * 2 * np.pi / N
+        xs = radius * np.exp(1j * th)
+        vals = np.array([fun(x) for x in xs])
+        return np.mean(vals * 1j * xs) * 2 * np.pi
+
+    N = nodes
+    prev = quad(N)
+    for _ in range(max_doublings):
+        N *= 2
+        cur = quad(N)
+        cert = abs(cur - prev) / max(abs(cur), 1e-300)
+        if target is None or cert < target:
+            return V.ContourIntegralResult(cur, radius, N, cert)
+        prev = cur
+    return V.ContourIntegralResult(cur, radius, N, cert)
+
+
+@pytest.mark.parametrize("max_doublings, target", [(1, None), (3, 1e-30)])
+def test_trapezoid_doubling_reuses_nodes(max_doublings, target):
+    def integrand(x):
+        return np.exp(np.sin(3 * x)) / (x - 0.05) + x ** 2 / (2.0 - x)
+
+    evaluated = []
+
+    def batched(xs):
+        evaluated.extend(xs)
+        return integrand(xs)
+
+    res = V._trapezoid_doubling(batched, 0.3, 24, max_doublings, target)
+    ref = _trapezoid_doubling_reference(integrand, 0.3, 24, max_doublings,
+                                        target)
+    # one doubling costs 2N node evaluations, not N + 2N
+    assert len(evaluated) == len(set(evaluated)) == res.nodes
+    assert res.nodes == ref.nodes == 24 * 2 ** max_doublings
+    assert res.value == ref.value and res.certificate == ref.certificate
+
+
+def test_smatrix_reports_h_taylor_certificate(g1):
+    pts, hub, fac = g1
+    block = V.smatrix_hh_zero(fac(pts), 1, ell=2)
+    assert 0.0 <= block.diagnostics["h_taylor_certificate"] < 1e-7
