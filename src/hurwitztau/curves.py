@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     CharacteristicSingular,
@@ -37,7 +38,12 @@ from .errors import (
     SheetTrackingLoss,
     WrongOrder,
 )
-from .specfun import RiemannMatrix, ThetaCharacteristic, riemann_theta_bundle
+from .specfun import (
+    RiemannMatrix,
+    ThetaCharacteristic,
+    _rat_derivs,
+    riemann_theta_bundle,
+)
 
 __all__ = [
     "CurvePoint",
@@ -167,6 +173,21 @@ def _tracked_sqrt(vals, seed=None):
     return out
 
 
+@lru_cache(maxsize=128)
+def _gl_panels(nseg, ngl):
+    """Gauss-Legendre panel layout on [0, 1]: the ordered node chain
+    (0, the nseg * ngl panel nodes, 1), the weights broadcast per panel and
+    the panel lengths (read-only: shared by every caller)."""
+    xg, wg = np.polynomial.legendre.leggauss(ngl)
+    s_edges = np.linspace(0.0, 1.0, nseg + 1)
+    ds = np.diff(s_edges)
+    mids = s_edges[:-1, None] + ds[:, None] * (xg[None, :] + 1) / 2
+    chain_s = np.concatenate(([0.0], mids.ravel(), [1.0]))
+    for a in (chain_s, wg, ds):
+        a.flags.writeable = False
+    return chain_s, np.broadcast_to(wg, (nseg, ngl)), ds
+
+
 _odd_characteristics = lru_cache(maxsize=None)(
     ThetaCharacteristic.odd_characteristics)
 
@@ -185,6 +206,7 @@ class HyperellipticCurve:
         if gaps.min() < min_gap_rel * scale:
             raise CurveGeometryError("branch points too close together")
         self.e = e
+        self._others = [np.delete(e, m) for m in range(len(e))]
         self.g = (len(e) - 2) // 2
         self.nodes = int(nodes)
         self.scale = scale
@@ -402,7 +424,8 @@ class HyperellipticCurve:
         """Curve with (a, b) -> (b, -a); same raw contours, new normalization."""
         other = HyperellipticCurve.__new__(HyperellipticCurve)
         other.__dict__.update({
-            "e": self.e, "g": self.g, "nodes": self.nodes, "scale": self.scale,
+            "e": self.e, "_others": self._others, "g": self.g,
+            "nodes": self.nodes, "scale": self.scale,
             "hub": self.hub, "y_hub": self.y_hub,
             "marking": "swapped" if self.marking == "standard" else "standard",
             "_pair_cache": self._pair_cache,
@@ -451,12 +474,21 @@ class HyperellipticCurve:
     # Abel map machinery
     # ------------------------------------------------------------------
 
-    def _gl_nodes(self, n=16):
-        if not hasattr(self, "_gl"):
-            self._gl = {}
-        if n not in self._gl:
-            self._gl[n] = np.polynomial.legendre.leggauss(n)
-        return self._gl[n]
+    @staticmethod
+    def _chart_path(s0, s1, seed, fiber2, numer, nseg, ngl):
+        """Integral of numer(s) / sqrt(fiber2(s)) ds along the straight chart
+        segment s0 -> s1 on nseg Gauss-Legendre panels of ngl nodes each.
+
+        The square root is tracked from ``seed`` (its value at s0) along the
+        node chain, which runs in order from s0 to s1; returns (integral,
+        tracked root at s1)."""
+        chain_s, wg, ds = _gl_panels(nseg, ngl)
+        chain = s0 + (s1 - s0) * chain_s
+        root = _tracked_sqrt(fiber2(chain), seed=seed)
+        vals = numer(chain[1:-1].reshape(nseg, ngl)) \
+            / root[1:-1].reshape(nseg, ngl)[..., None]
+        vec = np.einsum("sk,skg,s->g", wg, vals, (s1 - s0) * ds) / 2
+        return vec, complex(root[-1])
 
     def abel_segment(self, z0, y0, z1, nseg=None, ngl=16):
         """Integral of (v_1 .. v_g) along the straight segment z0 -> z1 with
@@ -465,21 +497,7 @@ class HyperellipticCurve:
             clearance = float(np.min(np.abs(
                 np.asarray([z0, z1])[:, None] - self.e)))
             nseg = int(np.clip(24 * abs(z1 - z0) / max(clearance, 1e-9), 16, 400))
-        xg, wg = self._gl_nodes(ngl)
-        s_edges = np.linspace(0.0, 1.0, nseg + 1)
-        mids = (s_edges[:-1, None] + np.diff(s_edges)[:, None] * (xg[None, :] + 1) / 2)
-        chain_s = np.concatenate(([0.0], mids.ravel(), [1.0]))
-        order = np.argsort(chain_s, kind="stable")
-        chain = z0 + (z1 - z0) * chain_s[order]
-        ys = self.track_y(chain, y0)
-        y_sorted = np.empty_like(ys)
-        y_sorted[order] = ys
-        y_mid = y_sorted[1:-1].reshape(nseg, ngl)
-        z_mid = z0 + (z1 - z0) * mids
-        vals = self.v_poly(z_mid) / y_mid[..., None]
-        seglen = (z1 - z0) * np.diff(s_edges)
-        vec = np.einsum("sk,skg,s->g", np.broadcast_to(wg, (nseg, ngl)), vals, seglen) / 2
-        return vec, complex(y_sorted[-1])
+        return self._chart_path(z0, z1, y0, self.fiber2, self.v_poly, nseg, ngl)
 
     def abel_from_hub(self, z, nseg=None):
         """Abel vector of the point over z reached by the straight hub path."""
@@ -493,8 +511,8 @@ class HyperellipticCurve:
         """Hub-based Abel vector of an arbitrary sheet-resolved point.
 
         Points on the hub-continued sheet use the straight star path; points
-        on the other sheet go through the cached sheet-flip detour:
-        A(sigma P) = flip_vec - A(P)."""
+        on the other sheet follow the involution rule
+        A(sigma P) = 2 A(e_0) - A(P) (see :meth:`flip_vec`)."""
         vec, ytr = self.abel_from_hub(P.z)
         if abs(P.y - ytr) <= 1e-6 * abs(ytr):
             return vec
@@ -529,6 +547,17 @@ class HyperellipticCurve:
     # distinguished charts at branch points and at infinity
     # ------------------------------------------------------------------
 
+    def _x_chart(self, m):
+        """(fiber2, numer) of :meth:`_chart_path` in the distinguished chart
+        x = (z - e_m)^(1/2) at branch point m: y = x sqrt(h) with
+        h = prod_{i != m}(z - e_i) and dz = 2x dx, so v = 2 v_poly dx / sqrt(h)."""
+        zm, others = self.e[m], self._others[m]
+
+        def h(x):
+            return np.prod((zm + x ** 2)[..., None] - others, axis=-1)
+
+        return h, lambda x: 2.0 * self.v_poly(zm + x ** 2)
+
     def branch_data(self, m, handoff=0.9, nseg=40, ngl=16):
         """Abel vector of branch point m plus the distinguished-chart branch.
 
@@ -538,7 +567,7 @@ class HyperellipticCurve:
         if m in self._branch_cache:
             return self._branch_cache[m]
         zm = self.e[m]
-        others = np.delete(self.e, m)
+        others = self._others[m]
         zh = self.hub + handoff * (zm - self.hub)
         # keep the handoff clear of the other branch points
         guard = 0
@@ -548,31 +577,13 @@ class HyperellipticCurve:
             guard += 1
         vec, yh = self.abel_from_hub(zh)
         x_h = complex(np.sqrt(zh - zm))
-        sq_h_at_zh = yh / x_h
         if abs(x_h ** 2 - (zh - zm)) > 1e-9 * abs(zh - zm):
             raise ChartBranchInconsistency(
                 "distinguished-chart square root failed to match the handoff"
             )
         # x-chart leg: x from x_h to 0 along a straight chart segment
-        xg, wg = self._gl_nodes(ngl)
-        s_edges = np.linspace(0.0, 1.0, nseg + 1)
-        mids = (s_edges[:-1, None] + np.diff(s_edges)[:, None] * (xg[None, :] + 1) / 2)
-        chain_s = np.concatenate(([0.0], mids.ravel(), [1.0]))
-        order = np.argsort(chain_s, kind="stable")
-        xs_sorted = x_h * (1.0 - chain_s[order])
-        zc = zm + xs_sorted ** 2
-        hv = np.prod(zc[:, None] - others, axis=1)
-        sq = _tracked_sqrt(hv, seed=sq_h_at_zh)
-        sq_unsorted = np.empty_like(sq)
-        sq_unsorted[order] = sq
-        sq_mid = sq_unsorted[1:-1].reshape(nseg, ngl)
-        x_mid = x_h * (1.0 - mids)
-        z_mid = zm + x_mid ** 2
-        vals = 2.0 * self.v_poly(z_mid) / sq_mid[..., None]
-        seglen = (0.0 - x_h) * np.diff(s_edges)
-        vec2 = np.einsum("sk,skg,s->g", np.broadcast_to(wg, (nseg, ngl)), vals,
-                         seglen) / 2
-        s_m = complex(sq[-1])   # sorted chain ends at x = 0
+        vec2, s_m = self._chart_path(x_h, 0.0, yh / x_h, *self._x_chart(m),
+                                     nseg, ngl)
         v_lead = 2.0 * self.v_poly(zm) / s_m
         data = BranchChart(index=m, abel=vec + vec2, sqrt_h=s_m, v_lead=v_lead)
         self._branch_cache[m] = data
@@ -582,26 +593,18 @@ class HyperellipticCurve:
         """CurvePoint for chart value x near branch point m (y = x sqrt_h(z))."""
         bd = self.branch_data(m)
         zm = self.e[m]
-        others = np.delete(self.e, m)
         z = zm + complex(x) ** 2
         chain_z = zm + np.linspace(0.0, 1.0, 24) * (z - zm)
-        hv = np.prod(chain_z[:, None] - others, axis=1)
+        hv = np.prod(chain_z[:, None] - self._others[m], axis=1)
         sq = _tracked_sqrt(hv, seed=bd.sqrt_h)
         return CurvePoint(z, complex(x) * complex(sq[-1]))
 
     def abel_branch_chart(self, m, x, ngl=24):
         """Abel vector from branch point m to the chart point x (chart path)."""
         bd = self.branch_data(m)
-        zm = self.e[m]
-        others = np.delete(self.e, m)
-        xg, wg = self._gl_nodes(ngl)
-        xs = complex(x) * (xg + 1) / 2
-        chain = np.concatenate(([0.0 + 0.0j], xs, [complex(x)]))
-        zc = zm + chain ** 2
-        hv = np.prod(zc[:, None] - others, axis=1)
-        sq = _tracked_sqrt(hv, seed=bd.sqrt_h)
-        vals = 2.0 * self.v_poly(zm + xs ** 2) / sq[1:-1][:, None]
-        return bd.abel + np.einsum("k,kg->g", wg, vals) * complex(x) / 2
+        vec, _ = self._chart_path(0.0, complex(x), bd.sqrt_h, *self._x_chart(m),
+                                  1, ngl)
+        return bd.abel + vec
 
     def chart_nodes(self, m, xs, kind):
         """Chart data at the nodes xs near branch point m, shape xs.shape +
@@ -623,8 +626,8 @@ class HyperellipticCurve:
         """Both points over z = infinity with sheet markers +1 and -1.
 
         The first end is reached along a straight ray from the hub plus a
-        1/z-chart leg; the second by a detour around branch point 0 (which
-        flips sheets) followed by the same ray.
+        1/z-chart leg; the second is its involution image,
+        A(sigma P) = :meth:`flip_vec` - A(P).
         """
         if self._inf_cache is not None:
             return self._inf_cache
@@ -634,67 +637,35 @@ class HyperellipticCurve:
         zJ = self.hub + d * zjun_factor * (self.scale + abs(self.hub))
         vec_ray, yJ = self.abel_segment(self.hub, self.y_hub, zJ, nseg=24)
         zetaJ = 1.0 / zJ
-        wJ = yJ * zetaJ ** (self.g + 1)
-        # zeta leg: straight from zetaJ to 0
-        xg, wg = self._gl_nodes(ngl)
-        s_edges = np.linspace(0.0, 1.0, nseg + 1)
-        mids = (s_edges[:-1, None] + np.diff(s_edges)[:, None] * (xg[None, :] + 1) / 2)
-        chain_s = np.concatenate(([0.0], mids.ravel(), [1.0]))
-        order = np.argsort(chain_s, kind="stable")
-        zetas = zetaJ * (1.0 - chain_s[order])
-        wv = np.prod(1.0 - self.e * zetas[:, None], axis=1)
-        sq = _tracked_sqrt(wv, seed=wJ)
-        sq_unsorted = np.empty_like(sq)
-        sq_unsorted[order] = sq
-        sq_mid = sq_unsorted[1:-1].reshape(nseg, ngl)
-        zeta_mid = zetaJ * (1.0 - mids)
-        powers = zeta_mid[..., None] ** (self.g - 1 - np.arange(self.g))
-        vals = -(powers @ self.coef.T) / sq_mid[..., None]
-        seglen = (0.0 - zetaJ) * np.diff(s_edges)
-        vec_leg = np.einsum("sk,skg,s->g", np.broadcast_to(wg, (nseg, ngl)), vals,
-                            seglen) / 2
-        s_inf = complex(sq_unsorted[-1])
+        g = self.g
+
+        # zeta leg: straight from zetaJ to 0, where w = y zeta^(g+1) has
+        # w^2 = prod(1 - e_i zeta) and v = -sum coef zeta^(g-1-k) dzeta / w
+        def w2(zeta):
+            return np.prod(1.0 - self.e * zeta[..., None], axis=-1)
+
+        def numer(zeta):
+            return -(zeta[..., None] ** (g - 1 - np.arange(g)) @ self.coef.T)
+
+        vec_leg, s_inf = self._chart_path(zetaJ, 0.0, yJ * zetaJ ** (g + 1),
+                                          w2, numer, nseg, ngl)
         if min(abs(s_inf - 1), abs(s_inf + 1)) > 1e-6:
             raise SheetTrackingLoss(f"infinity sheet marker {s_inf} not near +-1")
         s_inf = 1.0 if abs(s_inf - 1) < abs(s_inf + 1) else -1.0
         a_first = vec_ray + vec_leg
         end1 = InfinityEnd(abel=a_first, sign=s_inf,
-                           v_lead=-self.coef[:, self.g - 1] / s_inf)
-
-        # sheet-flip detour around branch point 0
-        e0 = self.e[0]
-        nearest = float(np.min(np.abs(np.delete(self.e, 0) - e0)))
-        w1 = e0 + 0.3 * nearest * (self.hub - e0) / abs(self.hub - e0)
-        vec1, y1 = self.abel_segment(self.hub, self.y_hub, w1)
-        r = abs(w1 - e0)
-        th0 = np.angle(w1 - e0)
-        Nc = 1024
-        th = th0 + np.arange(Nc + 1) * 2 * np.pi / Nc
-        zs = e0 + r * np.exp(1j * th)
-        ys = self.track_y(zs, y1)
-        if abs(ys[-1] + y1) > 1e-6 * abs(y1):
-            raise SheetTrackingLoss("flip circle failed to reverse the sheet")
-        integ = self.v_poly(zs) / ys[:, None]
-        dzc = (1j * r * np.exp(1j * th))[:, None]
-        Fv = integ * dzc
-        vec_c = (np.sum(Fv[1:-1], axis=0) + (Fv[0] + Fv[-1]) / 2) * (2 * np.pi / Nc)
-        vec_back, y_b = self.abel_segment(w1, ys[-1], self.hub)
-        if abs(y_b + self.y_hub) > 1e-6 * abs(self.y_hub):
-            raise SheetTrackingLoss("flip detour did not return on the other sheet")
-        self._flip_vec = vec1 + vec_c + vec_back
-        a_second = self._flip_vec - a_first
-        end2 = InfinityEnd(abel=a_second, sign=-s_inf,
-                           v_lead=-self.coef[:, self.g - 1] / (-s_inf))
+                           v_lead=-self.coef[:, g - 1] / s_inf)
+        end2 = InfinityEnd(abel=self.flip_vec() - a_first, sign=-s_inf,
+                           v_lead=-self.coef[:, g - 1] / (-s_inf))
         self._inf_cache = (end1, end2)
         return self._inf_cache
 
     def flip_vec(self):
-        """Abel vector of the closed sheet-flip detour (hub to its involution
-        image): continuation to the other sheet over any z costs
-        A(sigma P) = flip_vec - A(P)."""
-        if self._inf_cache is None:
-            self.infinity_data()
-        return self._flip_vec
+        """Abel vector from the hub to its involution image: the hub path
+        into branch point 0, then that path's involution image back, which
+        gives 2 A(e_0) since sigma* v = -v.  Continuation to the other sheet
+        over any z costs A(sigma P) = flip_vec - A(P)."""
+        return 2 * self.branch_data(0).abel
 
     # ------------------------------------------------------------------
     # theta layer
@@ -867,10 +838,6 @@ class HyperellipticCurve:
         Yi = self.imB_inv()
         return 6.0 * np.pi * complex(v_values @ Yi @ v_values)
 
-    def schiffer_z(self, P, **kw):
-        """Schiffer projective connection in the z chart at P."""
-        return self.bergman_sb_z(P, **kw) - self.schiffer_sb_term(self.v_hat(P))
-
     def schiffer_branch_origin(self, m, **kw):
         """Schiffer connection at x = 0 in the distinguished chart at branch m."""
         vlead = self.branch_data(m).v_lead
@@ -902,14 +869,12 @@ class HyperellipticCurve:
 
     def prime_form(self, P, Q):
         """Prime form chart value E(P, Q) in the z charts at both points."""
-        vP, vQ = self.v_hat(P), self.v_hat(Q)
-        omP, omQ = self._omega_values(vP), self._omega_values(vQ)
-        ci = self._choose_char(omP, omQ)
-        ch, _ = self.odd_char_gradients()[ci]
-        th = self.theta(self.abel_between(P, Q), char=ch)
-        return th / (np.sqrt(omP[ci]) * np.sqrt(omQ[ci]))
+        ci = self._choose_char(self._omega_values(self.v_hat(P)),
+                               self._omega_values(self.v_hat(Q)))
+        return self.prime_form_fixed_char(P, Q, ci)
 
     def prime_form_fixed_char(self, P, Q, ci):
+        """Prime form chart value E(P, Q) with odd characteristic ``ci``."""
         vP, vQ = self.v_hat(P), self.v_hat(Q)
         omP, omQ = self._omega_values(vP), self._omega_values(vQ)
         ch, _ = self.odd_char_gradients()[ci]
@@ -992,42 +957,6 @@ class HyperellipticCurve:
             resid = max(resid, worst)
         return K, resid
 
-    def rc_double_integral(self, z_base, N=256):
-        """Literal nested-quadrature evaluation of the K-vector formula
-        (diagonal term plus the a-loop double integrals), using the package's
-        contour system.  Reported for diagnostics: without a canonical
-        dissection this representative differs from the certified K by a
-        configuration-dependent offset; the certified route is authoritative.
-        """
-        g = self.g
-        a_base = self.abel_from_hub(z_base)[0]
-        K = np.zeros(g, dtype=complex)
-        kfreq = np.fft.fftfreq(N, d=1.0 / N)
-        tgrid = np.arange(N) * 2 * np.pi / N
-        B = self.B.B
-        for i in range(g):
-            K[i] = 0.5 + 0.5 * B[i, i]
-            for l in range(g):
-                if l == i:
-                    continue
-                zs, dz, ys = self._pair_loop_geometry(2 * l, 2 * l + 1, N)
-                a0 = self.abel_from_hub(zs[0])[0]
-                vh = self.v_poly(zs) / ys[:, None]
-                F = vh * dz[:, None]
-                c = np.fft.fft(F, axis=0) / N
-                cum = np.zeros((N, g), dtype=complex)
-                for col in range(g):
-                    ck = c[:, col].copy()
-                    c0 = ck[0]
-                    ck[0] = 0.0
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        coefs = np.where(kfreq != 0, ck / (1j * kfreq), 0.0)
-                    vals = np.fft.ifft(coefs * N)
-                    cum[:, col] = c0 * tgrid + (vals - vals[0])
-                inner = (a0 - a_base)[None, :] + cum
-                K[i] -= np.mean(vh[:, l] * inner[:, i] * dz) * 2 * np.pi
-        return K
-
     def lattice_fit(self, vec, tol=1e-6):
         """Nearest lattice vector B Z + Z' to vec; raises when the residual
         exceeds tolerance."""
@@ -1089,16 +1018,10 @@ class Genus0Cover:
         self.g = 0
 
     def f(self, w):
-        from numpy.polynomial import polynomial as npoly
         return npoly.polyval(w, self.num) / npoly.polyval(w, self.den)
 
     def fprime(self, w):
-        from numpy.polynomial import polynomial as npoly
-        d1n = npoly.polysub(
-            npoly.polymul(npoly.polyder(self.num), self.den),
-            npoly.polymul(self.num, npoly.polyder(self.den)),
-        )
-        d1d = npoly.polymul(self.den, self.den)
+        d1n, d1d = _rat_derivs(self.num, self.den)
         return npoly.polyval(w, d1n) / npoly.polyval(w, d1d)
 
     @staticmethod

@@ -328,7 +328,8 @@ def poly_roots(coeffs, residual_tol=1e-10, cluster_scale=1e-7):
 
 
 def _rat_derivs(num, den):
-    """(f', f'', f''') of f = num/den as rational pairs, ascending coeffs."""
+    """f' of f = num/den as a rational pair (numerator, denominator),
+    ascending coefficients; apply again for higher derivatives."""
     num = np.asarray(num, dtype=complex)
     den = np.asarray(den, dtype=complex)
     d1n = npoly.polysub(

@@ -27,7 +27,13 @@ from .errors import (
     LatticeResolutionFailure,
     NormalizationFailure,
 )
-from .specfun import poly_normalize, poly_roots, resultant, theta1_prime
+from .specfun import (
+    _rat_derivs,
+    poly_normalize,
+    poly_roots,
+    resultant,
+    theta1_prime,
+)
 
 __all__ = [
     "TauValue",
@@ -231,11 +237,7 @@ class RationalCoverP1:
                 "designated end must be the pole at w = infinity"
             )
         # critical points: roots of num' den - num den' away from poles
-        d1 = npoly.polysub(
-            npoly.polymul(npoly.polyder(self.num), self.den),
-            npoly.polymul(self.num, npoly.polyder(self.den)),
-        )
-        roots, mult = poly_roots(d1)
+        roots, mult = poly_roots(_rat_derivs(self.num, self.den)[0])
         crit = []
         for r, mm in zip(roots, mult):
             if abs(npoly.polyval(r, self.den)) < 1e-8:
@@ -257,7 +259,7 @@ class RationalCoverP1:
 
         # U = linear part of f at infinity
         if self.k_inf == 1:
-            q, _r = divmod_poly(self.num, self.den)
+            q, _r = npoly.polydiv(self.num, self.den)
             if len(q) != 2:
                 raise NormalizationFailure("expected a linear polynomial part")
             self.U_lin = (complex(q[1]), complex(q[0]))   # alpha w + beta
@@ -283,27 +285,13 @@ class RationalCoverP1:
 
     def f2(self, w):
         """Second derivative of f at w (exact rational differentiation)."""
-        d1n = npoly.polysub(
-            npoly.polymul(npoly.polyder(self.num), self.den),
-            npoly.polymul(self.num, npoly.polyder(self.den)),
-        )
-        d1d = npoly.polymul(self.den, self.den)
-        d2n = npoly.polysub(
-            npoly.polymul(npoly.polyder(d1n), d1d),
-            npoly.polymul(d1n, npoly.polyder(d1d)),
-        )
-        d2d = npoly.polymul(d1d, d1d)
+        d2n, d2d = _rat_derivs(*_rat_derivs(self.num, self.den))
         return npoly.polyval(w, d2n) / npoly.polyval(w, d2d)
 
     def pole_residue(self, w_p):
         """Residue of f at a finite simple pole."""
         den1, rem = deflate(self.den, w_p)
         return npoly.polyval(w_p, self.num) / npoly.polyval(w_p, den1)
-
-
-def divmod_poly(num, den):
-    q, r = npoly.polydiv(num, den)
-    return q, r
 
 
 def deflate(poly, root):

@@ -44,7 +44,6 @@ __all__ = [
     "CubicFamily",
     "dln_tau_genus1_fd",
     "dln_tau_genus2_fd",
-    "wirtinger_fd",
 ]
 
 
@@ -263,7 +262,7 @@ def schwarzian_chart_pullback(ell):
     return -(ell * (ell + 2)) / 2.0
 
 
-def vardwa_rhs_curve(curve, m, nodes=24, sb_tol=1e-4, target=1e-8):
+def vardwa_rhs_curve(curve, m, nodes=24, sb_tol=1e-4):
     """-(1/12 pi i) oint (S_B - S_f)/df around branch point m, in the
     distinguished chart (simple branch points: ell = 1)."""
     r = _branch_contour_radius(curve, m)
@@ -274,13 +273,13 @@ def vardwa_rhs_curve(curve, m, nodes=24, sb_tol=1e-4, target=1e-8):
         sf = coef / xs ** 2
         return (sb - sf) / (2.0 * xs)
 
-    res = _trapezoid_doubling(fun, r, nodes, max_doublings=1, target=target)
+    res = _trapezoid_doubling(fun, r, nodes, max_doublings=1)
     return ContourIntegralResult(
         -res.value / (12j * np.pi), res.radius, res.nodes, res.certificate
     )
 
 
-def vardwa_rhs_genus0(cover: RationalCoverP1, m, nodes=32, target=1e-10):
+def vardwa_rhs_genus0(cover: RationalCoverP1, m, nodes=32):
     """Genus-0 governing contour in the global w chart: S_B = 0 there, so the
     integrand is -S_f(w)/f'(w) dw around the critical point w_m."""
     wm = cover.critical_points[m]
@@ -295,19 +294,13 @@ def vardwa_rhs_genus0(cover: RationalCoverP1, m, nodes=32, target=1e-10):
 
     from .specfun import schwarzian
 
-    def fun(w):
-        sf = schwarzian(cover.num, cover.den, wm + w)
-        return -sf / cover.fprime(wm + w)
+    def fun(ws):
+        return np.array([-schwarzian(cover.num, cover.den, wm + w)
+                         / cover.fprime(wm + w) for w in ws])
 
-    def quad(N):
-        th = np.arange(N) * 2 * np.pi / N
-        xs = r * np.exp(1j * th)
-        vals = np.array([fun(x) for x in xs])
-        return np.mean(vals * 1j * xs) * 2 * np.pi
-
-    v1, v2 = quad(nodes), quad(2 * nodes)
-    cert = abs(v1 - v2) / max(abs(v2), 1e-300)
-    return ContourIntegralResult(-v2 / (12j * np.pi), r, 2 * nodes, cert)
+    res = _trapezoid_doubling(fun, r, nodes, max_doublings=1)
+    return ContourIntegralResult(-res.value / (12j * np.pi), r, res.nodes,
+                                 res.certificate)
 
 
 def varodin_rhs_curve(curve, m, **kw):
@@ -478,15 +471,6 @@ def clue_identity_check(target, m, ell=2, **kw):
 # ---------------------------------------------------------------------------
 # moduli motion and finite differences of ln tau
 # ---------------------------------------------------------------------------
-
-def wirtinger_fd(fun, h):
-    """Holomorphic derivative (d/dx - i d/dy)/2 of a scalar function of one
-    complex displacement, by central differences; also returns the
-    antiholomorphic part as a holomorphy diagnostic."""
-    fx = (fun(h) - fun(-h)) / (2 * h)
-    fy = (fun(1j * h) - fun(-1j * h)) / (2 * h)
-    return (fx - 1j * fy) / 2, (fx + 1j * fy) / 2
-
 
 class CubicFamily:
     """Monic centered cubics p = w^3 + a w + b: Newton inversion of the map

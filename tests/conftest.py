@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 
@@ -24,6 +25,23 @@ def genus2_curve():
     from hurwitztau import HyperellipticCurve
 
     return HyperellipticCurve([-2.1, -1.0, -0.2 + 0.3j, 0.7, 1.5 + 0.1j, 2.4])
+
+
+def load_fixture(name):
+    """The JSON input ``fixtures/<name>.json``."""
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        name + ".json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="session")
+def fixture_genus2():
+    """(input data, curve) of ``fixtures/curve_genus2.json``."""
+    from hurwitztau import HyperellipticCurve
+
+    data = load_fixture("curve_genus2")
+    return data, HyperellipticCurve([complex(*p) for p in data["branch_points"]])
 
 
 def random_branch_points(rng, count, spread=2.0, min_gap=0.35, imag=0.25):

@@ -105,19 +105,30 @@ def test_tolerance_override_can_fail(tmp_path):
     assert code == 1
 
 
+def test_tau_rational3_tolerance_override(tmp_path):
+    inp = write_input(tmp_path, {"a": [1.0, 0.0], "b": [2.0, 0.0],
+                                 "c": [3.0, 0.0]})
+    code, _ = run_cli(["--input", inp, "--tol", "example2=0",
+                       "tau-rational3"], tmp_path)
+    assert code == 1
+
+
 def test_usage_error_exit_2(tmp_path):
     assert cli.main(["tau-poly"]) == 2          # missing input
     assert cli.main(["no-such-command"]) == 2
+
+
+def test_missing_input_message(capsys):
+    assert cli.main(["tau-poly"]) == 2
+    assert "usage error: --input is required" in capsys.readouterr().err
 
 
 def test_report_byte_stability(tmp_path):
     inp = write_input(tmp_path, {
         "coefficients": [[0.0, 0.0], [-3.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
     })
-    _, rep1 = run_cli(["--input", inp, "--seed", "7", "tau-poly"], tmp_path,
-                      name="r1.json")
-    _, rep2 = run_cli(["--input", inp, "--seed", "7", "tau-poly"], tmp_path,
-                      name="r2.json")
+    _, rep1 = run_cli(["--input", inp, "tau-poly"], tmp_path, name="r1.json")
+    _, rep2 = run_cli(["--input", inp, "tau-poly"], tmp_path, name="r2.json")
     rep1.pop("elapsed")
     rep2.pop("elapsed")
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)

@@ -4,7 +4,7 @@ import pytest
 from hurwitztau import CurvePoint, HyperellipticCurve
 from hurwitztau.curves import Genus0Cover, distinguished_parameter
 from hurwitztau.errors import CurveGeometryError, DiagonalTooClose
-from conftest import random_branch_points
+from conftest import load_fixture, random_branch_points
 from oracles import (
     tau_agm,
     theta1_qseries,
@@ -90,6 +90,28 @@ def test_abel_sheet_flip_consistency(genus2_curve):
     Q = cur.point(-1.5 + 0.8j)
     s2 = cur.abel_of_point(Q) + cur.abel_of_point(cur.other_sheet(Q))
     assert np.max(np.abs(s1 - s2)) < 1e-8
+
+
+def test_flip_vec_matches_fine_flip_circle(fixture_genus2):
+    # independent reference: hub -> w1 near e_0, once around e_0 on a circle
+    # (the sheet flips, so the trapezoid integrand is anti-periodic and
+    # converges only as O(h^2): 16,384 nodes put it near 2e-9), back to the hub
+    _, cur = fixture_genus2
+    e0 = cur.e[0]
+    nearest = float(np.min(np.abs(cur.e[1:] - e0)))
+    w1 = e0 + 0.3 * nearest * (cur.hub - e0) / abs(cur.hub - e0)
+    vec_in, y1 = cur.abel_segment(cur.hub, cur.y_hub, w1)
+    N = 16384
+    th = np.angle(w1 - e0) + np.arange(N + 1) * 2 * np.pi / N
+    zs = e0 + abs(w1 - e0) * np.exp(1j * th)
+    ys = cur.track_y(zs, y1)
+    assert abs(ys[-1] + y1) < 1e-9 * abs(y1)
+    F = cur.v_poly(zs) / ys[:, None] * (1j * (zs - e0))[:, None]
+    vec_circle = (F[1:-1].sum(axis=0) + (F[0] + F[-1]) / 2) * 2 * np.pi / N
+    vec_out, y_back = cur.abel_segment(w1, ys[-1], cur.hub)
+    assert abs(y_back + cur.y_hub) < 1e-9 * abs(cur.y_hub)
+    assert np.max(np.abs(cur.flip_vec() - (vec_in + vec_circle + vec_out))) \
+        < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +372,6 @@ def test_canonical_divisor_lattice_membership(genus1_curve, genus2_curve):
         assert resid < 1e-6
 
 
-def test_rc_double_integral_diagnostic(genus2_curve):
-    # the literal nested-quadrature formula is evaluated and reported; with
-    # a star path system it differs from the certified K by a smooth offset
-    K_formula = genus2_curve.rc_double_integral(0.3 + 1.1j)
-    assert np.all(np.isfinite(K_formula))
-
-
 # ---------------------------------------------------------------------------
 # prime form
 # ---------------------------------------------------------------------------
@@ -433,13 +448,7 @@ def test_quadrature_doubling_certificate(genus2_curve):
 # ---------------------------------------------------------------------------
 
 def _fixture_genus2_curve():
-    import json
-    import os
-
-    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
-                        "curve_genus2.json")
-    with open(path) as fh:
-        data = json.load(fh)
+    data = load_fixture("curve_genus2")
     return HyperellipticCurve([complex(*p) for p in data["branch_points"]])
 
 

@@ -238,6 +238,19 @@ def test_tau_genus2_nonzero_separated_points():
     assert abs(tv.value) > 1e-8
 
 
+def test_tau_genus2_fixture_lattice_residual(fixture_genus2):
+    data, cur = fixture_genus2
+    tv, _ = tau_genus2(cur, complex(*data["zeta"]))
+    assert tv.diagnostics["lattice_residual"] < 1e-12
+
+
+def test_tau_genus2_fixture_zeta_independence(fixture_genus2):
+    data, cur = fixture_genus2
+    base = abs(tau_genus2(cur, complex(*data["zeta"]))[0].value)
+    other = abs(tau_genus2(cur, -1.4 + 1.1j)[0].value)
+    assert abs(other - base) < 1e-8 * base
+
+
 def test_tau_genus2_lattice_certificates(genus2_curve):
     tv, _ = tau_genus2(genus2_curve, 0.9 + 1.7j)
     assert tv.diagnostics["lattice_residual"] < 1e-6

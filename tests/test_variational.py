@@ -107,6 +107,13 @@ def test_vardwa_genus2(g2):
     assert abs(anti) < 1e-6
 
 
+def test_dln_tau_genus2_fixture_antiholomorphic_part(fixture_genus2):
+    data, cur = fixture_genus2
+    _, anti = V.dln_tau_genus2_fd(list(cur.e), 0, complex(*data["zeta"]),
+                                  hub=cur.hub)
+    assert abs(anti) < 1e-8
+
+
 def test_vardwa_genus2_second_geometry():
     # fully complex branch configuration
     pts = [-2.4 + 0.1j, -1.3 - 0.2j, -0.1 + 0.25j, 0.8 - 0.15j,
