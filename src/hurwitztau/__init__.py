@@ -5,61 +5,81 @@ tau-function in all genus regimes, cross-verifies the governing variational
 identities (Rauch, det Im B, Schiffer-connection forms, zero-energy S-matrix
 blocks), and computes the explicitly solvable Dirichlet-to-Neumann spectra
 and regularized determinants on model cones.
+
+The public names below load lazily (PEP 562): ``import hurwitztau`` imports
+no submodule, and each name imports its module on first access.
 """
 
-from .covers import (
-    CoverSpec,
-    Permutation,
-    cover_from_json,
-    cover_to_json,
-    genus_from_riemann_hurwitz,
-    reference_surface,
-    validate_cover,
-)
-from .cones import (
-    ConeCircle,
-    detstar_N0_model,
-    detzeta_N_model,
-    dtn_exterior_eigenvalue,
-    dtn_zero_spectrum,
-    mu0_asymptotic_fit,
-    spectral_shift_asymptotic,
-)
-from .curves import CurvePoint, Genus0Cover, HyperellipticCurve
-from .specfun import (
-    RiemannMatrix,
-    ThetaCharacteristic,
-    hankel1,
-    poly_roots,
-    resultant,
-    riemann_theta,
-    schwarzian,
-    theta1_prime,
-)
-from .taufn import (
-    RationalCoverP1,
-    TauValue,
-    m_polynomial,
-    tau_genus0,
-    tau_genus1,
-    tau_genus2,
-    tau_polynomial,
-    tau_three_poles,
-)
-from .variational import (
-    CubicFamily,
-    amatrix,
-    clue_identity_check,
-    det_imB_derivative,
-    dln_tau_genus1_fd,
-    dln_tau_genus2_fd,
-    rauch_check,
-    smatrix_hh_zero,
-    trace_identity_check,
-    vardwa_rhs_curve,
-    vardwa_rhs_genus0,
-    varodin_rhs_curve,
-    varodin_rhs_genus0,
-)
+import importlib
 
+_EXPORTS = {
+    **dict.fromkeys((
+        "CoverSpec",
+        "Permutation",
+        "cover_from_json",
+        "cover_to_json",
+        "genus_from_riemann_hurwitz",
+        "reference_surface",
+        "validate_cover",
+    ), "covers"),
+    **dict.fromkeys((
+        "ConeCircle",
+        "detstar_N0_model",
+        "detzeta_N_model",
+        "dtn_exterior_eigenvalue",
+        "dtn_zero_spectrum",
+        "mu0_asymptotic_fit",
+        "spectral_shift_asymptotic",
+    ), "cones"),
+    **dict.fromkeys(("CurvePoint", "Genus0Cover", "HyperellipticCurve"),
+                    "curves"),
+    **dict.fromkeys((
+        "RiemannMatrix",
+        "ThetaCharacteristic",
+        "hankel1",
+        "poly_roots",
+        "resultant",
+        "riemann_theta",
+        "schwarzian",
+        "theta1_prime",
+    ), "specfun"),
+    **dict.fromkeys((
+        "RationalCoverP1",
+        "TauValue",
+        "m_polynomial",
+        "tau_genus0",
+        "tau_genus1",
+        "tau_genus2",
+        "tau_polynomial",
+        "tau_three_poles",
+    ), "taufn"),
+    **dict.fromkeys((
+        "CubicFamily",
+        "amatrix",
+        "clue_identity_check",
+        "det_imB_derivative",
+        "dln_tau_genus1_fd",
+        "dln_tau_genus2_fd",
+        "rauch_check",
+        "smatrix_hh_zero",
+        "trace_identity_check",
+        "vardwa_rhs_curve",
+        "vardwa_rhs_genus0",
+        "varodin_rhs_curve",
+        "varodin_rhs_genus0",
+    ), "variational"),
+}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

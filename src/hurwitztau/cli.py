@@ -17,10 +17,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import cones, covers, taufn, variational
-from .curves import HyperellipticCurve
 from .errors import HurwitzTauError
 
 DEFAULT_TOLS = {
@@ -42,15 +38,8 @@ DEFAULT_TOLS = {
 def _jsonify(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.complexfloating,)):
-        c = complex(obj)
-        return [c.real, c.imag]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(x) for x in obj.tolist()]
+    if hasattr(obj, "tolist"):      # numpy arrays and scalars
+        return _jsonify(obj.tolist())
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -102,10 +91,13 @@ def _tols(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (report dict, ok flag)
+# subcommand implementations; each returns (report dict, ok flag) and
+# imports its own modules, so a command loads only what it uses
 # ---------------------------------------------------------------------------
 
 def cmd_cover_validate(args):
+    from . import covers
+
     data = _load_input(args)
     spec = covers.cover_from_json(data)
     try:
@@ -134,6 +126,8 @@ def cmd_cover_validate(args):
 
 
 def cmd_tau_poly(args):
+    from . import taufn
+
     data = _load_input(args)
     coeffs = [_complex(c) for c in data["coefficients"]]
     tv = taufn.tau_polynomial(coeffs)
@@ -154,6 +148,8 @@ def cmd_tau_poly(args):
 
 
 def cmd_tau_rational3(args):
+    from . import taufn
+
     data = _load_input(args)
     a, b, c = (_complex(data[k]) for k in ("a", "b", "c"))
     tv = taufn.tau_three_poles(a, b, c)
@@ -174,11 +170,15 @@ def cmd_tau_rational3(args):
 
 
 def _curve_from_input(data, nodes=128):
+    from .curves import HyperellipticCurve
+
     pts = [_complex(p) for p in data["branch_points"]]
     return HyperellipticCurve(pts, nodes=nodes), pts
 
 
 def cmd_tau_genus1(args):
+    from . import taufn
+
     data = _load_input(args)
     curve, pts = _curve_from_input(data)
     tv, _ = taufn.tau_genus1(curve)
@@ -194,6 +194,8 @@ def cmd_tau_genus1(args):
 
 
 def cmd_tau_genus2(args):
+    from . import taufn
+
     data = _load_input(args)
     curve, pts = _curve_from_input(data)
     zeta = _complex(data.get("zeta", [0.9, 1.7]))
@@ -215,6 +217,9 @@ def cmd_tau_genus2(args):
 
 
 def cmd_verify_rauch(args):
+    from . import variational
+    from .curves import HyperellipticCurve
+
     data = _load_input(args)
     pts = [_complex(p) for p in data["branch_points"]]
     m = int(data.get("branch_index", 0))
@@ -253,6 +258,9 @@ def cmd_verify_rauch(args):
 
 
 def cmd_verify_vardwa(args):
+    from . import taufn, variational
+    from .curves import HyperellipticCurve
+
     data = _load_input(args)
     tols = _tols(args)
     if "branch_points" in data:
@@ -294,6 +302,9 @@ def cmd_verify_vardwa(args):
 
 
 def cmd_verify_varodin(args):
+    from . import variational
+    from .curves import HyperellipticCurve
+
     data = _load_input(args)
     tols = _tols(args)
     pts = [_complex(p) for p in data["branch_points"]]
@@ -321,6 +332,9 @@ def cmd_verify_varodin(args):
 
 
 def cmd_verify_clue(args):
+    from . import variational
+    from .curves import HyperellipticCurve
+
     data = _load_input(args)
     tols = _tols(args)
     pts = [_complex(p) for p in data["branch_points"]]
@@ -350,6 +364,8 @@ def cmd_verify_clue(args):
 
 
 def cmd_cone_dtn(args):
+    from . import cones
+
     cone = cones.ConeCircle(k=args.k, R=args.R)
     lam_values = [complex(0, 10.0 ** (-j)) for j in range(1, 5)]
     n_values = list(range(0, args.nodes or 8))
@@ -377,6 +393,10 @@ def cmd_cone_dtn(args):
 
 
 def cmd_cone_det_n0(args):
+    import numpy as np
+
+    from . import cones
+
     cone = cones.ConeCircle(k=args.k, R=args.R)
     val = cones.detstar_N0_model(cone)
     expected = 2 * np.pi * args.k * args.R ** 2
@@ -390,6 +410,10 @@ def cmd_cone_det_n0(args):
 
 
 def cmd_cone_mu0_fit(args):
+    import numpy as np
+
+    from . import cones
+
     cone = cones.ConeCircle(k=args.k, R=args.R)
     fit = cones.mu0_asymptotic_fit(cone, exponents=range(args.jmin,
                                                          args.jmax + 2))
@@ -403,6 +427,8 @@ def cmd_cone_mu0_fit(args):
 
 
 def cmd_cone_shift_fit(args):
+    from . import cones
+
     cone = cones.ConeCircle(k=args.k, R=args.R)
     exponents = range(args.jmin, args.jmax + 1)
     fit = cones.spectral_shift_asymptotic(cone, exponents=exponents)
@@ -436,8 +462,10 @@ def build_parser():
     common.add_argument("--out", help="output report path (JSON)")
     common.add_argument("--tol", action="append", metavar="name=value",
                         help="tolerance override (repeatable)")
-    common.add_argument("--nodes", type=int,
-                        help="quadrature resolution override")
+    common.add_argument("--nodes", type=int, metavar="N",
+                        help="cone dtn only: tabulate the angular modes "
+                             "n = 0..N-1 (default 8); no other command "
+                             "reads it")
     common.add_argument("--k", type=int, help="cone order")
     common.add_argument("--R", type=float, help="cone circle radius")
     common.add_argument("--jmin", type=int,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special as sps
 from numpy.polynomial import polynomial as npoly
 
 from .errors import (
@@ -63,6 +62,8 @@ def hankel1(nu, z):
     Backed by scipy's AMOS routines; the domain contract and precision flag
     live in :func:`_hankel_contract`.
     """
+    import scipy.special as sps   # deferred: only the Bessel paths need SciPy
+
     nu = float(nu)
     if nu < 0:
         raise DomainError(f"order must be >= 0, got {nu}")
@@ -72,6 +73,8 @@ def hankel1(nu, z):
 def hankel1_deriv(nu, z):
     """d/dz H^(1)_nu(z) via the two-sided recurrence (H_{nu-1} - H_{nu+1})/2,
     under the contract of :func:`hankel1`."""
+    import scipy.special as sps
+
     nu = float(nu)
     return _hankel_contract("hankel1_deriv", nu, z, lambda z: (
         sps.hankel1(nu - 1.0, z) - sps.hankel1(nu + 1.0, z)) / 2.0)
@@ -79,6 +82,8 @@ def hankel1_deriv(nu, z):
 
 def besselj(nu, z):
     """Bessel J of real order at complex argument (scipy-backed)."""
+    import scipy.special as sps
+
     return complex(sps.jv(float(nu), complex(z)))
 
 

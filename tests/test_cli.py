@@ -205,6 +205,16 @@ def test_cone_dtn_csv(tmp_path):
     assert header.split(",") == ["n", "lam_re", "lam_im", "mu_re", "mu_im"]
 
 
+def test_cone_dtn_nodes_is_the_mode_count(tmp_path):
+    out = tmp_path / "dtn.json"
+    assert cli.main(["--k", "2", "--nodes", "3", "--out", str(out),
+                     "cone-dtn"]) == 0
+    rows = (tmp_path / "dtn.csv").read_text().splitlines()[1:]
+    # four spectral parameters times the modes n = 0, 1, 2
+    assert len(rows) == 4 * 3
+    assert {int(r.split(",")[0]) for r in rows} == {0, 1, 2}
+
+
 def test_default_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HURWITZTAU_OUT", str(tmp_path / "reports"))
     code = cli.main(["--k", "1", "cone-det-n0"])

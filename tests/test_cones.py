@@ -177,6 +177,19 @@ def test_spectral_shift_cone_additivity():
     assert abs(three["leading"] - 3 * one["leading"]) < 1e-10
 
 
+def test_spectral_shift_additivity_over_distinct_cones():
+    # three different cones, each R inside the band of its k where the
+    # single-cone shift fit holds; the phases of their determinants are
+    # summed, not one phase multiplied by 3
+    circles = [ConeCircle(1, 1.3), ConeCircle(2, 1.0), ConeCircle(3, 0.8)]
+    lams = np.array([10.0 ** (-j) for j in range(2, 8)])
+    xi = [sum(cones.detzeta_N_model(c, complex(lm), n_max=2000)[0].imag
+              for c in circles) / np.pi for lm in lams]
+    V = np.vander(1.0 / np.log(lams ** 2), 2, increasing=True)
+    sol, *_ = np.linalg.lstsq(V, np.array(xi), rcond=None)
+    assert abs(sol[1] - 3.0) < 0.3
+
+
 def test_cone_validation():
     with pytest.raises(DomainError):
         ConeCircle(k=0, R=1.0)

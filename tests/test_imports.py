@@ -1,0 +1,127 @@
+"""Import diet and lazy exports.
+
+Each diet test runs in a fresh interpreter and reads ``sys.modules``
+afterwards, so it sees what a command really loads, not what this pytest
+process has already imported.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hurwitztau
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+FIXTURES = os.path.join(ROOT, "fixtures")
+
+# the names the six eager ``from .x import (...)`` blocks re-exported
+EXPORTED = {
+    "covers": ("CoverSpec", "Permutation", "cover_from_json", "cover_to_json",
+               "genus_from_riemann_hurwitz", "reference_surface",
+               "validate_cover"),
+    "cones": ("ConeCircle", "detstar_N0_model", "detzeta_N_model",
+              "dtn_exterior_eigenvalue", "dtn_zero_spectrum",
+              "mu0_asymptotic_fit", "spectral_shift_asymptotic"),
+    "curves": ("CurvePoint", "Genus0Cover", "HyperellipticCurve"),
+    "specfun": ("RiemannMatrix", "ThetaCharacteristic", "hankel1",
+                "poly_roots", "resultant", "riemann_theta", "schwarzian",
+                "theta1_prime"),
+    "taufn": ("RationalCoverP1", "TauValue", "m_polynomial", "tau_genus0",
+              "tau_genus1", "tau_genus2", "tau_polynomial", "tau_three_poles"),
+    "variational": ("CubicFamily", "amatrix", "clue_identity_check",
+                    "det_imB_derivative", "dln_tau_genus1_fd",
+                    "dln_tau_genus2_fd", "rauch_check", "smatrix_hh_zero",
+                    "trace_identity_check", "vardwa_rhs_curve",
+                    "vardwa_rhs_genus0", "varodin_rhs_curve",
+                    "varodin_rhs_genus0"),
+}
+ALL_NAMES = {name for names in EXPORTED.values() for name in names}
+
+
+def loaded_after(code):
+    """Which of numpy / scipy.special a fresh interpreter has loaded after
+    running ``code``; the answer is the last line of its stdout."""
+    script = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps({m: m in sys.modules "
+        "for m in ('numpy', 'scipy.special')}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def cli_run(*argv):
+    """Code for ``loaded_after`` that runs one CLI command and asserts exit 0."""
+    args = list(argv)
+    return ("from hurwitztau import cli\n"
+            f"assert cli.main({args!r}) == 0\n")
+
+
+def fixture(name):
+    return os.path.join(FIXTURES, name + ".json")
+
+
+@pytest.mark.parametrize("module", ["hurwitztau", "hurwitztau.cli"])
+def test_package_import_loads_no_numpy(module):
+    loaded = loaded_after(f"import {module}")
+    assert loaded == {"numpy": False, "scipy.special": False}
+
+
+def test_cover_validate_loads_no_numpy():
+    loaded = loaded_after(cli_run("cover", "validate",
+                                  "--input", fixture("cover_torus")))
+    assert not loaded["numpy"]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("poly", "poly_cubic"),
+    ("genus1", "curve_genus1"),
+    ("genus2", "curve_genus2"),
+])
+def test_tau_commands_load_no_scipy_special(command, name):
+    loaded = loaded_after(cli_run("tau", command, "--input", fixture(name)))
+    assert loaded["numpy"]
+    assert not loaded["scipy.special"]
+
+
+def test_cone_command_loads_scipy_special():
+    # sanity check: the probe does see a deferred import
+    loaded = loaded_after(cli_run("cone", "det-n0", "--k", "2"))
+    assert loaded["scipy.special"]
+
+
+def test_all_is_the_exported_names():
+    assert set(hurwitztau.__all__) == ALL_NAMES
+    assert hurwitztau.__all__ == sorted(hurwitztau.__all__)
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTED))
+def test_exports_are_the_module_objects(module):
+    mod = importlib.import_module(f"hurwitztau.{module}")
+    for name in EXPORTED[module]:
+        assert getattr(hurwitztau, name) is getattr(mod, name)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from hurwitztau import *", namespace)
+    assert ALL_NAMES <= set(namespace)
+    assert namespace["HyperellipticCurve"] is hurwitztau.HyperellipticCurve
+
+
+def test_dir_lists_the_exports():
+    listed = dir(hurwitztau)
+    assert ALL_NAMES <= set(listed)
+    assert "__version__" in listed
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError,
+                       match="module 'hurwitztau' has no attribute 'nope'"):
+        hurwitztau.nope
