@@ -213,6 +213,8 @@ def cmd_tau_genus2(args):
             "lattice_residual": tv.diagnostics["lattice_residual"],
         },
         "discrepancies": {"zeta_independence_rel": rel},
+        "certificates": {"K": tv.diagnostics["K_certificate"],
+                         "period": curve.period_certificate},
     }, ok
 
 

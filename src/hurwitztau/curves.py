@@ -221,6 +221,7 @@ class HyperellipticCurve:
         self._abel_cache = {}
         self._branch_cache = {}
         self._pair_cache = {}
+        self._loop_cache = {}
         self._chart_cache = {}
         self._grad_cache = None
         self._inf_cache = None
@@ -268,41 +269,46 @@ class HyperellipticCurve:
     # ------------------------------------------------------------------
 
     def _pair_loop_geometry(self, i, j, N):
-        """Ellipse around branch points e_i, e_j: nodes z, dz/dt, tracked y."""
-        p, q = self.e[i], self.e[j]
-        c, d = (p + q) / 2, (q - p) / 2
-        others = np.delete(self.e, [i, j])
-        rho = 0.8
-        tprobe = np.linspace(0, 2 * np.pi, 181)
-        while rho > 1e-3:
-            if len(others) == 0:
-                break
-            # exclusion: no other branch point inside the ellipse (sum of
-            # focal distances below 2a) nor too close to the contour
-            two_a = 2 * abs(d) * np.cosh(rho)
-            focal = np.abs(others - p) + np.abs(others - q)
-            zs = c + d * np.cosh(rho + 1j * tprobe)
-            if focal.min() > two_a * 1.02 and \
-                    np.min(np.abs(zs[:, None] - others)) > 0.04 * abs(d):
-                break
-            rho *= 0.7
-        else:
-            raise SheetTrackingLoss(
-                "no admissible pair-loop contour: another branch point sits "
-                "on the focal segment (reorder the branch points)"
-            )
-        t = np.arange(N) * 2 * np.pi / N
-        zs = c + d * np.cosh(rho + 1j * t)
-        dz = 1j * d * np.sinh(rho + 1j * t)
-        y0 = self._seed_y(zs[0])
+        """Ellipse around branch points e_i, e_j: nodes z, dz/dt, tracked y.
+
+        y is tracked once per pair and chain length L = N * ceil(512 / N)
+        (cached): the N nodes are every (L / N)-th node of that chain, so
+        the rules N = 128, 256, 512 share one 513-node chain."""
         fine = max(1, int(np.ceil(512 / N)))
-        tf = np.arange(N * fine + 1) * 2 * np.pi / (N * fine)
-        zf = c + d * np.cosh(rho + 1j * tf)
-        yf = self.track_y(zf, y0)
-        if abs(yf[-1] - yf[0]) > 1e-8 * abs(yf[0]):
-            raise SheetTrackingLoss("pair loop failed to close on the surface")
-        ys = yf[:-1][::fine]
-        return zs, dz, ys
+        key = (i, j, N * fine)
+        if key not in self._loop_cache:
+            p, q = self.e[i], self.e[j]
+            c, d = (p + q) / 2, (q - p) / 2
+            others = np.delete(self.e, [i, j])
+            rho = 0.8
+            tprobe = np.linspace(0, 2 * np.pi, 181)
+            while rho > 1e-3:
+                if len(others) == 0:
+                    break
+                # exclusion: no other branch point inside the ellipse (sum of
+                # focal distances below 2a) nor too close to the contour
+                two_a = 2 * abs(d) * np.cosh(rho)
+                focal = np.abs(others - p) + np.abs(others - q)
+                zs = c + d * np.cosh(rho + 1j * tprobe)
+                if focal.min() > two_a * 1.02 and \
+                        np.min(np.abs(zs[:, None] - others)) > 0.04 * abs(d):
+                    break
+                rho *= 0.7
+            else:
+                raise SheetTrackingLoss(
+                    "no admissible pair-loop contour: another branch point sits "
+                    "on the focal segment (reorder the branch points)"
+                )
+            tf = np.arange(N * fine + 1) * 2 * np.pi / (N * fine)
+            zf = c + d * np.cosh(rho + 1j * tf)
+            yf = self.track_y(zf, self._seed_y(zf[0]))
+            if abs(yf[-1] - yf[0]) > 1e-8 * abs(yf[0]):
+                raise SheetTrackingLoss("pair loop failed to close on the surface")
+            self._loop_cache[key] = (c, d, rho, yf[:-1])
+        c, d, rho, yf = self._loop_cache[key]
+        t = np.arange(N) * 2 * np.pi / N
+        return (c + d * np.cosh(rho + 1j * t), 1j * d * np.sinh(rho + 1j * t),
+                yf[::fine])
 
     def _pair_loop_integrals(self, i, j, target=1e-10):
         """Integrals of z^k dz / y over the (i, j) pair loop; the node count
@@ -428,7 +434,7 @@ class HyperellipticCurve:
             "nodes": self.nodes, "scale": self.scale,
             "hub": self.hub, "y_hub": self.y_hub,
             "marking": "swapped" if self.marking == "standard" else "standard",
-            "_pair_cache": self._pair_cache,
+            "_pair_cache": self._pair_cache, "_loop_cache": self._loop_cache,
             "_abel_cache": {},
             "_branch_cache": {}, "_chart_cache": {}, "_grad_cache": None,
             "_inf_cache": None, "_K_half_cache": None,
@@ -885,48 +891,52 @@ class HyperellipticCurve:
     # Riemann constants
     # ------------------------------------------------------------------
 
-    def _theta_reference(self):
-        ref_t = 0.13 * np.ones(self.g) + 0.07j * np.ones(self.g)
-        return abs(self.theta(ref_t))
+    def _probe_points(self, seed, count, lo, hi, span):
+        """``count`` probe points above the branch points from a fixed seed,
+        drawn until each sits at least 0.15 scale from every branch point."""
+        rng = np.random.default_rng(seed)
+        out = []
+        while len(out) < count:
+            zc = complex(rng.uniform(-span, span) * self.scale,
+                         rng.uniform(lo, hi) * self.scale) + self.e.mean()
+            if np.min(np.abs(zc - self.e)) > 0.15 * self.scale:
+                out.append(zc)
+        return out
+
+    def _theta_over_reference(self, t):
+        """|theta(t_k)| / |theta(ref)| for the rows of t, one batched call
+        (the reference argument rides as the first row)."""
+        ref_t = np.full((1, self.g), 0.13 + 0.07j)
+        vals = np.abs(self.theta_bundle(np.vstack([ref_t, t]))[:, 0])
+        return vals[1:] / vals[0]
 
     def _half_period_K(self, probe_points=None, tol=1e-6):
         """K at the basepoint 'branch point 0' as a half period, identified by
-        the theta-divisor vanishing property and certified."""
+        the theta-divisor vanishing property and certified.
+
+        All 4^g candidates times all probes go through one batched theta
+        call; a candidate's residual is its worst probe."""
         if self._K_half_cache is not None:
             return self._K_half_cache
         g = self.g
         a0 = self.branch_data(0).abel
         if probe_points is None:
-            rng = np.random.default_rng(17)
-            probe_points = []
-            while len(probe_points) < 3:
-                zc = complex(rng.uniform(-1.5, 1.5) * self.scale,
-                             rng.uniform(0.3, 1.2) * self.scale) + self.e.mean()
-                if np.min(np.abs(zc - self.e)) > 0.15 * self.scale:
-                    probe_points.append(zc)
-        ref = self._theta_reference()
-        aQ = [self.abel_from_hub(z)[0] for z in probe_points]
-        best, best_resid, second = None, np.inf, np.inf
-        B = self.B.B
-        for bits in range(4 ** g):
-            alpha = np.array([(bits >> (2 * i)) & 1 for i in range(g)], dtype=float)
-            beta = np.array([(bits >> (2 * i + 1)) & 1 for i in range(g)],
-                            dtype=float)
-            Kc = B @ alpha / 2 + beta / 2
-            if g == 1:
-                worst = abs(self.theta(Kc)) / ref
-            else:
-                worst = max(abs(self.theta(a - a0 + Kc)) / ref for a in aQ)
-            if worst < best_resid:
-                best, best_resid, second = Kc, worst, best_resid
-            elif worst < second:
-                second = worst
+            probe_points = self._probe_points(17, 3, 0.3, 1.2, 1.5)
+        # candidate k: alpha_i, beta_i are bits 2i, 2i + 1 of k
+        bits = np.arange(4 ** g)[:, None] >> (2 * np.arange(g))
+        Kc = (bits & 1) @ self.B.B.T / 2 + ((bits >> 1) & 1) / 2
+        offsets = np.zeros((1, g)) if g == 1 else \
+            np.array([self.abel_from_hub(z)[0] - a0 for z in probe_points])
+        t = (offsets[None, :, :] + Kc[:, None, :]).reshape(-1, g)
+        worst = self._theta_over_reference(t).reshape(len(Kc), -1).max(axis=1)
+        order = np.argsort(worst, kind="stable")
+        best, best_resid = Kc[order[0]], float(worst[order[0]])
         if best_resid > tol:
             raise LatticeResolutionFailure(
                 f"no half period satisfies the vanishing property "
                 f"(best residual {best_resid:.2e})"
             )
-        if second < 10 * best_resid:
+        if worst[order[1]] < 10 * best_resid:
             raise LatticeResolutionFailure("half-period identification ambiguous")
         self._K_half_cache = (best, best_resid)
         return self._K_half_cache
@@ -936,7 +946,9 @@ class HyperellipticCurve:
 
         Identified through the theta-divisor vanishing property at a branch
         basepoint (a half period, exact classical structure) and transported
-        by K^y = K^x + (g - 1) A^x(y).  Returns (K, certificate).
+        by K^y = K^x + (g - 1) A^x(y).  Returns (K, certificate); with
+        ``certify`` (g >= 2) the certificate also covers the vanishing at
+        two admissible probe points.
         """
         K0, resid = self._half_period_K()
         if z_base is None:
@@ -944,17 +956,9 @@ class HyperellipticCurve:
         a_base = self.abel_from_hub(z_base)[0]
         K = K0 + (self.g - 1) * (a_base - self.branch_data(0).abel)
         if certify and self.g >= 2:
-            rng = np.random.default_rng(23)
-            worst = 0.0
-            ref = self._theta_reference()
-            for _ in range(2):
-                zc = complex(rng.uniform(-1.4, 1.4) * self.scale,
-                             rng.uniform(0.4, 1.3) * self.scale) + self.e.mean()
-                if np.min(np.abs(zc - self.e)) < 0.15 * self.scale:
-                    continue
-                aQ = self.abel_from_hub(zc)[0]
-                worst = max(worst, abs(self.theta(aQ - a_base + K)) / ref)
-            resid = max(resid, worst)
+            t = np.array([self.abel_from_hub(zc)[0] - a_base + K
+                          for zc in self._probe_points(23, 2, 0.4, 1.3, 1.4)])
+            resid = max(resid, float(self._theta_over_reference(t).max()))
         return K, resid
 
     def lattice_fit(self, vec, tol=1e-6):

@@ -9,6 +9,7 @@ rational functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -166,14 +167,15 @@ _RADIUS_CAP = 120.0
 _THETA_CHUNK = 32     # batch arguments per lattice in riemann_theta_bundle
 
 
-def _theta_lattice(B, shift_a, radius):
-    """Integer lattice points q = n + a with ||n|| <= radius per axis."""
-    g = B.shape[0]
-    R = int(np.ceil(radius))
+@lru_cache(maxsize=32)
+def _theta_lattice(g, R):
+    """Integer lattice points n with |n_i| <= R, shape ((2R + 1)^g, g)
+    (read-only: shared by every chunk and characteristic of that size)."""
     rng = np.arange(-R, R + 1, dtype=float)
     grids = np.meshgrid(*([rng] * g), indexing="ij")
     n = np.stack([gr.ravel() for gr in grids], axis=-1)
-    return n + shift_a
+    n.flags.writeable = False
+    return n
 
 
 def riemann_theta(t, B, char=None, derivs=(), tol=1e-12):
@@ -231,7 +233,7 @@ def riemann_theta_bundle(t, B, char=None, derivs_list=((),), tol=1e-12):
     out = np.empty((len(t), len(dirs)), dtype=complex)
     for lo in range(0, len(t), _THETA_CHUNK):
         chunk = slice(lo, lo + _THETA_CHUNK)
-        q = _theta_lattice(B, a, radius[chunk].max())
+        q = _theta_lattice(g, int(np.ceil(radius[chunk].max()))) + a
         expo = 1j * np.pi * np.einsum("mi,ij,mj->m", q, B, q) \
             + 2j * np.pi * (q @ (t[chunk] + b).T).T
         # subtract the max for overflow safety; restored at the end

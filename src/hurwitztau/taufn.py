@@ -464,20 +464,22 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
     Dg = curve.theta(K_zeta, derivs=[direction] * g)
     mult["theta_deriv"] = (2.0 / 3.0, Dg)
     mult["wronskian"] = (-2.0 / 3.0, curve.wronskian(P_zeta))
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            ci = char_pairs[(names[i], names[j])]
-            ch, _ = odd[ci]
-            th = curve.theta(abel[names[j]] - abel[names[i]], char=ch)
-            E2 = th ** 2 / (om_table[names[i]][ci] * om_table[names[j]][ci])
-            mult[f"E2_{names[i]}_{names[j]}"] = (
-                dks[names[i]] * dks[names[j]] / 12.0, E2)
-    for nm in names:
-        ci = char_zeta[nm]
-        ch, _ = odd[ci]
-        th = curve.theta(abel[nm] - a_zeta, char=ch)
-        E2 = th ** 2 / (om_zeta[ci] * om_table[nm][ci])
-        mult[f"E2_zeta_{nm}"] = (-(g - 1) * dks[nm] / 6.0, E2)
+    # each prime form as (ingredient, exponent, characteristic, theta
+    # argument, omega rows at both ends); one batched theta call per
+    # distinct characteristic
+    args = [(f"E2_{a}_{b}", dks[a] * dks[b] / 12.0, char_pairs[(a, b)],
+             abel[b] - abel[a], om_table[a], om_table[b])
+            for i, a in enumerate(names) for b in names[i + 1:]]
+    args += [(f"E2_zeta_{nm}", -(g - 1) * dks[nm] / 6.0, char_zeta[nm],
+              abel[nm] - a_zeta, om_zeta, om_table[nm]) for nm in names]
+    th = {}
+    for ci in sorted({arg[2] for arg in args}):
+        rows = [k for k, arg in enumerate(args) if arg[2] == ci]
+        vals = curve.theta_bundle(np.array([args[k][3] for k in rows]),
+                                  char=odd[ci][0])
+        th.update(zip(rows, map(complex, vals[:, 0])))
+    for k, (key, expo, ci, _, omP, omQ) in enumerate(args):
+        mult[key] = (expo, th[k] ** 2 / (omP[ci] * omQ[ci]))
 
     additive = {
         "lattice_exp": (np.pi * 1j / 6.0) * (4 * (K_zeta @ Z) - (Z @ curve.B.B @ Z))

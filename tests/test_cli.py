@@ -186,6 +186,8 @@ def test_tau_genus2_command(tmp_path):
     code, rep = run_cli(["--input", inp, "tau-genus2"], tmp_path)
     assert code == 0
     assert rep["discrepancies"]["zeta_independence_rel"] < 1e-5
+    assert rep["certificates"]["K"] < 1e-8
+    assert rep["certificates"]["period"] < 1e-9
 
 
 def test_cone_shift_fit_command(tmp_path):

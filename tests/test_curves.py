@@ -63,6 +63,103 @@ def test_too_close_branch_points_rejected():
         HyperellipticCurve([0.0, 1e-12, 1.0, 2.0])
 
 
+
+
+# exact period data of the fixtures, as float.hex pairs (re, im)
+_FIXTURE_PERIODS = {
+    "curve_genus1": {
+        "B": [["-0x1.d1fe1eefd9ba0p-4", "0x1.63db4af3380b2p+0"]],
+        "coef": [["0x1.a6b137a2dd79ap-6", "-0x1.88a96e2195f86p-2"]],
+        "cert": "0x1.898caed9846e0p-56",
+    },
+    "curve_genus2": {
+        "B": [["-0x1.4f6f0e2a8a334p-4", "0x1.a073914818ad5p+0"],
+              ["-0x1.47bbf8eea97b6p-7", "0x1.a6799de0b3e49p-1"],
+              ["-0x1.47bbf8eea97b6p-7", "0x1.a6799de0b3e49p-1"],
+              ["-0x1.ed88aef5154a9p-4", "0x1.37b790bcdb32fp+0"]],
+        "coef": [["-0x1.6c637bab04a73p-4", "0x1.104db26a8761bp-3"],
+                 ["0x1.95752100d6e69p-6", "-0x1.0dbe791e5c084p-1"],
+                 ["-0x1.11da89c0368b0p-7", "-0x1.75da10c036484p-2"],
+                 ["-0x1.1376b7faa4f08p-7", "-0x1.078a738bd1977p-2"]],
+        "cert": "0x1.94895a9e2b8dap-51",
+    },
+}
+
+
+def _fixture_curve(name):
+    return HyperellipticCurve([complex(*p) for p in
+                               load_fixture(name)["branch_points"]])
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURE_PERIODS))
+def test_fixture_periods_bit_exact(name):
+    # sharing one tracked chain between the rules of a doubling leaves the
+    # period data unchanged to the last bit
+    cur = _fixture_curve(name)
+    want = _FIXTURE_PERIODS[name]
+    for key in ("B", "coef"):
+        vals = (cur.B.B if key == "B" else cur.coef).ravel()
+        got = [[float(v.real).hex(), float(v.imag).hex()] for v in vals]
+        assert got == want[key]
+    assert float(cur.period_certificate).hex() == want["cert"]
+
+
+def _retracked_geometry(cur, i, j, N):
+    """Pair-loop nodes, dz/dt and y as one rule tracks them on its own:
+    rho search, then y along an N * ceil(512 / N) chain read every
+    ceil(512 / N)-th node."""
+    p, q = cur.e[i], cur.e[j]
+    c, d = (p + q) / 2, (q - p) / 2
+    others = np.delete(cur.e, [i, j])
+    rho = 0.8
+    tprobe = np.linspace(0, 2 * np.pi, 181)
+    while rho > 1e-3:
+        two_a = 2 * abs(d) * np.cosh(rho)
+        focal = np.abs(others - p) + np.abs(others - q)
+        zs = c + d * np.cosh(rho + 1j * tprobe)
+        if focal.min() > two_a * 1.02 and \
+                np.min(np.abs(zs[:, None] - others)) > 0.04 * abs(d):
+            break
+        rho *= 0.7
+    t = np.arange(N) * 2 * np.pi / N
+    zs = c + d * np.cosh(rho + 1j * t)
+    dz = 1j * d * np.sinh(rho + 1j * t)
+    fine = max(1, int(np.ceil(512 / N)))
+    tf = np.arange(N * fine + 1) * 2 * np.pi / (N * fine)
+    yf = cur.track_y(c + d * np.cosh(rho + 1j * tf), cur._seed_y(zs[0]))
+    return zs, dz, yf[:-1][::fine]
+
+
+@pytest.mark.parametrize("N", [128, 192, 256])
+def test_pair_loop_geometry_matches_per_rule_tracking(genus2_curve, N):
+    # N = 192 is the non-power-of-two chain of the W cycle periods below
+    cur = genus2_curve
+    for i, j in ((0, 1), (2, 3), (4, 5), (1, 2), (3, 4)):
+        got = cur._pair_loop_geometry(i, j, N)
+        for a, b in zip(got, _retracked_geometry(cur, i, j, N)):
+            assert np.array_equal(a, b)
+
+
+def test_pair_loop_one_chain_per_length(monkeypatch):
+    chains = []
+    track = HyperellipticCurve.track_y
+
+    def counting(self, zs, y0):
+        if zs[0] != self.hub:    # not a seed chain from the hub
+            chains.append(len(zs))
+        return track(self, zs, y0)
+
+    monkeypatch.setattr(HyperellipticCurve, "track_y", counting)
+    cur = _fixture_curve("curve_genus2")
+    # the a-pairs and the chain pairs, each doubled from 128 nodes
+    assert len(chains) == len(cur._loop_cache)
+    assert sorted(chains) == sorted(L + 1 for (_, _, L) in cur._loop_cache)
+    assert sum(L == 512 for (_, _, L) in cur._loop_cache) == 2 * cur.g
+    for i, j, _ in list(cur._loop_cache):
+        for N in (128, 256, 512):
+            cur._pair_loop_geometry(i, j, N)
+    assert len(chains) == len(cur._loop_cache)
+
 # ---------------------------------------------------------------------------
 # Abel map
 # ---------------------------------------------------------------------------
@@ -355,6 +452,93 @@ def test_riemann_constants_vanishing_genus2(genus2_curve, rng):
         zq = complex(rng.uniform(-2, 2), rng.uniform(0.6, 1.9))
         aq = cur.abel_from_hub(zq)[0] - cur.abel_from_hub(zb)[0]
         assert abs(cur.theta(aq + K)) / ref < 1e-8
+
+
+def _scalar_half_period(cur):
+    """The half-period search one candidate and one probe at a time: the
+    4^g half periods against three seed-17 probes (drawn until each is
+    0.15 scale clear of the branch points), worst probe per candidate."""
+    g = cur.g
+    rng = np.random.default_rng(17)
+    probes = []
+    while len(probes) < 3:
+        zc = complex(rng.uniform(-1.5, 1.5) * cur.scale,
+                     rng.uniform(0.3, 1.2) * cur.scale) + cur.e.mean()
+        if np.min(np.abs(zc - cur.e)) > 0.15 * cur.scale:
+            probes.append(zc)
+    a0 = cur.branch_data(0).abel
+    ref = abs(cur.theta(np.full(g, 0.13 + 0.07j)))
+    resid = []
+    for bits in range(4 ** g):
+        alpha = np.array([(bits >> (2 * i)) & 1 for i in range(g)], dtype=float)
+        beta = np.array([(bits >> (2 * i + 1)) & 1 for i in range(g)], dtype=float)
+        Kc = cur.B.B @ alpha / 2 + beta / 2
+        args = [Kc] if g == 1 else \
+            [cur.abel_from_hub(z)[0] - a0 + Kc for z in probes]
+        resid.append((max(abs(cur.theta(t)) / ref for t in args), Kc))
+    return min(resid, key=lambda r: r[0])
+
+
+def test_half_period_batched_matches_scalar_search():
+    rng = np.random.default_rng(5)
+    base = [complex(*p) for p in load_fixture("curve_genus2")["branch_points"]]
+    curves = [_fixture_curve("curve_genus1"), _fixture_curve("curve_genus2")]
+    curves += [HyperellipticCurve(np.array(base) + 0.05 * (
+        rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6))) for _ in range(3)]
+    for cur in curves:
+        K, resid = cur._half_period_K()
+        want_resid, want_K = _scalar_half_period(cur)
+        assert np.array_equal(K, want_K)
+        # residuals are |theta| / |theta(ref)|: agreement in units of the
+        # reference theta value
+        assert abs(resid - want_resid) < 1e-12
+
+
+def test_certification_probes_are_the_seed_draws(fixture_genus2):
+    # on a curve where no draw is rejected the probes are the first two
+    # seed-23 draws
+    _, cur = fixture_genus2
+    rng = np.random.default_rng(23)
+    draws = [complex(rng.uniform(-1.4, 1.4) * cur.scale,
+                     rng.uniform(0.4, 1.3) * cur.scale) + cur.e.mean()
+             for _ in range(2)]
+    assert cur._probe_points(23, 2, 0.4, 1.3, 1.4) == draws
+
+
+def test_certification_replaces_a_rejected_probe(monkeypatch):
+    # With six branch points the first seed-23 draws lie more than the
+    # curve's scale from the other points' centroid, so none lands near a
+    # branch point; a scripted generator puts the first draw on e_5.
+    from hurwitztau import curves
+
+    cur = _fixture_curve("curve_genus2")
+    cur._half_period_K()
+    on_branch = (cur.e[5] - cur.e.mean()) / cur.scale
+    real_rng = np.random.default_rng
+
+    class Scripted:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+            self.queue = [on_branch.real, on_branch.imag] if seed == 23 else []
+
+        def uniform(self, lo, hi):
+            return self.queue.pop(0) if self.queue else self.rng.uniform(lo, hi)
+
+    rows = []
+    bundle = curves.riemann_theta_bundle
+
+    def recording(t, *args, **kw):
+        rows.append(np.shape(t))
+        return bundle(t, *args, **kw)
+
+    monkeypatch.setattr(np.random, "default_rng", Scripted)
+    monkeypatch.setattr(curves, "riemann_theta_bundle", recording)
+    probes = cur._probe_points(23, 2, 0.4, 1.3, 1.4)
+    assert len(probes) == 2 and cur.e[5] not in probes
+    K, resid = cur.riemann_constants(0.9 + 1.7j)
+    # the reference row plus two probe rows, in one call
+    assert rows == [(3, 2)]
+    assert resid < 1e-8
 
 
 def test_canonical_divisor_lattice_membership(genus1_curve, genus2_curve):

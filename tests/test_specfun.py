@@ -206,6 +206,28 @@ def test_theta_batch_chunk_remainder(rng, monkeypatch):
     assert np.all(np.abs(chunked - whole) <= 1e-12 * np.abs(whole))
 
 
+def test_theta_lattice_cached_bit_exact(rng, monkeypatch):
+    # the cached integer lattice gives theta values identical to the bit
+    # to a lattice built afresh for every chunk
+    B = np.array([[1.2j, 0.3 + 0.1j], [0.3 + 0.1j, 0.9j]])
+    char = specfun.ThetaCharacteristic((0.5, 0.0), (0.5, 0.5))
+    t = rng.normal(size=(40, 2)) * 0.4 + 1j * rng.normal(size=(40, 2)) * 0.3
+    grid = specfun._theta_lattice(2, 7)
+    assert grid is specfun._theta_lattice(2, 7) and not grid.flags.writeable
+    cached = specfun.riemann_theta_bundle(t, B, char=char,
+                                          derivs_list=_theta_specs(2))
+
+    def fresh_lattice(g, R):
+        rng1 = np.arange(-R, R + 1, dtype=float)
+        grids = np.meshgrid(*([rng1] * g), indexing="ij")
+        return np.stack([gr.ravel() for gr in grids], axis=-1)
+
+    monkeypatch.setattr(specfun, "_theta_lattice", fresh_lattice)
+    fresh = specfun.riemann_theta_bundle(t, B, char=char,
+                                         derivs_list=_theta_specs(2))
+    assert np.array_equal(cached, fresh)
+
+
 def test_theta_batch_truncation_cap_any_argument():
     from hurwitztau.errors import TruncationFailure
 

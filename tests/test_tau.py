@@ -255,3 +255,53 @@ def test_tau_genus2_lattice_certificates(genus2_curve):
     tv, _ = tau_genus2(genus2_curve, 0.9 + 1.7j)
     assert tv.diagnostics["lattice_residual"] < 1e-6
     assert tv.diagnostics["K_certificate"] < 1e-8
+
+
+def test_tau_genus2_prime_forms_match_per_pair_theta(fixture_genus2):
+    # the batched prime-form thetas against one curve.theta per argument
+    data, cur = fixture_genus2
+    zeta = complex(*data["zeta"])
+    _, ing = tau_genus2(cur, zeta)
+    odd = cur.odd_char_gradients()
+    table = {nm: (a, v) for nm, a, _, v in taufn._divisor_tables(cur)}
+    a_zeta = cur.abel_from_hub(zeta)[0]
+    om_zeta = cur._omega_values(cur.v_hat(cur.point(zeta)))
+    want = {}
+    for (p, q), ci in ing.frozen["char_pairs"].items():
+        th = cur.theta(table[q][0] - table[p][0], char=odd[ci][0])
+        want[f"E2_{p}_{q}"] = th ** 2 / (cur._omega_values(table[p][1])[ci]
+                                         * cur._omega_values(table[q][1])[ci])
+    for nm, ci in ing.frozen["char_zeta"].items():
+        th = cur.theta(table[nm][0] - a_zeta, char=odd[ci][0])
+        want[f"E2_zeta_{nm}"] = th ** 2 / (
+            om_zeta[ci] * cur._omega_values(table[nm][1])[ci])
+    got = {k: v for k, (_, v) in ing.multiplicative.items()
+           if k.startswith("E2_")}
+    assert got.keys() == want.keys() and len(got) == 36
+    for k, v in want.items():
+        assert abs(got[k] - v) <= 1e-12 * abs(v)
+
+
+def test_tau_genus2_one_theta_call_per_characteristic(monkeypatch):
+    from hurwitztau import curves
+
+    cur = HyperellipticCurve([-2.1, -1.0, -0.2 + 0.3j, 0.7, 1.5 + 0.1j, 2.4])
+    _, ing = tau_genus2(cur, 0.9 + 1.7j)   # fills the per-curve caches
+    chars = []
+    bundle = curves.riemann_theta_bundle
+
+    def recording(t, B, char=None, **kw):
+        chars.append(char)
+        return bundle(t, B, char=char, **kw)
+
+    monkeypatch.setattr(curves, "riemann_theta_bundle", recording)
+    tau_genus2(cur, -1.4 + 1.1j, frozen=ing.frozen)
+    odd = cur.odd_char_gradients()
+    used = {odd[ci][0] for ci in list(ing.frozen["char_pairs"].values())
+            + list(ing.frozen["char_zeta"].values())}
+    prime_form_calls = [c for c in chars if c is not None]
+    assert sorted(map(str, prime_form_calls)) == sorted(map(str, used))
+    assert len(used) <= 6
+    # fixed calls: the theta derivative at K and the two K certification
+    # probes (with the reference row)
+    assert chars.count(None) == 2
