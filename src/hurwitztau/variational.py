@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curves import HyperellipticCurve, h_taylor_torus
+from .curves import HyperellipticCurve, _trapezoid_doubling, h_taylor_torus
 from .errors import (
     ContourTooLarge,
     DifferentiationUnstable,
@@ -131,30 +131,17 @@ def trace_identity_check(ell, block):
 # contour helpers
 # ---------------------------------------------------------------------------
 
-def _trapezoid_doubling(fun, radius, nodes, max_doublings=3, target=None):
-    """Closed-contour trapezoid of fun(x) dx over |x| = radius with doubling.
+def _circle_contour(fun, radius, nodes, max_doublings=3, target=None):
+    """Closed-contour integral of fun(x) dx over |x| = radius: the periodic
+    doubling trapezoid of :func:`curves._trapezoid_doubling` in the angle,
+    x = radius e^{i theta}, dx = i x dtheta."""
+    def integrand(th):
+        xs = radius * np.exp(1j * th)
+        return fun(xs) * 1j * xs
 
-    ``fun`` maps an array of nodes to the array of integrand values.  The
-    2N rule's even nodes are the N rule's nodes (bit-identical), so each
-    doubling evaluates ``fun`` only at the N new odd nodes."""
-    def circle(N):
-        th = np.arange(N) * 2 * np.pi / N
-        return radius * np.exp(1j * th)
-
-    N = nodes
-    xs = circle(N)
-    vals = np.asarray(fun(xs), dtype=complex)
-    prev = np.mean(vals * 1j * xs) * 2 * np.pi
-    for _ in range(max_doublings):
-        N *= 2
-        xs = circle(N)
-        vals = np.stack([vals, fun(xs[1::2])], axis=-1).ravel()
-        cur = np.mean(vals * 1j * xs) * 2 * np.pi
-        cert = abs(cur - prev) / max(abs(cur), 1e-300)
-        if target is None or cert < target:
-            return ContourIntegralResult(cur, radius, N, cert)
-        prev = cur
-    return ContourIntegralResult(cur, radius, N, cert)
+    value, N, cert = _trapezoid_doubling(integrand, nodes, max_doublings,
+                                         target)
+    return ContourIntegralResult(value, radius, N, cert)
 
 
 def _branch_contour_radius(curve, m, frac=0.1):
@@ -187,7 +174,7 @@ def rauch_contour(curve, m, nodes=32, target=1e-9):
     cert = 0.0
     for a in range(g):
         for b in range(a, g):
-            res = _trapezoid_doubling(entry_fun(a, b), r, nodes, target=target)
+            res = _circle_contour(entry_fun(a, b), r, nodes, target=target)
             out[a, b] = out[b, a] = res.value
             cert = max(cert, res.certificate)
     return out, cert, r
@@ -231,7 +218,7 @@ def det_imB_derivative(curve_factory, base_points, m, h=1e-5):
         vx = curve.chart_nodes(m, xs, "v")
         return np.einsum("ni,ij,nj->n", vx, Yi, vx) / (2.0 * xs)
 
-    res = _trapezoid_doubling(q_fun, r, 32, target=1e-9)
+    res = _circle_contour(q_fun, r, 32, target=1e-9)
     contour_route = res.value / 2j
 
     def lndet(dz):
@@ -273,7 +260,7 @@ def vardwa_rhs_curve(curve, m, nodes=24, sb_tol=1e-4):
         sf = coef / xs ** 2
         return (sb - sf) / (2.0 * xs)
 
-    res = _trapezoid_doubling(fun, r, nodes, max_doublings=1)
+    res = _circle_contour(fun, r, nodes, max_doublings=1)
     return ContourIntegralResult(
         -res.value / (12j * np.pi), res.radius, res.nodes, res.certificate
     )
@@ -298,7 +285,7 @@ def vardwa_rhs_genus0(cover: RationalCoverP1, m, nodes=32):
         return np.array([-schwarzian(cover.num, cover.den, wm + w)
                          / cover.fprime(wm + w) for w in ws])
 
-    res = _trapezoid_doubling(fun, r, nodes, max_doublings=1)
+    res = _circle_contour(fun, r, nodes, max_doublings=1)
     return ContourIntegralResult(-res.value / (12j * np.pi), r, res.nodes,
                                  res.certificate)
 

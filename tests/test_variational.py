@@ -312,7 +312,7 @@ def test_trapezoid_doubling_reuses_nodes(max_doublings, target):
         evaluated.extend(xs)
         return integrand(xs)
 
-    res = V._trapezoid_doubling(batched, 0.3, 24, max_doublings, target)
+    res = V._circle_contour(batched, 0.3, 24, max_doublings, target)
     ref = _trapezoid_doubling_reference(integrand, 0.3, 24, max_doublings,
                                         target)
     # one doubling costs 2N node evaluations, not N + 2N
