@@ -169,11 +169,11 @@ def cmd_tau_rational3(args):
     }, ok
 
 
-def _curve_from_input(data, nodes=128):
+def _curve_from_input(data):
     from .curves import HyperellipticCurve
 
     pts = [_complex(p) for p in data["branch_points"]]
-    return HyperellipticCurve(pts, nodes=nodes), pts
+    return HyperellipticCurve(pts), pts
 
 
 def cmd_tau_genus1(args):

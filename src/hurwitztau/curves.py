@@ -10,13 +10,15 @@ Conventions (fixed, documented):
 
 * Branch points are taken in the declared input order; cut/pair i is
   (e_{2i}, e_{2i+1}) (0-indexed consecutive pairs).
-* a_i is an ellipse contour around pair i; b_i is the chain of pair-loops
-  around (e_{2i+1}, e_{2i+2}), (e_{2i+3}, e_{2i+4}), ..., (e_{2g-1}, e_{2g}).
+* a_i is the loop around pair i shrunk onto the segment between its two
+  points (z = c + d cos theta); b_i is the chain of such pair loops around
+  (e_{2i+1}, e_{2i+2}), (e_{2i+3}, e_{2i+4}), ..., (e_{2g-1}, e_{2g}).
 * All Abel integrals run through a star of paths from a common generic hub
   point; sheet 1 at the hub is the principal square root of prod(hub - e_i).
-* The raw contour lifts of the cycles sit on hub-dependent sheets; all lift
-  signs are pinned through the Riemann relations (unique assignment giving a
-  symmetric B with positive definite Im B, after a global orientation flip).
+* A pair loop's raw lift takes y from principal roots along its segment, not
+  from the hub, so it may sit on either sheet; all lift signs are pinned
+  through the Riemann relations (unique assignment giving a symmetric B with
+  positive definite Im B, after a global orientation flip).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import (
     ExtrapolationUnstable,
     IllConditionedPeriods,
     LatticeResolutionFailure,
+    PeriodQuadratureFailure,
     SheetTrackingLoss,
     WrongOrder,
 )
@@ -196,19 +199,17 @@ class HyperellipticCurve:
     """Hyperelliptic curve y^2 = prod(z - e_i) with 2g + 2 finite branch
     points and the degree-2 covering map f = z."""
 
-    def __init__(self, branch_points, nodes=128, hub=None, marking="standard",
-                 min_gap_rel=1e-8):
+    def __init__(self, branch_points, hub=None, marking="standard"):
         e = np.asarray(branch_points, dtype=complex).ravel()
         if len(e) < 4 or len(e) % 2 != 0:
             raise CurveGeometryError("need an even number >= 4 of branch points")
         scale = float(np.max(np.abs(np.subtract.outer(e, e))))
         gaps = np.abs(np.subtract.outer(e, e)) + np.eye(len(e)) * scale
-        if gaps.min() < min_gap_rel * scale:
+        if gaps.min() < 1e-8 * scale:
             raise CurveGeometryError("branch points too close together")
         self.e = e
         self._others = [np.delete(e, m) for m in range(len(e))]
         self.g = (len(e) - 2) // 2
-        self.nodes = int(nodes)
         self.scale = scale
         self.marking = marking
         if hub is None:
@@ -221,7 +222,6 @@ class HyperellipticCurve:
         self._abel_cache = {}
         self._branch_cache = {}
         self._pair_cache = {}
-        self._loop_cache = {}
         self._chart_cache = {}
         self._grad_cache = None
         self._inf_cache = None
@@ -229,31 +229,13 @@ class HyperellipticCurve:
         self._build_periods()
 
     # ------------------------------------------------------------------
-    # fiber and tracking
+    # fiber
     # ------------------------------------------------------------------
 
     def fiber2(self, z):
         """y^2 = prod(z - e_i), vectorized over z."""
         z = np.asarray(z, dtype=complex)
         return np.prod(z[..., None] - self.e, axis=-1)
-
-    def track_y(self, zs, y0):
-        """y along the sample chain zs, seeded with y0 at zs[0]."""
-        return _tracked_sqrt(self.fiber2(np.asarray(zs, dtype=complex)), seed=y0)
-
-    def _seed_y(self, z, npts=None):
-        """y over z continued from the hub along a straight segment (no
-        integration; usable before the period data exists)."""
-        key = ("seed", complex(z))
-        if key not in self._abel_cache:
-            if npts is None:
-                clearance = float(min(np.min(np.abs(self.hub - self.e)),
-                                      np.min(np.abs(complex(z) - self.e))))
-                npts = int(np.clip(48 * abs(z - self.hub) / max(clearance, 1e-9),
-                                   48, 4000))
-            chain = self.hub + np.linspace(0.0, 1.0, npts) * (complex(z) - self.hub)
-            self._abel_cache[key] = complex(self.track_y(chain, self.y_hub)[-1])
-        return self._abel_cache[key]
 
     def point(self, z, nseg=None):
         """CurvePoint over z on the sheet continued from the hub along a
@@ -268,77 +250,43 @@ class HyperellipticCurve:
     # pair loops and periods
     # ------------------------------------------------------------------
 
-    def _pair_loop_geometry(self, i, j, N):
-        """Ellipse around branch points e_i, e_j: nodes z, dz/dt, tracked y.
-
-        y is tracked once per pair and chain length L = N * ceil(512 / N)
-        (cached): the N nodes are every (L / N)-th node of that chain, so
-        the rules N = 128, 256, 512 share one 513-node chain."""
-        fine = max(1, int(np.ceil(512 / N)))
-        key = (i, j, N * fine)
-        if key not in self._loop_cache:
-            p, q = self.e[i], self.e[j]
-            c, d = (p + q) / 2, (q - p) / 2
-            others = np.delete(self.e, [i, j])
-            rho = 0.8
-            tprobe = np.linspace(0, 2 * np.pi, 181)
-            while rho > 1e-3:
-                if len(others) == 0:
-                    break
-                # exclusion: no other branch point inside the ellipse (sum of
-                # focal distances below 2a) nor too close to the contour
-                two_a = 2 * abs(d) * np.cosh(rho)
-                focal = np.abs(others - p) + np.abs(others - q)
-                zs = c + d * np.cosh(rho + 1j * tprobe)
-                if focal.min() > two_a * 1.02 and \
-                        np.min(np.abs(zs[:, None] - others)) > 0.04 * abs(d):
-                    break
-                rho *= 0.7
-            else:
-                raise SheetTrackingLoss(
-                    "no admissible pair-loop contour: another branch point sits "
-                    "on the focal segment (reorder the branch points)"
-                )
-            tf = np.arange(N * fine + 1) * 2 * np.pi / (N * fine)
-            zf = c + d * np.cosh(rho + 1j * tf)
-            yf = self.track_y(zf, self._seed_y(zf[0]))
-            if abs(yf[-1] - yf[0]) > 1e-8 * abs(yf[0]):
-                raise SheetTrackingLoss("pair loop failed to close on the surface")
-            self._loop_cache[key] = (c, d, rho, yf[:-1])
-        c, d, rho, yf = self._loop_cache[key]
-        t = np.arange(N) * 2 * np.pi / N
-        return (c + d * np.cosh(rho + 1j * t), 1j * d * np.sinh(rho + 1j * t),
-                yf[::fine])
-
     def _pair_loop_integrals(self, i, j, target=1e-10):
-        """Integrals of z^k dz / y over the (i, j) pair loop; the node count
-        doubles until the convergence certificate meets the target (cached)."""
+        """Integrals of z^k dz / y over the (i, j) pair loop (cached).
+
+        The loop is shrunk onto the focal segment, z = c + d cos(theta), with
+        y = i d sin(theta) s(z) and s(z) = sqrt(prod(c - e_l)) *
+        prod_l sqrt((z - e_l) / (c - e_l)) over the other branch points
+        (principal roots: each ratio keeps its argument in (-pi, pi) on the
+        segment), so dz / y = i dtheta / s(z) is smooth and periodic; no
+        tracking is needed.  A certificate that misses ``target`` raises."""
         key = (i, j)
         if key not in self._pair_cache:
-            def quad(N):
-                zs, dz, ys = self._pair_loop_geometry(i, j, N)
-                mono = zs[:, None] ** np.arange(self.g)[None, :]
-                return 2 * np.pi * np.mean(mono * (dz / ys)[:, None], axis=0)
+            c, d = (self.e[i] + self.e[j]) / 2, (self.e[j] - self.e[i]) / 2
+            others = np.delete(self.e, [i, j])
+            s_c = np.sqrt(np.prod(c - others))
 
-            N = self.nodes
-            prev = quad(N)
-            for _ in range(5):
-                N *= 2
-                cur = quad(N)
-                cert = float(np.max(np.abs(prev - cur))
-                             / max(np.max(np.abs(cur)), 1e-300))
-                prev = cur
-                if cert < target:
-                    break
-            self._pair_cache[key] = (prev, cert)
+            def fun(th):
+                z = c + d * np.cos(th)
+                s = s_c * np.prod(np.sqrt((z[:, None] - others)
+                                          / (c - others)), axis=1)
+                return 1j * z[:, None] ** np.arange(self.g) / s[:, None]
+
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val, N, cert = _trapezoid_doubling(fun, target=target)
+            if not cert < target:
+                raise PeriodQuadratureFailure(
+                    f"pair loop ({i}, {j}): period certificate {cert:.2e} "
+                    f"misses {target:.0e} at {N} nodes: another branch point "
+                    f"lies on or near the segment from e_{i} to e_{j}")
+            self._pair_cache[key] = (val, cert)
         return self._pair_cache[key]
 
     def _cycle_pairs(self, kind, i):
         """Pair-loop indices composing the homology cycle (standard marking).
 
         Cycle members carry the lift signs pinned during period
-        construction (the raw ellipse lift of a member may sit on either
-        sheet depending on the hub geometry)."""
+        construction (the raw pair-loop lift of a member may sit on either
+        sheet)."""
         if kind == "a":
             return [((2 * i, 2 * i + 1), self._a_signs[i])]
         return [((2 * k + 1, 2 * k + 2), self._chain_signs[k])
@@ -346,18 +294,12 @@ class HyperellipticCurve:
 
     def _build_periods(self):
         g = self.g
-        A = np.zeros((g, g), dtype=complex)
-        cert = 0.0
-        for i in range(g):
-            val, c = self._pair_loop_integrals(2 * i, 2 * i + 1)
-            A[i] = val
-            cert = max(cert, c)
-        chain = np.zeros((g, g), dtype=complex)   # raw loop(2k+1, 2k+2)
-        for k in range(g):
-            val, c = self._pair_loop_integrals(2 * k + 1, 2 * k + 2)
-            chain[k] = val
-            cert = max(cert, c)
-        self.period_certificate = cert
+        # raw loop(2i, 2i+1) of each a-cycle, raw loop(2k+1, 2k+2) of each
+        # chain member
+        loops = [[self._pair_loop_integrals(2 * i + s, 2 * i + s + 1)
+                  for i in range(g)] for s in (0, 1)]
+        A, chain = (np.array([val for val, _ in row]) for row in loops)
+        self.period_certificate = max(c for row in loops for _, c in row)
 
         def assemble(a_signs, c_signs, which):
             Amat = a_signs[:, None] * A
@@ -376,11 +318,11 @@ class HyperellipticCurve:
                         / max(1.0, np.max(np.abs(Braw))))
             return coef, Braw, sym, Ceff, Aeff
 
-        # The raw ellipse lifts of the a-cycles and of the chain members sit
-        # on hub-geometry-dependent sheets.  Pin all lift signs through the
-        # Riemann relations: sign assignments that make B symmetric with
-        # definite Im B all produce the same marking (and the same B after
-        # the global orientation flip below); anything else is rejected.
+        # The raw pair-loop lifts of the a-cycles and of the chain members
+        # sit on either sheet.  Pin all lift signs through the Riemann
+        # relations: sign assignments that make B symmetric with definite
+        # Im B all produce the same marking (and the same B after the global
+        # orientation flip below); anything else is rejected.
         candidates = []
         for abits in range(2 ** g):
             a_signs = np.array([1.0 if not (abits >> k) & 1 else -1.0
@@ -431,10 +373,10 @@ class HyperellipticCurve:
         other = HyperellipticCurve.__new__(HyperellipticCurve)
         other.__dict__.update({
             "e": self.e, "_others": self._others, "g": self.g,
-            "nodes": self.nodes, "scale": self.scale,
+            "scale": self.scale,
             "hub": self.hub, "y_hub": self.y_hub,
             "marking": "swapped" if self.marking == "standard" else "standard",
-            "_pair_cache": self._pair_cache, "_loop_cache": self._loop_cache,
+            "_pair_cache": self._pair_cache,
             "_abel_cache": {},
             "_branch_cache": {}, "_chart_cache": {}, "_grad_cache": None,
             "_inf_cache": None, "_K_half_cache": None,
@@ -910,7 +852,7 @@ class HyperellipticCurve:
         vals = np.abs(self.theta_bundle(np.vstack([ref_t, t]))[:, 0])
         return vals[1:] / vals[0]
 
-    def _half_period_K(self, probe_points=None, tol=1e-6):
+    def _half_period_K(self):
         """K at the basepoint 'branch point 0' as a half period, identified by
         the theta-divisor vanishing property and certified.
 
@@ -920,18 +862,17 @@ class HyperellipticCurve:
             return self._K_half_cache
         g = self.g
         a0 = self.branch_data(0).abel
-        if probe_points is None:
-            probe_points = self._probe_points(17, 3, 0.3, 1.2, 1.5)
         # candidate k: alpha_i, beta_i are bits 2i, 2i + 1 of k
         bits = np.arange(4 ** g)[:, None] >> (2 * np.arange(g))
         Kc = (bits & 1) @ self.B.B.T / 2 + ((bits >> 1) & 1) / 2
         offsets = np.zeros((1, g)) if g == 1 else \
-            np.array([self.abel_from_hub(z)[0] - a0 for z in probe_points])
+            np.array([self.abel_from_hub(z)[0] - a0
+                      for z in self._probe_points(17, 3, 0.3, 1.2, 1.5)])
         t = (offsets[None, :, :] + Kc[:, None, :]).reshape(-1, g)
         worst = self._theta_over_reference(t).reshape(len(Kc), -1).max(axis=1)
         order = np.argsort(worst, kind="stable")
         best, best_resid = Kc[order[0]], float(worst[order[0]])
-        if best_resid > tol:
+        if best_resid > 1e-6:
             raise LatticeResolutionFailure(
                 f"no half period satisfies the vanishing property "
                 f"(best residual {best_resid:.2e})"

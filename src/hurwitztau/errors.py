@@ -67,6 +67,10 @@ class IllConditionedPeriods(CurveGeometryError):
     """Near-degenerate branch configuration: a-period system badly conditioned."""
 
 
+class PeriodQuadratureFailure(CurveGeometryError):
+    """A pair-loop period integral missed its doubling-certificate target."""
+
+
 class SheetTrackingLoss(CurveGeometryError):
     """Analytic continuation of y could not be tracked reliably."""
 

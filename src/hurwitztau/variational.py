@@ -525,17 +525,17 @@ class CubicFamily:
         return (dx - 1j * dy) / 2, (dx + 1j * dy) / 2
 
 
-def dln_tau_genus1_fd(base_points, m, h=1e-5, hub=None, nodes=128):
+def dln_tau_genus1_fd(base_points, m, h=1e-5, hub=None):
     """Wirtinger FD of ln tau (genus 1) under branch-point motion, via
     ingredient ratios with a shared hub."""
     base_points = [complex(p) for p in base_points]
     if hub is None:
-        hub = HyperellipticCurve(base_points, nodes=nodes).hub
+        hub = HyperellipticCurve(base_points).hub
 
     def ing_at(dz):
         pts = list(base_points)
         pts[m] = pts[m] + dz
-        curve = HyperellipticCurve(pts, nodes=nodes, hub=hub)
+        curve = HyperellipticCurve(pts, hub=hub)
         return tau_genus1(curve)[1]
 
     base = ing_at(0.0)
@@ -544,18 +544,18 @@ def dln_tau_genus1_fd(base_points, m, h=1e-5, hub=None, nodes=128):
     return (dx - 1j * dy) / 2, (dx + 1j * dy) / 2
 
 
-def dln_tau_genus2_fd(base_points, m, zeta_z, h=1e-5, hub=None, nodes=128):
+def dln_tau_genus2_fd(base_points, m, zeta_z, h=1e-5, hub=None):
     """Wirtinger FD of ln tau (genus 2) under branch-point motion; discrete
     choices frozen at the base configuration."""
     base_points = [complex(p) for p in base_points]
-    base_curve = HyperellipticCurve(base_points, nodes=nodes, hub=hub)
+    base_curve = HyperellipticCurve(base_points, hub=hub)
     hub = base_curve.hub
     _, base_ing = tau_genus2(base_curve, zeta_z)
 
     def ing_at(dz):
         pts = list(base_points)
         pts[m] = pts[m] + dz
-        curve = HyperellipticCurve(pts, nodes=nodes, hub=hub)
+        curve = HyperellipticCurve(pts, hub=hub)
         return tau_genus2(curve, zeta_z, frozen=base_ing.frozen)[1]
 
     dx = base_ing.dlog_tau(ing_at(h), ing_at(-h), h)

@@ -89,6 +89,17 @@ def test_tau_genus1_command(tmp_path):
     assert np.isfinite(rep["outputs"]["log_abs_tau"])
 
 
+def test_tau_genus1_unmet_period_certificate_exits_1(tmp_path):
+    # e_2 = 0 sits on the segment of pair (0, 1)
+    inp = write_input(tmp_path, {
+        "branch_points": [[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.5, 0.0]],
+    })
+    code, rep = run_cli(["--input", inp, "tau", "genus1"], tmp_path)
+    assert code == 1
+    assert rep["error"] == "PeriodQuadratureFailure"
+    assert "pair loop (0, 1)" in rep["message"]
+
+
 def test_verify_vardwa_genus0_command(tmp_path):
     inp = write_input(tmp_path, {"a": [-3.0, 0.0], "b": [0.0, 0.0],
                                  "branch_index": 0})
