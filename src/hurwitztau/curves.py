@@ -925,8 +925,10 @@ def _trapezoid_doubling(fun, nodes=32, max_doublings=5, target=1e-10):
     (scalars or g-vectors).  The 2N rule's even nodes are the N rule's nodes
     (bit-identical), so each doubling evaluates ``fun`` only at the N new odd
     nodes.  Doubling stops once the relative change between consecutive rules
-    (the certificate) is below ``target``, or after ``max_doublings``
-    (``target=None``: always).  Returns (value, node count, certificate)."""
+    (the certificate) is below ``target``, else after ``max_doublings`` (with
+    ``target=None`` always after ``max_doublings``).  The certificate uses the
+    builtin ``abs``, which rounds scalars as the circle callers always have.
+    Returns (value, node count, certificate)."""
     N = nodes
     vals = np.asarray(fun(np.arange(N) * 2 * np.pi / N), dtype=complex)
     prev = np.mean(vals, axis=0) * 2 * np.pi
