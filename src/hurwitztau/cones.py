@@ -11,7 +11,7 @@ Im lambda >= 0; "negative energy" means lambda = i t, t > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sps
@@ -27,7 +27,6 @@ from .specfun import hankel1, hankel1_deriv
 
 __all__ = [
     "ConeCircle",
-    "DtnSpectrum",
     "dtn_exterior_eigenvalue",
     "dtn_zero_spectrum",
     "detstar_N0_model",
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
+_TAIL_TOL = 1e-8    # mode-sum truncation certificate of detzeta_N_model
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,6 @@ class ConeCircle:
 
     def nu(self, n):
         return abs(n) / (self.k * self.R)
-
-
-@dataclass
-class DtnSpectrum:
-    """Eigenvalue family mu_n(lambda) of a DtN/jump operator on the circle."""
-
-    lam: complex
-    n_values: np.ndarray
-    eigenvalues: np.ndarray
-    kind: str = "exterior"
-    diagnostics: dict = field(default_factory=dict)
 
 
 def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
@@ -176,7 +165,7 @@ def _log_eps_tail(nu, lam_R_sq):
     return out
 
 
-def detzeta_N_model(cone: ConeCircle, lam, n_max=4000, tail_tol=1e-8):
+def detzeta_N_model(cone: ConeCircle, lam, n_max=4000):
     """log of the zeta-regularized determinant of the Neumann jump operator
     on the model cone at spectral parameter lambda (Im lambda > 0 for real
     values; real lambda gives the analytically continued complex log-det).
@@ -188,7 +177,8 @@ def detzeta_N_model(cone: ConeCircle, lam, n_max=4000, tail_tol=1e-8):
       log det N(lambda) = log mu_0 + log(pi k R^2) + 2 sum_{n>=1} eps_n,
       eps_n = log(mu_n k R^2 / (2 n)),
 
-    with the residual tail beyond n_max restored through its 1/n^2 model.
+    with the residual tail beyond n_max restored through its 1/n^2 model,
+    whose certificate must stay below ``_TAIL_TOL``.
     Returns (log_det, diagnostics).
     """
     lam = complex(lam)
@@ -230,16 +220,16 @@ def detzeta_N_model(cone: ConeCircle, lam, n_max=4000, tail_tol=1e-8):
     resid_last = abs(eps[-1] - model_last)
     if abs(eps[-1]) > 1e-12 and abs(model_last) > 1e-300:
         mism = resid_last / max(abs(eps[-1]), abs(model_last))
-        if mism > 0.2 and abs(eps[-1]) > tail_tol:
+        if mism > 0.2 and abs(eps[-1]) > _TAIL_TOL:
             raise TailModelMismatch(
                 f"last mode deviates from the 1/n^2 tail model by {mism:.1%}"
             )
     # unmodeled remainder decays one power faster than the restored tail:
     # bound it by the last-mode model residual times the tail mode count
     cert = float(2 * resid_last * n_max)
-    if cert > tail_tol:
+    if cert > _TAIL_TOL:
         raise TailModelMismatch(
-            f"mode-sum truncation certificate {cert:.2e} > {tail_tol}; "
+            f"mode-sum truncation certificate {cert:.2e} > {_TAIL_TOL}; "
             "increase n_max"
         )
     log_det = np.log(mu0) + np.log(np.pi * kR2) + 2 * (np.sum(eps) + tail)
@@ -314,9 +304,10 @@ def mu0_asymptotic_fit(cone: ConeCircle, exponents=range(2, 9)):
 
 
 def spectral_shift_asymptotic(cone: ConeCircle, exponents=range(2, 8),
-                              n_cones=1, n_max=2000):
+                              n_cones=1):
     """Spectral-shift leading law: xi(lambda) = pi^{-1} Arg det N(lambda + i0)
-    fitted against 1 / log(lambda^2) along lambda = 10^-j.
+    fitted against 1 / log(lambda^2) along lambda = 10^-j (2000 modes per
+    determinant).
 
     For n_cones independent model cones the phases add and the leading
     coefficient is n_cones.  Returns the fitted leading coefficient and the
@@ -325,7 +316,7 @@ def spectral_shift_asymptotic(cone: ConeCircle, exponents=range(2, 8),
     lams = np.array([10.0 ** (-j) for j in exponents])
     xi = []
     for lm in lams:
-        log_det, _ = detzeta_N_model(cone, complex(lm), n_max=n_max)
+        log_det, _ = detzeta_N_model(cone, complex(lm), n_max=2000)
         phase = log_det.imag
         if abs(phase) > np.pi:
             raise PhaseUnwrappingFailure(

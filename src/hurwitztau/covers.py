@@ -45,10 +45,8 @@ __all__ = [
 class Permutation:
     """Permutation of {1..N} stored as a 0-indexed image tuple."""
 
-    def __init__(self, images, n=None):
+    def __init__(self, images):
         images = tuple(int(x) for x in images)
-        if n is not None and len(images) != n:
-            raise CoverDataError(f"permutation acts on {len(images)} symbols, expected {n}")
         if sorted(images) != list(range(len(images))):
             raise CoverDataError(f"not a permutation of 0..{len(images)-1}: {images}")
         self.images = images

@@ -194,12 +194,14 @@ def _gl_panels(nseg, ngl):
 _odd_characteristics = lru_cache(maxsize=None)(
     ThetaCharacteristic.odd_characteristics)
 
+_PERIOD_TARGET = 1e-10    # pair-loop period certificate
+
 
 class HyperellipticCurve:
     """Hyperelliptic curve y^2 = prod(z - e_i) with 2g + 2 finite branch
     points and the degree-2 covering map f = z."""
 
-    def __init__(self, branch_points, hub=None, marking="standard"):
+    def __init__(self, branch_points, hub=None):
         e = np.asarray(branch_points, dtype=complex).ravel()
         if len(e) < 4 or len(e) % 2 != 0:
             raise CurveGeometryError("need an even number >= 4 of branch points")
@@ -211,7 +213,7 @@ class HyperellipticCurve:
         self._others = [np.delete(e, m) for m in range(len(e))]
         self.g = (len(e) - 2) // 2
         self.scale = scale
-        self.marking = marking
+        self.marking = "standard"
         if hub is None:
             hub = e.mean() + 0.37j * (np.ptp(e.real) + 0.2 * scale) \
                 + 0.11 * np.ptp(np.abs(e)) + 1.3
@@ -237,10 +239,10 @@ class HyperellipticCurve:
         z = np.asarray(z, dtype=complex)
         return np.prod(z[..., None] - self.e, axis=-1)
 
-    def point(self, z, nseg=None):
+    def point(self, z):
         """CurvePoint over z on the sheet continued from the hub along a
         straight segment."""
-        vec, y = self.abel_from_hub(z, nseg=nseg)
+        vec, y = self.abel_from_hub(z)
         return CurvePoint(complex(z), complex(y))
 
     def other_sheet(self, P):
@@ -250,7 +252,7 @@ class HyperellipticCurve:
     # pair loops and periods
     # ------------------------------------------------------------------
 
-    def _pair_loop_integrals(self, i, j, target=1e-10):
+    def _pair_loop_integrals(self, i, j):
         """Integrals of z^k dz / y over the (i, j) pair loop (cached).
 
         The loop is shrunk onto the focal segment, z = c + d cos(theta), with
@@ -258,7 +260,8 @@ class HyperellipticCurve:
         prod_l sqrt((z - e_l) / (c - e_l)) over the other branch points
         (principal roots: each ratio keeps its argument in (-pi, pi) on the
         segment), so dz / y = i dtheta / s(z) is smooth and periodic; no
-        tracking is needed.  A certificate that misses ``target`` raises."""
+        tracking is needed.  A certificate that misses ``_PERIOD_TARGET``
+        raises."""
         key = (i, j)
         if key not in self._pair_cache:
             c, d = (self.e[i] + self.e[j]) / 2, (self.e[j] - self.e[i]) / 2
@@ -272,12 +275,12 @@ class HyperellipticCurve:
                 return 1j * z[:, None] ** np.arange(self.g) / s[:, None]
 
             with np.errstate(divide="ignore", invalid="ignore"):
-                val, N, cert = _trapezoid_doubling(fun, target=target)
-            if not cert < target:
+                val, N, cert = _trapezoid_doubling(fun, target=_PERIOD_TARGET)
+            if not cert < _PERIOD_TARGET:
                 raise PeriodQuadratureFailure(
                     f"pair loop ({i}, {j}): period certificate {cert:.2e} "
-                    f"misses {target:.0e} at {N} nodes: another branch point "
-                    f"lies on or near the segment from e_{i} to e_{j}")
+                    f"misses {_PERIOD_TARGET:.0e} at {N} nodes: another branch "
+                    f"point lies on or near the segment from e_{i} to e_{j}")
             self._pair_cache[key] = (val, cert)
         return self._pair_cache[key]
 
@@ -438,21 +441,22 @@ class HyperellipticCurve:
         vec = np.einsum("sk,skg,s->g", wg, vals, (s1 - s0) * ds) / 2
         return vec, complex(root[-1])
 
-    def abel_segment(self, z0, y0, z1, nseg=None, ngl=16):
+    def abel_segment(self, z0, y0, z1, nseg=None):
         """Integral of (v_1 .. v_g) along the straight segment z0 -> z1 with
-        tracked sheet; returns (vector, y at z1)."""
+        tracked sheet, on nseg panels of 16 Gauss-Legendre nodes (nseg from
+        the clearance to the branch points when not given); returns (vector,
+        y at z1)."""
         if nseg is None:
             clearance = float(np.min(np.abs(
                 np.asarray([z0, z1])[:, None] - self.e)))
             nseg = int(np.clip(24 * abs(z1 - z0) / max(clearance, 1e-9), 16, 400))
-        return self._chart_path(z0, z1, y0, self.fiber2, self.v_poly, nseg, ngl)
+        return self._chart_path(z0, z1, y0, self.fiber2, self.v_poly, nseg, 16)
 
-    def abel_from_hub(self, z, nseg=None):
+    def abel_from_hub(self, z):
         """Abel vector of the point over z reached by the straight hub path."""
         key = complex(z)
         if key not in self._abel_cache:
-            self._abel_cache[key] = self.abel_segment(self.hub, self.y_hub, key,
-                                                      nseg=nseg)
+            self._abel_cache[key] = self.abel_segment(self.hub, self.y_hub, key)
         return self._abel_cache[key]
 
     def abel_of_point(self, P):
@@ -506,17 +510,19 @@ class HyperellipticCurve:
 
         return h, lambda x: 2.0 * self.v_poly(zm + x ** 2)
 
-    def branch_data(self, m, handoff=0.9, nseg=40, ngl=16):
+    def branch_data(self, m):
         """Abel vector of branch point m plus the distinguished-chart branch.
 
         The chart x = (z - e_m)^(1/2) is fixed by the tracked square root of
         h(z) = prod_{i != m}(z - e_i) along the hub approach; y = x sqrt_h.
+        The hub path hands off to the chart 0.9 of the way to e_m; the chart
+        leg runs on 40 panels of 16 Gauss-Legendre nodes.
         """
         if m in self._branch_cache:
             return self._branch_cache[m]
         zm = self.e[m]
         others = self._others[m]
-        zh = self.hub + handoff * (zm - self.hub)
+        zh = self.hub + 0.9 * (zm - self.hub)
         # keep the handoff clear of the other branch points
         guard = 0
         while np.min(np.abs(zh - others)) < 0.25 * np.min(np.abs(zm - others)) \
@@ -531,7 +537,7 @@ class HyperellipticCurve:
             )
         # x-chart leg: x from x_h to 0 along a straight chart segment
         vec2, s_m = self._chart_path(x_h, 0.0, yh / x_h, *self._x_chart(m),
-                                     nseg, ngl)
+                                     40, 16)
         v_lead = 2.0 * self.v_poly(zm) / s_m
         data = BranchChart(index=m, abel=vec + vec2, sqrt_h=s_m, v_lead=v_lead)
         self._branch_cache[m] = data
@@ -547,11 +553,12 @@ class HyperellipticCurve:
         sq = _tracked_sqrt(hv, seed=bd.sqrt_h)
         return CurvePoint(z, complex(x) * complex(sq[-1]))
 
-    def abel_branch_chart(self, m, x, ngl=24):
-        """Abel vector from branch point m to the chart point x (chart path)."""
+    def abel_branch_chart(self, m, x):
+        """Abel vector from branch point m to the chart point x (chart path,
+        one panel of 24 Gauss-Legendre nodes)."""
         bd = self.branch_data(m)
         vec, _ = self._chart_path(0.0, complex(x), bd.sqrt_h, *self._x_chart(m),
-                                  1, ngl)
+                                  1, 24)
         return bd.abel + vec
 
     def chart_nodes(self, m, xs, kind):
@@ -570,19 +577,18 @@ class HyperellipticCurve:
         rows = np.array([memo[x] for x in map(complex, uniq)])
         return rows[inv].reshape(xs.shape + (self.g,))
 
-    def infinity_data(self, direction=None, zjun_factor=8.0, nseg=40, ngl=16):
+    def infinity_data(self):
         """Both points over z = infinity with sheet markers +1 and -1.
 
-        The first end is reached along a straight ray from the hub plus a
-        1/z-chart leg; the second is its involution image,
-        A(sigma P) = :meth:`flip_vec` - A(P).
+        The first end is reached along a straight ray from the hub in the
+        direction 1 + 0.3i, out to 8 (scale + |hub|), plus a 1/z-chart leg on
+        40 panels of 16 Gauss-Legendre nodes; the second is its involution
+        image, A(sigma P) = :meth:`flip_vec` - A(P).
         """
         if self._inf_cache is not None:
             return self._inf_cache
-        if direction is None:
-            direction = 1.0 + 0.3j
-        d = direction / abs(direction)
-        zJ = self.hub + d * zjun_factor * (self.scale + abs(self.hub))
+        d = (1.0 + 0.3j) / abs(1.0 + 0.3j)
+        zJ = self.hub + d * 8.0 * (self.scale + abs(self.hub))
         vec_ray, yJ = self.abel_segment(self.hub, self.y_hub, zJ, nseg=24)
         zetaJ = 1.0 / zJ
         g = self.g
@@ -596,7 +602,7 @@ class HyperellipticCurve:
             return -(zeta[..., None] ** (g - 1 - np.arange(g)) @ self.coef.T)
 
         vec_leg, s_inf = self._chart_path(zetaJ, 0.0, yJ * zetaJ ** (g + 1),
-                                          w2, numer, nseg, ngl)
+                                          w2, numer, 40, 16)
         if min(abs(s_inf - 1), abs(s_inf + 1)) > 1e-6:
             raise SheetTrackingLoss(f"infinity sheet marker {s_inf} not near +-1")
         s_inf = 1.0 if abs(s_inf - 1) < abs(s_inf + 1) else -1.0
@@ -664,9 +670,9 @@ class HyperellipticCurve:
     # canonical bidifferential and projective connections
     # ------------------------------------------------------------------
 
-    def w_hat(self, P, Q, min_sep_rel=1e-8):
+    def w_hat(self, P, Q):
         """z-chart value W(P, Q)/(dz dz) via -sum L_ij v_j(P) v_i(Q)."""
-        if abs(P.z - Q.z) + abs(P.y - Q.y) < min_sep_rel * self.scale:
+        if abs(P.z - Q.z) + abs(P.y - Q.y) < 1e-8 * self.scale:
             raise DiagonalTooClose("bidifferential requested on the diagonal")
         t = self.abel_between(P, Q)
         L = self._log_deriv_matrix(t[None], self._w_char())[0]
@@ -692,7 +698,7 @@ class HyperellipticCurve:
         return -np.einsum("nij,nj,ni->n", L, v1, v2).reshape(x1s.shape)
 
     @staticmethod
-    def _richardson_even(h, tol, what="H-limit"):
+    def _richardson_even(h, tol):
         """Limit of an even-in-delta quantity h(delta) -> L + c d^2 + e d^4
         from the samples h = (h(delta), h(delta/2), h(delta/4)), each an
         array over nodes (two Richardson levels); every node's certificate
@@ -704,7 +710,7 @@ class HyperellipticCurve:
         bad = cert > tol * np.maximum(1.0, np.abs(extrap))
         if np.any(bad):
             raise ExtrapolationUnstable(
-                f"{what} Richardson certificate {np.max(cert[bad]):.2e} "
+                f"H-limit Richardson certificate {np.max(cert[bad]):.2e} "
                 "above tolerance"
             )
         return extrap, cert
@@ -718,7 +724,7 @@ class HyperellipticCurve:
         return self._richardson_even(
             np.array([H(delta), H(delta / 2), H(delta / 4)]), tol)
 
-    def bergman_sb_z(self, P, delta_rel=1e-2, tol=1e-4):
+    def bergman_sb_z(self, P, delta_rel=1e-2):
         """Bergman projective connection S_B in the z chart at P."""
         delta = delta_rel * self.scale
 
@@ -727,55 +733,53 @@ class HyperellipticCurve:
             Pv = self.point(v)
             return self.w_hat(Pu, Pv)
 
-        val, _ = self._h_limit(wpair, P.z, delta, tol)
+        val, _ = self._h_limit(wpair, P.z, delta, 1e-4)
         return 6.0 * val
 
-    def bergman_sb_branch(self, m, x0, delta_rel=2e-2, tol=1e-4):
+    def bergman_sb_branch(self, m, x0):
         """S_B in the distinguished chart at branch point m, chart point x0
         (a scalar, or an array of nodes sampled in one batched W call)."""
         x0 = np.asarray(x0, dtype=complex)
-        delta = delta_rel * np.maximum(np.abs(x0), np.sqrt(self.scale) * 1e-2)
+        delta = 2e-2 * np.maximum(np.abs(x0), np.sqrt(self.scale) * 1e-2)
         d = np.stack([delta, delta / 2, delta / 4])
         u, v = x0 + d, x0 - d
         h = self.w_hat_branch_chart_pairs(m, u, v) - 1.0 / (u - v) ** 2
-        val, _ = self._richardson_even(h, tol)
+        val, _ = self._richardson_even(h, 1e-4)
         return 6.0 * val
 
-    def h_taylor_branch(self, m, order=1, rho_rel=(0.33, 0.21), n_fft=16,
-                        certify=True):
+    def h_taylor_branch(self, m, order=1, n_fft=16):
         """Taylor coefficients H_{pq} (p, q < order) of the regular part
         H(x, y) = W(x, y) - (x - y)^{-2} in the distinguished chart at branch
-        point m, by Fourier extraction on the torus |x| = rho1, |y| = rho2
-        (see :func:`h_taylor_torus`)."""
+        point m, by certified Fourier extraction on the torus |x| = 0.33 r0,
+        |y| = 0.21 r0 with r0^2 a tenth of the distance to the nearest other
+        branch point (see :func:`h_taylor_torus`)."""
         r0 = np.sqrt(0.1 * float(np.min(np.abs(np.delete(self.e, m)
                                                - self.e[m]))))
         return h_taylor_torus(
             lambda x, y: self.w_hat_branch_chart_pairs(m, x, y),
-            rho_rel[0] * r0, rho_rel[1] * r0, order, n_fft, certify)
+            0.33 * r0, 0.21 * r0, order, n_fft)
 
-    def h_branch_origin(self, m, **kw):
+    def h_branch_origin(self, m):
         """H(0, 0) in the distinguished chart at branch point m (spectral)."""
-        out, _cert = self.h_taylor_branch(m, order=1, **kw)
+        out, _cert = self.h_taylor_branch(m, order=1)
         return complex(out[0, 0])
 
-    def h_branch_origin_richardson(self, m, delta=None, tol=1e-4):
+    def h_branch_origin_richardson(self, m):
         """H(0, 0) at branch point m through the near-diagonal symmetric
         separation limit: an evaluation path independent of the Fourier
         route, used by the identity cross-checks."""
-        if delta is None:
-            delta = 0.05 * np.sqrt(
-                np.min(np.abs(np.delete(self.e, m) - self.e[m])))
-        # one theta lattice per sample: the terms that cancel in W at these
-        # pairs reach ~1e7 |W|, so a lattice shared by the three samples
-        # moves H(0,0) by up to ~3e-5 through rounding alone
-        h = [self.w_hat_branch_chart(m, d, -d) - 1.0 / (2 * d) ** 2
-             for d in (delta, delta / 2, delta / 4)]
-        val, _cert = self._richardson_even(np.array(h), tol, what="H(0,0)")
+        delta = 0.05 * np.sqrt(
+            np.min(np.abs(np.delete(self.e, m) - self.e[m])))
+        # one W call, so one theta lattice, per separation: the terms that
+        # cancel in W at these pairs reach ~1e7 |W|, so a lattice shared by
+        # the three samples moves H(0,0) by up to ~3e-5 through rounding alone
+        val, _cert = self._h_limit(
+            lambda u, v: self.w_hat_branch_chart(m, u, v), 0.0, delta, 1e-4)
         return val
 
-    def schiffer_branch_origin_richardson(self, m, **kw):
+    def schiffer_branch_origin_richardson(self, m):
         vlead = self.branch_data(m).v_lead
-        return 6.0 * self.h_branch_origin_richardson(m, **kw) \
+        return 6.0 * self.h_branch_origin_richardson(m) \
             - self.schiffer_sb_term(vlead)
 
     def imB_inv(self):
@@ -786,10 +790,10 @@ class HyperellipticCurve:
         Yi = self.imB_inv()
         return 6.0 * np.pi * complex(v_values @ Yi @ v_values)
 
-    def schiffer_branch_origin(self, m, **kw):
+    def schiffer_branch_origin(self, m):
         """Schiffer connection at x = 0 in the distinguished chart at branch m."""
         vlead = self.branch_data(m).v_lead
-        return 6.0 * self.h_branch_origin(m, **kw) - self.schiffer_sb_term(vlead)
+        return 6.0 * self.h_branch_origin(m) - self.schiffer_sb_term(vlead)
 
     def bergman_kernel(self, v_values):
         """B(x, xbar) = sum (Im B)^{-1}_{ij} v_i conj(v_j) for chart values."""
@@ -882,21 +886,21 @@ class HyperellipticCurve:
         self._K_half_cache = (best, best_resid)
         return self._K_half_cache
 
-    def riemann_constants(self, z_base=None, certify=True):
+    def riemann_constants(self, z_base=None):
         """Vector of Riemann constants for the given basepoint.
 
         Identified through the theta-divisor vanishing property at a branch
         basepoint (a half period, exact classical structure) and transported
-        by K^y = K^x + (g - 1) A^x(y).  Returns (K, certificate); with
-        ``certify`` (g >= 2) the certificate also covers the vanishing at
-        two admissible probe points.
+        by K^y = K^x + (g - 1) A^x(y).  Returns (K, certificate); for
+        g >= 2 the certificate also covers the vanishing at two admissible
+        probe points.
         """
         K0, resid = self._half_period_K()
         if z_base is None:
             return K0, resid
         a_base = self.abel_from_hub(z_base)[0]
         K = K0 + (self.g - 1) * (a_base - self.branch_data(0).abel)
-        if certify and self.g >= 2:
+        if self.g >= 2:
             t = np.array([self.abel_from_hub(zc)[0] - a_base + K
                           for zc in self._probe_points(23, 2, 0.4, 1.3, 1.4)])
             resid = max(resid, float(self._theta_over_reference(t).max()))

@@ -8,7 +8,7 @@ rational functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -115,10 +115,6 @@ class RiemannMatrix:
     def g(self):
         return self.B.shape[0]
 
-    @property
-    def imag_eigs(self):
-        return np.linalg.eigvalsh(self.B.imag)
-
 
 @dataclass(frozen=True)
 class ThetaCharacteristic:
@@ -164,6 +160,7 @@ class ThetaCharacteristic:
 # ---------------------------------------------------------------------------
 
 _RADIUS_CAP = 120.0
+_THETA_TOL = 1e-12    # Gaussian tail relative to the central magnitude
 _THETA_CHUNK = 32     # batch arguments per lattice in riemann_theta_bundle
 
 
@@ -178,7 +175,7 @@ def _theta_lattice(g, R):
     return n
 
 
-def riemann_theta(t, B, char=None, derivs=(), tol=1e-12):
+def riemann_theta(t, B, char=None, derivs=()):
     """Riemann theta with characteristics and directional derivatives.
 
     theta[a,b](t; B) = sum_n exp(i pi <n+a, B(n+a)> + 2 pi i <n+a, t+b>),
@@ -187,10 +184,10 @@ def riemann_theta(t, B, char=None, derivs=(), tol=1e-12):
     derivatives along coordinate vectors.  One spec of
     :func:`riemann_theta_bundle`, which holds the truncation rule.
     """
-    return riemann_theta_bundle(t, B, char, (tuple(derivs),), tol)[0]
+    return riemann_theta_bundle(t, B, char, (tuple(derivs),))[0]
 
 
-def riemann_theta_bundle(t, B, char=None, derivs_list=((),), tol=1e-12):
+def riemann_theta_bundle(t, B, char=None, derivs_list=((),)):
     """Evaluate theta for several derivative specs in one lattice pass.
 
     ``derivs_list`` is a sequence of derivative specs (each a tuple of
@@ -200,7 +197,7 @@ def riemann_theta_bundle(t, B, char=None, derivs_list=((),), tol=1e-12):
 
     The truncation radius of each t is chosen from the smallest eigenvalue
     of pi Im B so the Gaussian tail of the undifferentiated sum is below
-    ``tol`` times the central magnitude (derivative factors are not in the
+    ``_THETA_TOL`` times the central magnitude (derivative factors are not in the
     bound).  A batch is summed in chunks of ``_THETA_CHUNK`` arguments over
     one lattice each, whose radius is the largest over the chunk.
     TruncationFailure is raised if any radius exceeds the cap.
@@ -224,7 +221,7 @@ def riemann_theta_bundle(t, B, char=None, derivs_list=((),), tol=1e-12):
     # exp(-pi lam_min (r - r0)^2) <= tol with polynomial safety margin
     center = np.linalg.solve(Y, t.imag.T).T
     r0 = np.linalg.norm(center, axis=1) + float(np.linalg.norm(a)) + 1.0
-    s = np.sqrt(max(-np.log(tol) + 8.0, 1.0) / (np.pi * lam_min))
+    s = np.sqrt(max(-np.log(_THETA_TOL) + 8.0, 1.0) / (np.pi * lam_min))
     radius = r0 + s + 2.0
     if len(t) and radius.max() > _RADIUS_CAP:
         raise TruncationFailure(
@@ -248,7 +245,7 @@ def riemann_theta_bundle(t, B, char=None, derivs_list=((),), tol=1e-12):
     return out if batched else [complex(v) for v in out[0]]
 
 
-def theta1_prime(tau, tol=1e-12):
+def theta1_prime(tau):
     """theta_1'(0 | tau) for the Jacobi theta function, genus-1 convention.
 
     theta_1(z|tau) = -theta[1/2,1/2](z; tau); the derivative is with respect
@@ -256,7 +253,7 @@ def theta1_prime(tau, tol=1e-12):
     """
     char = ThetaCharacteristic((0.5,), (0.5,))
     val = riemann_theta([0.0], np.array([[complex(tau)]]), char=char,
-                        derivs=[[1.0]], tol=tol)
+                        derivs=[[1.0]])
     return -val
 
 
@@ -264,15 +261,15 @@ def theta1_prime(tau, tol=1e-12):
 # Polynomial algebra
 # ---------------------------------------------------------------------------
 
-def poly_normalize(coeffs, tol=0.0):
-    """Trim trailing (near-)zero leading coefficients; ascending order in, out."""
+def poly_normalize(coeffs):
+    """Trim trailing zero leading coefficients; ascending order in, out."""
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.size == 0:
         raise DegenerateInput("empty coefficient list")
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
         raise DegenerateInput("zero polynomial")
-    keep = np.nonzero(np.abs(c) > tol * scale)[0]
+    keep = np.nonzero(np.abs(c) > 0.0)[0]
     return c[: keep[-1] + 1]
 
 
@@ -299,12 +296,12 @@ def resultant(f, g):
     return complex(np.linalg.det(S))
 
 
-def poly_roots(coeffs, residual_tol=1e-10, cluster_scale=1e-7):
+def poly_roots(coeffs):
     """All roots of a polynomial with post-hoc residual certification.
 
     Returns (roots, multiplicities).  Residuals |f(r)| / ||f|| must be below
-    ``residual_tol`` scaled by local conditioning; multiplicity is detected
-    by clustering within ``cluster_scale`` times the root magnitude scale.
+    1e-10 scaled by local conditioning; multiplicity is detected by
+    clustering within 1e-7 times the root magnitude scale.
     """
     c = poly_normalize(coeffs)
     if len(c) < 2:
@@ -315,14 +312,14 @@ def poly_roots(coeffs, residual_tol=1e-10, cluster_scale=1e-7):
     vals = npoly.polyval(r, c)
     cond = norm * scale ** (len(c) - 1)
     resid = np.abs(vals) / cond
-    if np.any(resid > residual_tol):
+    if np.any(resid > 1e-10):
         raise NonConvergence(
-            f"uncertified roots: max residual {resid.max():.3e} > {residual_tol}"
+            f"uncertified roots: max residual {resid.max():.3e} > 1e-10"
         )
     # multiplicity clustering
     used = np.zeros(len(r), dtype=bool)
     roots, mults = [], []
-    eps = cluster_scale * scale
+    eps = 1e-7 * scale
     for i in range(len(r)):
         if used[i]:
             continue

@@ -174,7 +174,7 @@ def _three_pole_fg(a, b, c):
     return f, g
 
 
-def tau_three_poles(a, b, c, d=0.0):
+def tau_three_poles(a, b, c):
     """Example family: rational maps with three simple poles (at inf, 0, 1).
 
     tau^24 = a^3 b^3 c^3 M(a, b, c)  (closed form), and equals the

@@ -23,6 +23,7 @@ from .errors import (
     ContourTooLarge,
     DifferentiationUnstable,
     NonConvergence,
+    WrongOrder,
 )
 from .taufn import RationalCoverP1, TauIngredients, tau_genus0, tau_genus1, tau_genus2
 
@@ -54,24 +55,15 @@ class ContourIntegralResult:
     nodes: int
     certificate: float
 
-    def require(self, tol):
-        if self.certificate > tol:
-            raise NonConvergence(
-                f"contour certificate {self.certificate:.3e} > {tol}"
-            )
-        return self.value
-
 
 @dataclass
 class SMatrixBlock:
-    """Zero-energy S-matrix data at a cone of angle 2 pi ell.
+    """Zero-energy S-matrix data at a 4 pi cone (ell = 2).
 
-    ``hh`` is the (ell-1) x (ell-1) holomorphic-holomorphic block indexed by
-    exponents nu = k/ell; ``ha_diag`` the Bergman-kernel companion entries
-    where computed.
+    ``hh`` is the 1 x 1 holomorphic-holomorphic block at the exponent
+    nu = 1/2; ``ha_diag`` the Bergman-kernel companion entry where computed.
     """
 
-    ell: int
     hh: np.ndarray
     ha_diag: np.ndarray
     diagnostics: dict = field(default_factory=dict)
@@ -144,23 +136,51 @@ def _circle_contour(fun, radius, nodes, max_doublings=3, target=None):
     return ContourIntegralResult(value, radius, N, cert)
 
 
-def _branch_contour_radius(curve, m, frac=0.1):
+def _branch_contour_radius(curve, m):
     """Distinguished-chart radius pulled back from a base-plane radius equal
-    to ``frac`` times the distance to the nearest other critical value."""
+    to 0.1 times the distance to the nearest other critical value."""
     dmin = float(np.min(np.abs(np.delete(curve.e, m) - curve.e[m])))
-    r = np.sqrt(frac * dmin)
+    r = np.sqrt(0.1 * dmin)
     if r ** 2 >= dmin:
         raise ContourTooLarge("contour would enclose a second critical value")
     return r
+
+
+def _genus0_base_radius(cover: RationalCoverP1, m):
+    """Base-plane radius at critical point m of a genus-0 cover: 0.1 times
+    the distance to the nearest other critical value (0.1 when there is
+    none)."""
+    zm = cover.critical_values[m]
+    others = np.delete(cover.critical_values, m)
+    return 0.1 * float(np.min(np.abs(others - zm))) if len(others) else 0.1
+
+
+def _moved(points, m, dz):
+    """The branch points with point m moved by dz."""
+    pts = list(points)
+    pts[m] = pts[m] + dz
+    return pts
+
+
+def _wirtinger_fd(at, diff, h):
+    """Wirtinger derivatives (d/dz_m, d/dzbar_m) from central differences
+    along the real and the imaginary axis: ``at(dz)`` evaluates at the
+    configuration moved by dz, and ``diff(plus, minus, h)`` is the central
+    difference of two such evaluations at +-d along d (d = h, then i h)."""
+    dx = diff(at(h), at(-h), h)
+    dy = diff(at(1j * h), at(-1j * h), h)
+    return (dx - 1j * dy) / 2, (dx + 1j * dy) / 2
 
 
 # ---------------------------------------------------------------------------
 # Rauch and det Im B
 # ---------------------------------------------------------------------------
 
-def rauch_contour(curve, m, nodes=32, target=1e-9):
+def rauch_contour(curve, m):
     """Matrix of contour integrals (1/2 pi i) oint v_a v_b / df around branch
-    point m, i.e. d B_{ab} / d z_m by the Rauch formula; with certificate."""
+    point m, i.e. d B_{ab} / d z_m by the Rauch formula; with certificate
+    (32 nodes, doubled until the certificate is below 1e-9, at most three
+    times)."""
     r = _branch_contour_radius(curve, m)
     g = curve.g
 
@@ -174,7 +194,7 @@ def rauch_contour(curve, m, nodes=32, target=1e-9):
     cert = 0.0
     for a in range(g):
         for b in range(a, g):
-            res = _circle_contour(entry_fun(a, b), r, nodes, target=target)
+            res = _circle_contour(entry_fun(a, b), r, 32, target=1e-9)
             out[a, b] = out[b, a] = res.value
             cert = max(cert, res.certificate)
     return out, cert, r
@@ -190,9 +210,7 @@ def rauch_check(curve_factory, base_points, m, alpha, beta, h=1e-5):
     contour, cert, r = rauch_contour(curve, m)
 
     def B_at(dz):
-        pts = list(base_points)
-        pts[m] = pts[m] + dz
-        return curve_factory(pts).B.B
+        return curve_factory(_moved(base_points, m, dz)).B.B
 
     fd = (B_at(h) - B_at(-h)) / (2 * h)
     return {
@@ -206,9 +224,9 @@ def rauch_check(curve_factory, base_points, m, alpha, beta, h=1e-5):
     }
 
 
-def det_imB_derivative(curve_factory, base_points, m, h=1e-5):
+def det_imB_derivative(curve_factory, base_points, m):
     """d/dz_m of ln det Im B three ways: the trace form, the contour form,
-    and the Wirtinger finite difference of ln det Im B."""
+    and the Wirtinger finite difference (step 1e-5) of ln det Im B."""
     curve = curve_factory(base_points)
     Yi = curve.imB_inv()
     dB, cert, r = rauch_contour(curve, m)
@@ -222,15 +240,11 @@ def det_imB_derivative(curve_factory, base_points, m, h=1e-5):
     contour_route = res.value / 2j
 
     def lndet(dz):
-        pts = list(base_points)
-        pts[m] = pts[m] + dz
-        c = curve_factory(pts)
+        c = curve_factory(_moved(base_points, m, dz))
         return np.log(np.linalg.det(c.B.B.imag))
 
-    dx = (lndet(h) - lndet(-h)) / (2 * h)
-    dy = (lndet(1j * h) - lndet(-1j * h)) / (2 * h)
-    fd_route = (dx - 1j * dy) / 2
-    fd_antiholo = (dx + 1j * dy) / 2
+    fd_route, fd_antiholo = _wirtinger_fd(
+        lndet, lambda plus, minus, h: (plus - minus) / (2 * h), 1e-5)
     return {
         "trace_route": trace_route,
         "contour_route": complex(contour_route),
@@ -249,35 +263,31 @@ def schwarzian_chart_pullback(ell):
     return -(ell * (ell + 2)) / 2.0
 
 
-def vardwa_rhs_curve(curve, m, nodes=24, sb_tol=1e-4):
+def vardwa_rhs_curve(curve, m):
     """-(1/12 pi i) oint (S_B - S_f)/df around branch point m, in the
-    distinguished chart (simple branch points: ell = 1)."""
+    distinguished chart (simple branch points: ell = 1), on 24 nodes doubled
+    once."""
     r = _branch_contour_radius(curve, m)
     coef = schwarzian_chart_pullback(1)
 
     def fun(xs):
-        sb = curve.bergman_sb_branch(m, xs, tol=sb_tol)
+        sb = curve.bergman_sb_branch(m, xs)
         sf = coef / xs ** 2
         return (sb - sf) / (2.0 * xs)
 
-    res = _circle_contour(fun, r, nodes, max_doublings=1)
+    res = _circle_contour(fun, r, 24, max_doublings=1)
     return ContourIntegralResult(
         -res.value / (12j * np.pi), res.radius, res.nodes, res.certificate
     )
 
 
-def vardwa_rhs_genus0(cover: RationalCoverP1, m, nodes=32):
+def vardwa_rhs_genus0(cover: RationalCoverP1, m):
     """Genus-0 governing contour in the global w chart: S_B = 0 there, so the
-    integrand is -S_f(w)/f'(w) dw around the critical point w_m."""
+    integrand is -S_f(w)/f'(w) dw around the critical point w_m (32 nodes,
+    doubled once)."""
     wm = cover.critical_points[m]
-    zm = cover.critical_values[m]
-    others = np.delete(cover.critical_values, m)
-    if len(others):
-        dz = 0.1 * float(np.min(np.abs(others - zm)))
-    else:
-        dz = 0.1
     f2 = cover.f2(wm)
-    r = np.sqrt(2.0 * dz / abs(f2))
+    r = np.sqrt(2.0 * _genus0_base_radius(cover, m) / abs(f2))
 
     from .specfun import schwarzian
 
@@ -285,12 +295,12 @@ def vardwa_rhs_genus0(cover: RationalCoverP1, m, nodes=32):
         return np.array([-schwarzian(cover.num, cover.den, wm + w)
                          / cover.fprime(wm + w) for w in ws])
 
-    res = _circle_contour(fun, r, nodes, max_doublings=1)
+    res = _circle_contour(fun, r, 32, max_doublings=1)
     return ContourIntegralResult(-res.value / (12j * np.pi), r, res.nodes,
                                  res.certificate)
 
 
-def varodin_rhs_curve(curve, m, **kw):
+def varodin_rhs_curve(curve, m):
     """Schiffer-connection form of the determinant variation at a simple
     branch point: the chain-consistent value -(1/12) S_Sch(0) in the
     distinguished chart.
@@ -299,19 +309,16 @@ def varodin_rhs_curve(curve, m, **kw):
     by the genus-0 closed forms, fixes the sign used in ``value``; the
     opposite-sign convention is reported alongside as ``sign_flipped``.
     """
-    s = curve.schiffer_branch_origin(m, **kw)
+    s = curve.schiffer_branch_origin(m)
     return {"value": -s / 12.0, "sign_flipped": s / 12.0,
             "schiffer_at_origin": s}
 
 
-def varodin_rhs_genus0(cover: RationalCoverP1, m, delta_rel=0.02):
+def varodin_rhs_genus0(cover: RationalCoverP1, m):
     """Genus-0 chain value: S_Sch = S_B in the distinguished chart x at the
     critical point (no holomorphic differentials)."""
-    zm = cover.critical_values[m]
     w_hat_x = _genus0_chart_w(cover, m)
-    others = np.delete(cover.critical_values, m)
-    dz = 0.1 * float(np.min(np.abs(others - zm))) if len(others) else 0.1
-    delta = delta_rel * np.sqrt(dz)
+    delta = 0.02 * np.sqrt(_genus0_base_radius(cover, m))
 
     def H(d):
         return w_hat_x(d, -d) - 1.0 / (2 * d) ** 2
@@ -358,99 +365,56 @@ def _genus0_chart_w(cover: RationalCoverP1, m):
 # ---------------------------------------------------------------------------
 
 
-def smatrix_hh_zero(target, m, ell=2, rho_rel=(0.3, 0.21), n_fft=16):
-    """Zero-energy holomorphic-holomorphic S-matrix block at a cone of angle
-    2 pi ell over critical point m.
+def smatrix_hh_zero(target, m, ell=2):
+    """Zero-energy holomorphic-holomorphic S-matrix block at the cone over
+    critical point m.
 
-    Entries S^{hh}_{k/ell, l/ell}(0) = sqrt(l/k) c_l(k) with
+    Every branch point of a hyperelliptic curve and every accepted critical
+    point of a genus-0 cover is simple, so each cone has angle 4 pi
+    (ell = 2) and the block is 1 x 1, at the exponent nu = 1/2:
 
-      c_l(k) = -(1/(l!(k-1)!)) d_x^{l-1} d_y^{k-1} H(x, y)|_0
-             + (pi/(l!(k-1)!)) sum_{ab} (Im B)^{-1}_{ab} v_b^{(k-1)}(0) v_a^{(l-1)}(0)
+      S^{hh}_{1/2,1/2}(0) = -H(0, 0) + pi sum_{ab} (Im B)^{-1}_{ab} v_a(0) v_b(0)
 
     in the distinguished chart.  ``target`` is a HyperellipticCurve (m = a
     branch point index) or a RationalCoverP1 (m = a critical point index,
-    H from the global-chart pullback, no differential term).
+    H from the global-chart pullback, no differential term).  Any other
+    ``ell`` raises WrongOrder.
     """
-    from math import factorial
-
-    ell = int(ell)
-    n = ell - 1
+    if ell != 2:
+        raise WrongOrder(f"the S-matrix block is computed at 4 pi cones "
+                         f"(ell = 2) only, got ell = {ell!r}")
     if isinstance(target, HyperellipticCurve):
-        curve = target
-        H, cert = curve.h_taylor_branch(m, order=ell, n_fft=n_fft)
-        vlead = curve.branch_data(m).v_lead
-        Yi = curve.imB_inv()
-        # v derivatives in the chart: for ell = 2 only the leading value enters
-        vder = np.zeros((ell, curve.g), dtype=complex)
-        vder[0] = vlead
-        if ell > 2:
-            r0 = _branch_contour_radius(curve, m, frac=0.09)
-            vder[1:] = _v_chart_derivs(curve, m, ell - 1, rho_rel[0] * r0,
-                                       n_fft)
-        ha = np.array([curve.bergman_kernel(vlead)])
+        # order 2: the grid certificate also covers the first derivatives
+        H, cert = target.h_taylor_branch(m, order=2)
+        vlead = target.branch_data(m).v_lead
+        hh = -H[0, 0] + np.pi * complex(vlead @ target.imB_inv() @ vlead)
+        ha = np.array([target.bergman_kernel(vlead)])
     else:
-        cover = target
-        zm = cover.critical_values[m]
-        others = np.delete(cover.critical_values, m)
-        dz = 0.1 * float(np.min(np.abs(others - zm))) if len(others) else 0.1
-        r0 = np.sqrt(dz)
+        r0 = np.sqrt(_genus0_base_radius(target, m))
         # a single grid: the genus-0 pullback is exact, no certificate
-        H, cert = h_taylor_torus(_genus0_chart_w(cover, m), rho_rel[0] * r0,
-                                 rho_rel[1] * r0, ell, n_fft, certify=False)
-        Yi = None
-        vder = None
+        H, cert = h_taylor_torus(_genus0_chart_w(target, m), 0.3 * r0,
+                                 0.21 * r0, 1, 16, certify=False)
+        hh = -H[0, 0]
         ha = np.array([0.0 + 0.0j])
-
-    S = np.zeros((n, n), dtype=complex)
-    for k in range(1, ell):
-        for l in range(1, ell):
-            # d_x^{l-1} d_y^{k-1} H(0,0) = H_taylor[l-1, k-1] (l-1)! (k-1)!
-            dH = H[l - 1, k - 1] * factorial(l - 1) * factorial(k - 1)
-            c = -dH / (factorial(l) * factorial(k - 1))
-            if vder is not None:
-                quad = complex(vder[k - 1] @ Yi @ vder[l - 1])
-                c = c + np.pi * quad / (factorial(l) * factorial(k - 1))
-            S[k - 1, l - 1] = np.sqrt(l / k) * c
-    return SMatrixBlock(ell=ell, hh=S, ha_diag=ha,
+    return SMatrixBlock(hh=np.array([[hh]], dtype=complex), ha_diag=ha,
                         diagnostics={"H00": complex(H[0, 0]),
                                      "h_taylor_certificate": cert})
 
 
-def _v_chart_derivs(curve, m, nmax, rho, N):
-    """Chart-derivatives v^{(r)}(0), r = 1..nmax-1, of the normalized
-    differentials in the distinguished chart, by Fourier extraction."""
-    th = np.arange(N) * 2 * np.pi / N
-    vals = curve.chart_nodes(m, rho * np.exp(1j * th), "v")
-    coefs = np.fft.fft(vals, axis=0) / N
-    from math import factorial
-    out = np.zeros((nmax - 1 if nmax > 1 else 0, curve.g), dtype=complex)
-    for r in range(1, nmax):
-        out[r - 1] = coefs[(-r) % N] / rho ** r * factorial(r)
-    return out
-
-
-def clue_identity_check(target, m, ell=2, **kw):
-    """LHS sum_k sqrt(k(ell-k))/ell S^{hh}_{k/ell,(ell-k)/ell}(0) versus the
-    RHS -(1/(6 ell (ell-2)!)) (d/dx)^{ell-2} S_Sch(x)|_0; signed discrepancy.
-
-    For ell = 2 the RHS is -(1/12) S_Sch(0), computed through the diagonal
-    H(x, x) limit (a numerically independent evaluation path)."""
-    from math import factorial
-
-    block = smatrix_hh_zero(target, m, ell=ell, **kw)
-    lhs = 0.0 + 0.0j
-    for k in range(1, ell):
-        lhs += np.sqrt(k * (ell - k)) / ell * block.hh[k - 1, ell - k - 1]
-    if ell == 2:
-        # right side through the near-diagonal limit: numerically
-        # independent of the Fourier extraction feeding the block
-        if isinstance(target, HyperellipticCurve):
-            s = target.schiffer_branch_origin_richardson(m)
-        else:
-            s = varodin_rhs_genus0(target, m)["schiffer_at_origin"]
-        rhs = -s / 12.0
+def clue_identity_check(target, m, ell=2):
+    """LHS (1/2) S^{hh}_{1/2,1/2}(0) at the 4 pi cone versus the RHS
+    -(1/12) S_Sch(0); signed discrepancy.  The RHS is computed through the
+    diagonal H(x, x) limit, a numerically independent evaluation path.  Any
+    ``ell`` other than 2 raises WrongOrder."""
+    block = smatrix_hh_zero(target, m, ell=ell)
+    lhs = 0.5 * block.hh[0, 0]
+    # right side through the near-diagonal limit: numerically independent
+    # of the Fourier extraction feeding the block
+    if isinstance(target, HyperellipticCurve):
+        s = target.schiffer_branch_origin_richardson(m)
     else:
-        raise NotImplementedError("general-ell RHS requires a higher-order cone")
+        s = varodin_rhs_genus0(target, m)["schiffer_at_origin"]
+    rhs = -s / 12.0
     return {"lhs": complex(lhs), "rhs": complex(rhs),
             "discrepancy": complex(lhs - rhs), "block": block}
 
@@ -480,13 +444,14 @@ class CubicFamily:
         w = _canonical_order(np.array([s, -s], dtype=complex))
         return w ** 3 + a * w + b
 
-    def move_critical_value(self, m, dz, newton_steps=8, fd_h=1e-7):
+    def move_critical_value(self, m, dz):
         """Coefficients (a, b) after moving z_m by dz with the other critical
-        value held fixed."""
+        value held fixed (at most 8 Newton steps, Jacobian by central
+        differences of step 1e-7)."""
         target = self.critical_values().astype(complex)
         target[m] += dz
         ab = np.array([self.a, self.b], dtype=complex)
-        for _ in range(newton_steps):
+        for _ in range(8):
             cur = self.critical_values(ab)
             r = cur - target
             if np.max(np.abs(r)) < 1e-13 * max(1.0, np.max(np.abs(target))):
@@ -494,70 +459,51 @@ class CubicFamily:
             J = np.zeros((2, 2), dtype=complex)
             for j in range(2):
                 abp = ab.copy()
-                abp[j] += fd_h
+                abp[j] += 1e-7
                 abm = ab.copy()
-                abm[j] -= fd_h
+                abm[j] -= 1e-7
                 J[:, j] = (self.critical_values(abp)
-                           - self.critical_values(abm)) / (2 * fd_h)
+                           - self.critical_values(abm)) / 2e-7
             ab = ab - np.linalg.solve(J, r)
         else:
             raise NonConvergence("Newton inversion of the critical-value map")
         return ab
 
-    def dln_tau_fd(self, m, h=1e-6):
-        """Wirtinger FD of ln tau (uniformizer route) under z_m motion."""
+    def dln_tau_fd(self, m):
+        """Wirtinger FD (step 1e-6) of ln tau (uniformizer route) under z_m
+        motion."""
         def lt(dz):
             a, b = self.move_critical_value(m, dz)
             cover = RationalCoverP1(np.array([b, a, 0.0, 1.0], dtype=complex))
-            tv, ing = tau_genus0(cover)
-            return ing
+            return tau_genus0(cover)[1]
 
-        base = lt(0.0)
-
-        def val(dz):
-            return lt(dz)
-
-        dzs = {}
-        for d in (h, -h, 1j * h, -1j * h):
-            dzs[d] = val(d)
-        dx = base.dlog_tau(dzs[h], dzs[-h], h)
-        dy = base.dlog_tau(dzs[1j * h], dzs[-1j * h], h)
-        return (dx - 1j * dy) / 2, (dx + 1j * dy) / 2
+        return _wirtinger_fd(lt, lt(0.0).dlog_tau, 1e-6)
 
 
-def dln_tau_genus1_fd(base_points, m, h=1e-5, hub=None):
-    """Wirtinger FD of ln tau (genus 1) under branch-point motion, via
-    ingredient ratios with a shared hub."""
+def dln_tau_genus1_fd(base_points, m, hub=None):
+    """Wirtinger FD (step 1e-5) of ln tau (genus 1) under branch-point
+    motion, via ingredient ratios with a shared hub."""
     base_points = [complex(p) for p in base_points]
     if hub is None:
         hub = HyperellipticCurve(base_points).hub
 
     def ing_at(dz):
-        pts = list(base_points)
-        pts[m] = pts[m] + dz
-        curve = HyperellipticCurve(pts, hub=hub)
+        curve = HyperellipticCurve(_moved(base_points, m, dz), hub=hub)
         return tau_genus1(curve)[1]
 
-    base = ing_at(0.0)
-    dx = base.dlog_tau(ing_at(h), ing_at(-h), h)
-    dy = base.dlog_tau(ing_at(1j * h), ing_at(-1j * h), h)
-    return (dx - 1j * dy) / 2, (dx + 1j * dy) / 2
+    return _wirtinger_fd(ing_at, ing_at(0.0).dlog_tau, 1e-5)
 
 
-def dln_tau_genus2_fd(base_points, m, zeta_z, h=1e-5, hub=None):
-    """Wirtinger FD of ln tau (genus 2) under branch-point motion; discrete
-    choices frozen at the base configuration."""
+def dln_tau_genus2_fd(base_points, m, zeta_z, hub=None):
+    """Wirtinger FD (step 1e-5) of ln tau (genus 2) under branch-point
+    motion; discrete choices frozen at the base configuration."""
     base_points = [complex(p) for p in base_points]
     base_curve = HyperellipticCurve(base_points, hub=hub)
     hub = base_curve.hub
     _, base_ing = tau_genus2(base_curve, zeta_z)
 
     def ing_at(dz):
-        pts = list(base_points)
-        pts[m] = pts[m] + dz
-        curve = HyperellipticCurve(pts, hub=hub)
+        curve = HyperellipticCurve(_moved(base_points, m, dz), hub=hub)
         return tau_genus2(curve, zeta_z, frozen=base_ing.frozen)[1]
 
-    dx = base_ing.dlog_tau(ing_at(h), ing_at(-h), h)
-    dy = base_ing.dlog_tau(ing_at(1j * h), ing_at(-1j * h), h)
-    return (dx - 1j * dy) / 2, (dx + 1j * dy) / 2
+    return _wirtinger_fd(ing_at, base_ing.dlog_tau, 1e-5)

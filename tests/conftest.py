@@ -1,4 +1,3 @@
-import json
 import os
 import sys
 
@@ -6,6 +5,8 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+from curve_inputs import load_fixture  # noqa: E402
 
 
 @pytest.fixture
@@ -27,14 +28,6 @@ def genus2_curve():
     return HyperellipticCurve([-2.1, -1.0, -0.2 + 0.3j, 0.7, 1.5 + 0.1j, 2.4])
 
 
-def load_fixture(name):
-    """The JSON input ``fixtures/<name>.json``."""
-    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
-                        name + ".json")
-    with open(path) as fh:
-        return json.load(fh)
-
-
 @pytest.fixture(scope="session")
 def fixture_genus2():
     """(input data, curve) of ``fixtures/curve_genus2.json``."""
@@ -42,17 +35,3 @@ def fixture_genus2():
 
     data = load_fixture("curve_genus2")
     return data, HyperellipticCurve([complex(*p) for p in data["branch_points"]])
-
-
-def random_branch_points(rng, count, spread=2.0, min_gap=0.35, imag=0.25):
-    """Random admissible branch configuration: sorted by real part with a
-    moderate imaginary spread, so the consecutive-pair homology marking is
-    symplectic and the pair contours are well separated."""
-    while True:
-        pts = rng.uniform(-spread, spread, count) \
-            + 1j * rng.uniform(-imag, imag, count)
-        pts = pts[np.argsort(pts.real)]
-        gaps = np.abs(np.subtract.outer(pts, pts))
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() > min_gap and np.min(np.diff(pts.real)) > 0.3:
-            return pts

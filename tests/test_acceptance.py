@@ -15,7 +15,7 @@ from hurwitztau import cones, taufn
 from hurwitztau import variational as V
 from hurwitztau.taufn import RationalCoverP1
 from hurwitztau.errors import DegenerateCriticalPoint
-from conftest import random_branch_points
+from curve_inputs import random_branch_points
 from oracles import theta1_prime_qseries
 
 

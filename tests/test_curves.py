@@ -8,7 +8,7 @@ from hurwitztau.errors import (
     DiagonalTooClose,
     PeriodQuadratureFailure,
 )
-from conftest import load_fixture, random_branch_points
+from curve_inputs import load_fixture, random_branch_points
 from oracles import (
     tau_agm,
     theta1_qseries,

@@ -3,8 +3,9 @@ import pytest
 
 from hurwitztau import HyperellipticCurve
 from hurwitztau import variational as V
+from hurwitztau.errors import WrongOrder
 from hurwitztau.taufn import RationalCoverP1
-from conftest import random_branch_points
+from curve_inputs import random_branch_points
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +222,16 @@ def test_smatrix_genus0_pure_cocycle():
     s = V.varodin_rhs_genus0(cover, 1)["schiffer_at_origin"]
     assert abs(block.hh[0, 0] - (-s / 6.0)) < 1e-7
     assert block.ha_diag[0] == 0
+
+
+@pytest.mark.parametrize("check", [V.smatrix_hh_zero, V.clue_identity_check])
+def test_cone_order_other_than_4pi_is_a_typed_error(g1, check):
+    # every supported cone is 4 pi (ell = 2): a branch point of a curve and
+    # a critical point of a genus-0 cover are both simple
+    pts, hub, fac = g1
+    for target in (fac(pts), RationalCoverP1([0.0, -3.0, 0.0, 1.0])):
+        with pytest.raises(WrongOrder):
+            check(target, 1, ell=3)
 
 
 def test_clue_identity(g1, g2):
