@@ -26,6 +26,7 @@ DEFAULT_TOLS = {
     "rauch": 1e-5,
     "rauch_trace": 1e-8,
     "pde_genus1": 1e-5,
+    "varodin": 1e-5,
     "zeta_independence": 1e-5,
     "pde_genus2": 1e-4,
     "clue": 1e-5,
@@ -86,6 +87,9 @@ def _tols(args):
         name, _, val = item.partition("=")
         if not val:
             raise SystemExit(f"bad --tol entry {item!r}")
+        if name not in DEFAULT_TOLS:
+            raise SystemExit(f"unknown tolerance {name!r} "
+                             f"(known: {', '.join(DEFAULT_TOLS)})")
         tols[name] = float(val)
     return tols
 
@@ -330,7 +334,7 @@ def cmd_verify_varodin(args):
         },
         "discrepancies": {"chain": d},
         "certificates": {"contour": vd.certificate},
-    }, d < tols["pde_genus1"]
+    }, d < tols["varodin"]
 
 
 def cmd_verify_clue(args):

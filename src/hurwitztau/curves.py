@@ -141,18 +141,21 @@ def distinguished_parameter(curve, kind, index):
 
 
 def _tracked_sqrt(vals, seed=None):
-    """Continuous branch of sqrt along a sequence of nonzero values.
+    """Continuous branch of sqrt along the last axis of nonzero values.
 
-    Principal square roots are glued by sign flips chosen so consecutive
-    values stay within 90 degrees; the first value matches ``seed`` when
-    given.  Raises SheetTrackingLoss when consecutive principal values are
-    nearly opposite (tracking ambiguous: sampling too coarse).
+    Each row (everything but the last axis) is tracked on its own: principal
+    square roots are glued by sign flips chosen so consecutive values stay
+    within 90 degrees, and the first value of a row matches its ``seed``
+    (broadcast over the rows) when given.  Raises SheetTrackingLoss when
+    consecutive principal values are nearly perpendicular (tracking
+    ambiguous: sampling too coarse) or a seed is not within 60 degrees of
+    either root.
     """
     w = np.sqrt(np.asarray(vals, dtype=complex))
     if w.size == 0:
         return w
-    dots = np.real(w[1:] * np.conj(w[:-1]))
-    mags = np.abs(w[1:]) * np.abs(w[:-1])
+    dots = np.real(w[..., 1:] * np.conj(w[..., :-1]))
+    mags = np.abs(w[..., 1:]) * np.abs(w[..., :-1])
     if np.any(mags == 0):
         raise SheetTrackingLoss("square-root tracking hit a zero of the fiber")
     cosang = dots / mags
@@ -161,18 +164,29 @@ def _tracked_sqrt(vals, seed=None):
             "consecutive y values nearly perpendicular: refine the sampling"
         )
     flips = np.where(cosang < 0.0, -1.0, 1.0)
-    signs = np.concatenate(([1.0], np.cumprod(flips)))
-    out = w * signs
+    ones = np.ones(flips.shape[:-1] + (1,))
+    out = w * np.concatenate((ones, np.cumprod(flips, axis=-1)), axis=-1)
     if seed is not None:
-        ratio = seed / out[0]
-        if abs(abs(ratio) - 1.0) > 1e-6:
+        ratio = seed / out[..., 0]
+        miss = np.abs(np.abs(ratio) - 1.0)
+        if np.any(miss > 1e-6):
+            worst = np.abs(ratio).flat[np.argmax(miss)]
             raise SheetTrackingLoss(
-                f"seed magnitude mismatch in sqrt tracking: |ratio| = {abs(ratio)}"
+                f"seed magnitude mismatch in sqrt tracking: |ratio| = {worst}"
             )
-        if np.real(ratio) < 0:
-            out = -out
-        elif abs(np.real(ratio)) < 0.5:
+        if np.any(np.abs(np.real(ratio)) < 0.5):
             raise SheetTrackingLoss("seed direction ambiguous in sqrt tracking")
+        out = np.where((np.real(ratio) < 0)[..., None], -out, out)
+    return out
+
+
+def _cmul(p, q):
+    """Complex product p q rounded term by term as Python's complex does,
+    (pr qr - pi qi) + (pr qi + pi qr) i: NumPy's complex multiply loops
+    round some products differently in the last bit."""
+    out = np.empty(np.broadcast(p, q).shape, dtype=complex)
+    out.real = p.real * q.real - p.imag * q.imag
+    out.imag = p.real * q.imag + p.imag * q.real
     return out
 
 
@@ -427,19 +441,23 @@ class HyperellipticCurve:
 
     @staticmethod
     def _chart_path(s0, s1, seed, fiber2, numer, nseg, ngl):
-        """Integral of numer(s) / sqrt(fiber2(s)) ds along the straight chart
-        segment s0 -> s1 on nseg Gauss-Legendre panels of ngl nodes each.
+        """Integrals of numer(s) / sqrt(fiber2(s)) ds along the straight chart
+        segments from s0 to each end point in s1 (shape (n,)), on nseg
+        Gauss-Legendre panels of ngl nodes each.
 
-        The square root is tracked from ``seed`` (its value at s0) along the
-        node chain, which runs in order from s0 to s1; returns (integral,
-        tracked root at s1)."""
+        The square root is tracked from ``seed`` (its value at s0, shared or
+        one per segment) along each segment's node chain, which runs in order
+        from s0 to its end; returns the (n, g) integrals and the (n,) tracked
+        roots at the ends."""
         chain_s, wg, ds = _gl_panels(nseg, ngl)
-        chain = s0 + (s1 - s0) * chain_s
+        span = np.asarray(s1, dtype=complex) - s0
+        chain = s0 + span[:, None] * chain_s
         root = _tracked_sqrt(fiber2(chain), seed=seed)
-        vals = numer(chain[1:-1].reshape(nseg, ngl)) \
-            / root[1:-1].reshape(nseg, ngl)[..., None]
-        vec = np.einsum("sk,skg,s->g", wg, vals, (s1 - s0) * ds) / 2
-        return vec, complex(root[-1])
+        panels = (len(span), nseg, ngl)
+        vals = numer(chain[:, 1:-1].reshape(panels)) \
+            / root[:, 1:-1].reshape(panels)[..., None]
+        vec = np.einsum("sk,nskg,ns->ng", wg, vals, span[:, None] * ds) / 2
+        return vec, root[:, -1]
 
     def abel_segment(self, z0, y0, z1, nseg=None):
         """Integral of (v_1 .. v_g) along the straight segment z0 -> z1 with
@@ -450,7 +468,9 @@ class HyperellipticCurve:
             clearance = float(np.min(np.abs(
                 np.asarray([z0, z1])[:, None] - self.e)))
             nseg = int(np.clip(24 * abs(z1 - z0) / max(clearance, 1e-9), 16, 400))
-        return self._chart_path(z0, z1, y0, self.fiber2, self.v_poly, nseg, 16)
+        vec, y1 = self._chart_path(z0, [z1], y0, self.fiber2, self.v_poly,
+                                   nseg, 16)
+        return vec[0], complex(y1[0])
 
     def abel_from_hub(self, z):
         """Abel vector of the point over z reached by the straight hub path."""
@@ -536,45 +556,66 @@ class HyperellipticCurve:
                 "distinguished-chart square root failed to match the handoff"
             )
         # x-chart leg: x from x_h to 0 along a straight chart segment
-        vec2, s_m = self._chart_path(x_h, 0.0, yh / x_h, *self._x_chart(m),
+        vec2, s_m = self._chart_path(x_h, [0.0], yh / x_h, *self._x_chart(m),
                                      40, 16)
+        vec2, s_m = vec2[0], complex(s_m[0])
         v_lead = 2.0 * self.v_poly(zm) / s_m
         data = BranchChart(index=m, abel=vec + vec2, sqrt_h=s_m, v_lead=v_lead)
         self._branch_cache[m] = data
         return data
 
-    def branch_chart_point(self, m, x):
-        """CurvePoint for chart value x near branch point m (y = x sqrt_h(z))."""
+    def _chart_points(self, m, xs):
+        """(z, y) at the chart values xs (shape (n,)) near branch point m:
+        z = e_m + x^2 and y = x sqrt_h(z), sqrt_h tracked along 24 evenly
+        spaced z from e_m, one chain per node."""
         bd = self.branch_data(m)
         zm = self.e[m]
-        z = zm + complex(x) ** 2
-        chain_z = zm + np.linspace(0.0, 1.0, 24) * (z - zm)
-        hv = np.prod(chain_z[:, None] - self._others[m], axis=1)
+        z = zm + _cmul(xs, xs)
+        chain_z = zm + np.linspace(0.0, 1.0, 24) * (z - zm)[:, None]
+        hv = np.prod(chain_z[..., None] - self._others[m], axis=-1)
         sq = _tracked_sqrt(hv, seed=bd.sqrt_h)
-        return CurvePoint(z, complex(x) * complex(sq[-1]))
+        return z, _cmul(xs, sq[:, -1])
+
+    def _chart_abel(self, m, xs):
+        """Abel vectors (n, g) from the hub through branch point m to the
+        chart values xs (shape (n,)): one chart path from 0 per node, one
+        panel of 24 Gauss-Legendre nodes."""
+        bd = self.branch_data(m)
+        vec, _ = self._chart_path(0.0, xs, bd.sqrt_h, *self._x_chart(m), 1, 24)
+        return bd.abel + vec
+
+    def _chart_v(self, m, xs):
+        """Distinguished-chart differentials v_hat * 2x (n, g) at the chart
+        values xs (shape (n,)); v_poly runs on one (1, g) row per node."""
+        z, y = self._chart_points(m, xs)
+        return self.v_poly(z[:, None])[:, 0] / y[:, None] * (2.0 * xs)[:, None]
+
+    def branch_chart_point(self, m, x):
+        """CurvePoint for chart value x near branch point m (y = x sqrt_h(z))."""
+        z, y = self._chart_points(m, np.array([complex(x)]))
+        return CurvePoint(complex(z[0]), complex(y[0]))
 
     def abel_branch_chart(self, m, x):
-        """Abel vector from branch point m to the chart point x (chart path,
-        one panel of 24 Gauss-Legendre nodes)."""
-        bd = self.branch_data(m)
-        vec, _ = self._chart_path(0.0, complex(x), bd.sqrt_h, *self._x_chart(m),
-                                  1, 24)
-        return bd.abel + vec
+        """Abel vector from the hub through branch point m to the chart point
+        x (chart path, one panel of 24 Gauss-Legendre nodes)."""
+        return self._chart_abel(m, np.array([complex(x)]))[0]
 
     def chart_nodes(self, m, xs, kind):
         """Chart data at the nodes xs near branch point m, shape xs.shape +
         (g,): kind "abel" is :meth:`abel_branch_chart`, kind "v" the
         distinguished-chart differentials v_hat * 2x at
-        :meth:`branch_chart_point`.  Each distinct node runs the scalar
-        primitive once per curve (memo keyed by the chart value)."""
+        :meth:`branch_chart_point`.  The distinct nodes missing from the memo
+        (keyed by the chart value) run as one batch, and the memo takes them
+        only once the whole batch has succeeded."""
         xs = np.asarray(xs, dtype=complex)
         memo = self._chart_cache.setdefault((kind, m), {})
         uniq, inv = np.unique(xs.ravel(), return_inverse=True)
-        for x in map(complex, uniq):
-            if x not in memo:
-                memo[x] = self.abel_branch_chart(m, x) if kind == "abel" else \
-                    self.v_hat(self.branch_chart_point(m, x)) * (2.0 * x)
-        rows = np.array([memo[x] for x in map(complex, uniq)])
+        keys = list(map(complex, uniq))
+        missing = np.array([x for x in keys if x not in memo], dtype=complex)
+        if len(missing):
+            fill = self._chart_abel if kind == "abel" else self._chart_v
+            memo.update(zip(map(complex, missing), fill(m, missing)))
+        rows = np.array([memo[x] for x in keys])
         return rows[inv].reshape(xs.shape + (self.g,))
 
     def infinity_data(self):
@@ -601,8 +642,9 @@ class HyperellipticCurve:
         def numer(zeta):
             return -(zeta[..., None] ** (g - 1 - np.arange(g)) @ self.coef.T)
 
-        vec_leg, s_inf = self._chart_path(zetaJ, 0.0, yJ * zetaJ ** (g + 1),
+        vec_leg, s_inf = self._chart_path(zetaJ, [0.0], yJ * zetaJ ** (g + 1),
                                           w2, numer, 40, 16)
+        vec_leg, s_inf = vec_leg[0], complex(s_inf[0])
         if min(abs(s_inf - 1), abs(s_inf + 1)) > 1e-6:
             raise SheetTrackingLoss(f"infinity sheet marker {s_inf} not near +-1")
         s_inf = 1.0 if abs(s_inf - 1) < abs(s_inf + 1) else -1.0

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -132,6 +133,28 @@ def test_usage_error_exit_2(tmp_path):
 def test_missing_input_message(capsys):
     assert cli.main(["tau-poly"]) == 2
     assert "usage error: --input is required" in capsys.readouterr().err
+
+
+def _fixture_path(name):
+    return os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        name + ".json")
+
+
+def test_unknown_tolerance_is_a_usage_error(tmp_path, capsys):
+    code, rep = run_cli(["verify", "clue", "--input",
+                         _fixture_path("curve_genus2"), "--tol", "clu=1e-3"],
+                        tmp_path)
+    assert code == 2 and rep is None
+    known = ", ".join(cli.DEFAULT_TOLS)
+    assert f"usage error: unknown tolerance 'clu' (known: {known})" \
+        in capsys.readouterr().err
+
+
+def test_varodin_gate_is_named(tmp_path):
+    args = ["verify", "varodin", "--input", _fixture_path("curve_genus2")]
+    code, rep = run_cli(args + ["--tol", "varodin=1e-15"], tmp_path)
+    assert code == 1
+    assert rep["discrepancies"]["chain"] > 1e-15
 
 
 def test_report_byte_stability(tmp_path):

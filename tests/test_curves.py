@@ -7,7 +7,9 @@ from hurwitztau.errors import (
     CurveGeometryError,
     DiagonalTooClose,
     PeriodQuadratureFailure,
+    SheetTrackingLoss,
 )
+from chart_reference import chart_rows_per_node
 from curve_inputs import load_fixture, random_branch_points
 from oracles import (
     tau_agm,
@@ -647,17 +649,77 @@ def test_w_pairs_match_single_pairs(genus2_curve):
 
 
 def test_chart_node_data_computed_once_per_node():
+    # count the nodes that reach the batched chart primitives
     cur = HyperellipticCurve([-1.9, -0.85, 0.6 + 0.25j, 1.7])
-    calls = []
-    primitive = cur.abel_branch_chart
+    nodes = {"abel": [], "v": []}
 
-    def counting(m, x, **kw):
-        calls.append(x)
-        return primitive(m, x, **kw)
+    def counting(kind, primitive):
+        def batch(m, xs):
+            nodes[kind].extend(map(complex, xs))
+            return primitive(m, xs)
+        return batch
 
-    cur.abel_branch_chart = counting
+    cur._chart_abel = counting("abel", cur._chart_abel)
+    cur._chart_v = counting("v", cur._chart_v)
     cur.h_taylor_branch(1, order=2, n_fft=8)
     # the 16 x 16 certificate grid: 16 nodes on each circle of the torus
-    assert len(calls) == len(set(calls)) == 32
+    for calls in nodes.values():
+        assert len(calls) == len(set(calls)) == 32
     cur.h_taylor_branch(1, order=2, n_fft=8)
-    assert len(calls) == 32
+    for calls in nodes.values():
+        assert len(calls) == 32
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_batched_chart_rows_match_per_node_reference(m):
+    # the 64 H-Taylor torus nodes and the 48 vardwa contour nodes of the
+    # genus-2 fixture: both kinds of row are bit-identical to one scalar
+    # chart path and one scalar tracking chain per node
+    from hurwitztau.variational import _branch_contour_radius
+
+    cur = _fixture_genus2_curve()
+    r0 = np.sqrt(0.1 * float(np.min(np.abs(np.delete(cur.e, m) - cur.e[m]))))
+    torus = np.exp(2j * np.pi * np.arange(32) / 32)
+    contour = np.exp(2j * np.pi * np.arange(48) / 48)
+    for xs in (np.concatenate((0.33 * r0 * torus, 0.21 * r0 * torus)),
+               _branch_contour_radius(cur, m) * contour):
+        abel, v = chart_rows_per_node(cur, m, xs)
+        assert np.array_equal(cur.chart_nodes(m, xs, "abel"), abel)
+        assert np.array_equal(cur.chart_nodes(m, xs, "v"), v)
+
+
+def test_chart_batch_with_lost_row_leaves_memo_unchanged():
+    cur = HyperellipticCurve([-1.9, -0.85, 0.6 + 0.25j, 1.7])
+    for kind in ("abel", "v"):
+        cur.chart_nodes(1, np.array([0.05, 0.04j]), kind)
+    before = {key: set(memo) for key, memo in cur._chart_cache.items()}
+    # both chains from branch point 1 run through branch point 2 halfway
+    lost = np.sqrt(2 * (cur.e[2] - cur.e[1]))
+    for kind in ("abel", "v"):
+        with pytest.raises(SheetTrackingLoss):
+            cur.chart_nodes(1, np.array([0.03, lost, -0.02j]), kind)
+    assert {key: set(memo) for key, memo in cur._chart_cache.items()} == before
+
+
+@pytest.mark.parametrize("angle, flips", [(1.4, None), (1.8, None),
+                                          (2.9, True), (0.2, False)])
+def test_tracked_sqrt_seed_direction(angle, flips):
+    # a seed more than 60 degrees from both roots is ambiguous, on either
+    # side of the perpendicular
+    seed = np.exp(1j * angle)
+    if flips is None:
+        with pytest.raises(SheetTrackingLoss, match="ambiguous"):
+            _tracked_sqrt([1.0, 1.0], seed=seed)
+    else:
+        expected = -1.0 if flips else 1.0
+        assert np.array_equal(_tracked_sqrt([1.0, 1.0], seed=seed),
+                              [expected, expected])
+
+
+def test_tracked_sqrt_tracks_each_row_from_its_seed():
+    # the first row's roots turn a quarter circle and take the other sign
+    # from the seed; the second row keeps its principal roots
+    vals = np.array([[1.0, 1j, -1.0], [4.0, 4.0, 4.0]])
+    rows = _tracked_sqrt(vals, seed=np.array([-1.0, 2.0]))
+    assert np.allclose(rows[0], -np.exp(0.25j * np.pi * np.arange(3)))
+    assert np.array_equal(rows[1], [2.0, 2.0, 2.0])

@@ -6,18 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitztau import HyperellipticCurve
-
-
-@st.composite
-def admissible_branch_points(draw, g):
-    """2g + 2 branch points with increasing real parts 0.35-1.5 apart and
-    imaginary parts in [-0.25, 0.25]: no branch point comes near the segment
-    of another pair, and the consecutive-pair marking is symplectic."""
-    n = 2 * g + 2
-    gaps = draw(st.lists(st.floats(0.35, 1.5), min_size=n - 1, max_size=n - 1))
-    imag = draw(st.lists(st.floats(-0.25, 0.25), min_size=n, max_size=n))
-    re = np.concatenate(([0.0], np.cumsum(gaps)))
-    return (re - re.mean()) + 1j * np.array(imag)
+from curve_inputs import admissible_branch_points
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
