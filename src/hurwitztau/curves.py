@@ -190,25 +190,30 @@ def _cmul(p, q):
     return out
 
 
-@lru_cache(maxsize=128)
-def _gl_panels(nseg, ngl):
-    """Gauss-Legendre panel layout on [0, 1]: the ordered node chain
-    (0, the nseg * ngl panel nodes, 1), the weights broadcast per panel and
-    the panel lengths (read-only: shared by every caller)."""
-    xg, wg = np.polynomial.legendre.leggauss(ngl)
-    s_edges = np.linspace(0.0, 1.0, nseg + 1)
-    ds = np.diff(s_edges)
-    mids = s_edges[:-1, None] + ds[:, None] * (xg[None, :] + 1) / 2
-    chain_s = np.concatenate(([0.0], mids.ravel(), [1.0]))
-    for a in (chain_s, wg, ds):
-        a.flags.writeable = False
-    return chain_s, np.broadcast_to(wg, (nseg, ngl)), ds
+def _graded_edges(z0, z1, e):
+    """Panel edges in s for the straight path z0 + s (z1 - z0), s in [0, 1]:
+    a panel starting at distance d from the nearest branch point has length
+    d / _PANEL_DIV in z (clipped at s = 1), so all of it stays at least twice
+    its length from every branch point.  A path that ends on or passes
+    through a branch point (d below 1e-12 of its length) raises."""
+    length = abs(z1 - z0) or 1.0       # a zero-length path: any panels do
+    edges, s = [0.0], 0.0
+    while s < 1.0:
+        d = float(np.min(np.abs(z0 + s * (z1 - z0) - e)))
+        if d < 1e-12 * length:
+            raise SheetTrackingLoss(
+                f"straight path from {z0} to {z1} meets a branch point")
+        s = min(s + d / (_PANEL_DIV * length), 1.0)
+        edges.append(s)
+    return np.array(edges)
 
 
 _odd_characteristics = lru_cache(maxsize=None)(
     ThetaCharacteristic.odd_characteristics)
+_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 _PERIOD_TARGET = 1e-10    # pair-loop period certificate
+_PANEL_DIV = 3            # branch-point distance / straight-path panel length
 
 
 class HyperellipticCurve:
@@ -440,36 +445,35 @@ class HyperellipticCurve:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _chart_path(s0, s1, seed, fiber2, numer, nseg, ngl):
+    def _chart_path(s0, s1, seed, fiber2, numer, s_edges, ngl):
         """Integrals of numer(s) / sqrt(fiber2(s)) ds along the straight chart
-        segments from s0 to each end point in s1 (shape (n,)), on nseg
-        Gauss-Legendre panels of ngl nodes each.
+        segments from s0 to each end point in s1 (shape (n,)), on panels of
+        ngl Gauss-Legendre nodes with edges s_edges (fractions of the way).
 
         The square root is tracked from ``seed`` (its value at s0, shared or
         one per segment) along each segment's node chain, which runs in order
         from s0 to its end; returns the (n, g) integrals and the (n,) tracked
         roots at the ends."""
-        chain_s, wg, ds = _gl_panels(nseg, ngl)
+        xg, wg = _leggauss(ngl)
+        ds = np.diff(s_edges)
+        mids = s_edges[:-1, None] + ds[:, None] * (xg[None, :] + 1) / 2
         span = np.asarray(s1, dtype=complex) - s0
-        chain = s0 + span[:, None] * chain_s
+        chain = s0 + span[:, None] * np.concatenate(([0.0], mids.ravel(), [1.0]))
         root = _tracked_sqrt(fiber2(chain), seed=seed)
-        panels = (len(span), nseg, ngl)
+        panels = (len(span),) + mids.shape
         vals = numer(chain[:, 1:-1].reshape(panels)) \
             / root[:, 1:-1].reshape(panels)[..., None]
-        vec = np.einsum("sk,nskg,ns->ng", wg, vals, span[:, None] * ds) / 2
+        vec = np.einsum("sk,nskg,ns->ng", np.broadcast_to(wg, mids.shape), vals,
+                        span[:, None] * ds) / 2
         return vec, root[:, -1]
 
-    def abel_segment(self, z0, y0, z1, nseg=None):
+    def abel_segment(self, z0, y0, z1):
         """Integral of (v_1 .. v_g) along the straight segment z0 -> z1 with
-        tracked sheet, on nseg panels of 16 Gauss-Legendre nodes (nseg from
-        the clearance to the branch points when not given); returns (vector,
-        y at z1)."""
-        if nseg is None:
-            clearance = float(np.min(np.abs(
-                np.asarray([z0, z1])[:, None] - self.e)))
-            nseg = int(np.clip(24 * abs(z1 - z0) / max(clearance, 1e-9), 16, 400))
+        tracked sheet, on panels of 16 Gauss-Legendre nodes graded by the
+        distance to the branch points (:func:`_graded_edges`); returns
+        (vector, y at z1)."""
         vec, y1 = self._chart_path(z0, [z1], y0, self.fiber2, self.v_poly,
-                                   nseg, 16)
+                                   _graded_edges(z0, z1, self.e), 16)
         return vec[0], complex(y1[0])
 
     def abel_from_hub(self, z):
@@ -501,7 +505,7 @@ class HyperellipticCurve:
         sep = abs(P.z - Q.z)
         if 0 < sep < 0.05 * self.scale \
                 and float(np.min(np.abs(P.z - self.e))) > 4 * sep:
-            vec, y_end = self.abel_segment(P.z, P.y, Q.z, nseg=8)
+            vec, y_end = self.abel_segment(P.z, P.y, Q.z)
             if abs(y_end - Q.y) <= 1e-6 * abs(y_end):
                 return vec
         return self.abel_of_point(Q) - self.abel_of_point(P)
@@ -557,7 +561,7 @@ class HyperellipticCurve:
             )
         # x-chart leg: x from x_h to 0 along a straight chart segment
         vec2, s_m = self._chart_path(x_h, [0.0], yh / x_h, *self._x_chart(m),
-                                     40, 16)
+                                     np.linspace(0.0, 1.0, 41), 16)
         vec2, s_m = vec2[0], complex(s_m[0])
         v_lead = 2.0 * self.v_poly(zm) / s_m
         data = BranchChart(index=m, abel=vec + vec2, sqrt_h=s_m, v_lead=v_lead)
@@ -581,7 +585,8 @@ class HyperellipticCurve:
         chart values xs (shape (n,)): one chart path from 0 per node, one
         panel of 24 Gauss-Legendre nodes."""
         bd = self.branch_data(m)
-        vec, _ = self._chart_path(0.0, xs, bd.sqrt_h, *self._x_chart(m), 1, 24)
+        vec, _ = self._chart_path(0.0, xs, bd.sqrt_h, *self._x_chart(m),
+                                  np.linspace(0.0, 1.0, 2), 24)
         return bd.abel + vec
 
     def _chart_v(self, m, xs):
@@ -630,7 +635,7 @@ class HyperellipticCurve:
             return self._inf_cache
         d = (1.0 + 0.3j) / abs(1.0 + 0.3j)
         zJ = self.hub + d * 8.0 * (self.scale + abs(self.hub))
-        vec_ray, yJ = self.abel_segment(self.hub, self.y_hub, zJ, nseg=24)
+        vec_ray, yJ = self.abel_segment(self.hub, self.y_hub, zJ)
         zetaJ = 1.0 / zJ
         g = self.g
 
@@ -643,7 +648,8 @@ class HyperellipticCurve:
             return -(zeta[..., None] ** (g - 1 - np.arange(g)) @ self.coef.T)
 
         vec_leg, s_inf = self._chart_path(zetaJ, [0.0], yJ * zetaJ ** (g + 1),
-                                          w2, numer, 40, 16)
+                                          w2, numer, np.linspace(0.0, 1.0, 41),
+                                          16)
         vec_leg, s_inf = vec_leg[0], complex(s_inf[0])
         if min(abs(s_inf - 1), abs(s_inf + 1)) > 1e-6:
             raise SheetTrackingLoss(f"infinity sheet marker {s_inf} not near +-1")
