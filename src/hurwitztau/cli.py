@@ -421,8 +421,8 @@ def cmd_cone_mu0_fit(args):
     from . import cones
 
     cone = cones.ConeCircle(k=args.k, R=args.R)
-    fit = cones.mu0_asymptotic_fit(cone, exponents=range(args.jmin,
-                                                         args.jmax + 2))
+    jmax = 8 if args.jmax is None else args.jmax
+    fit = cones.mu0_asymptotic_fit(cone, exponents=range(args.jmin, jmax + 1))
     lam_min = abs(fit["lambda_min"])
     ok = abs(fit["leading"] - 1.0) < 1.0 / abs(np.log(lam_min))
     return {
@@ -436,7 +436,8 @@ def cmd_cone_shift_fit(args):
     from . import cones
 
     cone = cones.ConeCircle(k=args.k, R=args.R)
-    exponents = range(args.jmin, args.jmax + 1)
+    jmax = 7 if args.jmax is None else args.jmax
+    exponents = range(args.jmin, jmax + 1)
     fit = cones.spectral_shift_asymptotic(cone, exponents=exponents)
     out_csv = None
     if args.out:
@@ -451,7 +452,7 @@ def cmd_cone_shift_fit(args):
         * fit["expected"]
     return {
         "inputs": {"k": args.k, "R": args.R,
-                   "exponents": [args.jmin, args.jmax]},
+                   "exponents": [args.jmin, jmax]},
         "outputs": {**fit, "csv": out_csv},
         "discrepancies": {
             "leading_rel": abs(fit["leading"] - fit["expected"]) / fit["expected"]
@@ -477,7 +478,8 @@ def build_parser():
     common.add_argument("--jmin", type=int,
                         help="smallest exponent of the lambda sequence 10^-j")
     common.add_argument("--jmax", type=int,
-                        help="largest exponent of the lambda sequence 10^-j")
+                        help="largest exponent of the lambda sequence 10^-j "
+                             "(default 8 for cone mu0-fit, 7 for shift-fit)")
     p = argparse.ArgumentParser(
         prog="hurwitztau",
         description=__doc__,
@@ -518,7 +520,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     defaults = argparse.Namespace(input=None, out=None, tol=None,
-                                  nodes=None, k=1, R=1.0, jmin=2, jmax=7)
+                                  nodes=None, k=1, R=1.0, jmin=2, jmax=None)
     try:
         args = parser.parse_args(argv, namespace=defaults)
     except SystemExit as exc:

@@ -41,6 +41,7 @@ __all__ = [
 
 EULER_GAMMA = float(np.euler_gamma)
 _TAIL_TOL = 1e-8    # mode-sum truncation certificate of detzeta_N_model
+_BLOCK = 128        # modes per direct Bessel-product block of detzeta_N_model
 
 
 @dataclass(frozen=True)
@@ -178,41 +179,48 @@ def detzeta_N_model(cone: ConeCircle, lam, n_max=4000):
       eps_n = log(mu_n k R^2 / (2 n)),
 
     with the residual tail beyond n_max restored through its 1/n^2 model,
-    whose certificate must stay below ``_TAIL_TOL``.
-    Returns (log_det, diagnostics).
+    whose certificate must stay below ``_TAIL_TOL``.  The Bessel product
+    (J H; I K on the imaginary axis) is evaluated in blocks of ``_BLOCK``
+    modes of rising nu, up to the first block with no representable product
+    that starts past the turning point nu > 2 |lambda R| + 2: beyond it |J|
+    and I fall, |H| and K rise monotonically in nu, so no later product is
+    representable.  All other modes take the expansion of ``_log_eps_tail``.
+    Returns (log_det, diagnostics); diagnostics["direct_modes"] counts the
+    modes whose product was evaluated.
     """
     lam = complex(lam)
     if lam == 0:
         raise DomainError("lambda must be nonzero")
     kR2 = cone.k * cone.R ** 2
     pure_imag = abs(lam.real) < 1e-14 * abs(lam)
-
-    def mu(n):
-        if pure_imag:
-            return jump_eigenvalue_neg_energy(n, cone, lam.imag)
-        return jump_eigenvalue(n, cone, lam)
-
-    mu0 = mu(0)
-    n = np.arange(1, n_max + 1)
-    nu = n / (cone.k * cone.R)
+    mu0 = (jump_eigenvalue_neg_energy(0, cone, lam.imag) if pure_imag
+           else jump_eigenvalue(0, cone, lam))
+    nu = np.arange(1, n_max + 1) / (cone.k * cone.R)
     x = lam * cone.R
-    with np.errstate(all="ignore"):
+
+    def direct(nb):
         if pure_imag:
-            t = lam.imag
-            prod = sps.ive(nu, t * cone.R) * sps.kve(nu, t * cone.R)
+            tR = lam.imag * cone.R
+            prod = sps.ive(nb, tR) * sps.kve(nb, tR)
             good = np.isfinite(prod) & (prod > 0)
-            eps = np.empty(n_max, dtype=complex)
-            eps[good] = -np.log(2 * nu[good] * prod[good])
-            eps[~good] = _log_eps_tail(nu[~good], (lam * cone.R) ** 2)
-        else:
-            J = sps.jv(nu, x)
-            H = sps.hankel1(nu, x)
-            prod = J * H
-            good = np.isfinite(prod) & (np.abs(prod) > 1e-280)
-            eps = np.empty(n_max, dtype=complex)
-            # mu_n = -2i/(pi R J H): eps_n = -log(pi nu J H / (-i))
-            eps[good] = -np.log(np.pi * nu[good] * prod[good] / (-1j))
-            eps[~good] = _log_eps_tail(nu[~good], (lam * cone.R) ** 2)
+            return good, -np.log(2 * nb[good] * prod[good])
+        prod = sps.jv(nb, x) * sps.hankel1(nb, x)
+        good = np.isfinite(prod) & (np.abs(prod) > 1e-280)
+        # mu_n = -2i/(pi R J H): eps_n = -log(pi nu J H / (-i))
+        return good, -np.log(np.pi * nb[good] * prod[good] / (-1j))
+
+    eps = np.empty(n_max, dtype=complex)
+    good = np.zeros(n_max, dtype=bool)
+    direct_modes = 0
+    with np.errstate(all="ignore"):
+        for lo in range(0, n_max, _BLOCK):
+            blk = slice(lo, lo + _BLOCK)
+            good[blk], eps_good = direct(nu[blk])
+            eps[blk][good[blk]] = eps_good
+            direct_modes += good[blk].size
+            if not good[blk].any() and nu[lo] > 2 * abs(x) + 2:
+                break
+        eps[~good] = _log_eps_tail(nu[~good], x ** 2)
     # analytic 1/n^2 tail model: eps_n ~ -lambda^2 (k R^2)^2 / (2 n^2)
     c2 = -(lam * kR2) ** 2 / 2.0
     tail = c2 * float(sps.polygamma(1, n_max + 1))
@@ -237,6 +245,7 @@ def detzeta_N_model(cone: ConeCircle, lam, n_max=4000):
         "mu0": complex(mu0),
         "tail_estimate": complex(tail),
         "modes": n_max,
+        "direct_modes": direct_modes,
         "truncation_certificate": cert,
     }
     return complex(log_det), diag

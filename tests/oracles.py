@@ -2,10 +2,22 @@
 
 Everything here is computed by a route disjoint from the package internals:
 arithmetic-geometric means, q-series, Eisenstein series, ascending Bessel
-series, and product-over-roots resultants.
+series, and product-over-roots resultants.  The one exception is
+``detzeta_full_scan``, the earlier full-scan mode sum of
+``cones.detzeta_N_model`` kept as its bitwise reference.
 """
 
 import numpy as np
+import scipy.special as sps
+
+from hurwitztau.cones import (
+    _TAIL_TOL,
+    ConeCircle,
+    _log_eps_tail,
+    jump_eigenvalue,
+    jump_eigenvalue_neg_energy,
+)
+from hurwitztau.errors import DomainError, TailModelMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -165,3 +177,73 @@ def theta_box_oracle(t, B, a=None, b=None, R=40):
     expo = 1j * np.pi * np.einsum("mi,ij,mj->m", q, B, q) \
         + 2j * np.pi * q @ (t + b)
     return complex(np.exp(expo).sum())
+
+
+# ---------------------------------------------------------------------------
+# full-scan model-cone determinant (reference for the block scan)
+# ---------------------------------------------------------------------------
+
+def detzeta_full_scan(cone: ConeCircle, lam, n_max=4000):
+    """Full-scan mode sum of ``cones.detzeta_N_model``: the Bessel product
+    is evaluated for every mode 1..n_max, and ``_log_eps_tail`` overwrites
+    the modes where it is not representable.  Bitwise reference for the
+    block scan of the package."""
+    lam = complex(lam)
+    if lam == 0:
+        raise DomainError("lambda must be nonzero")
+    kR2 = cone.k * cone.R ** 2
+    pure_imag = abs(lam.real) < 1e-14 * abs(lam)
+
+    def mu(n):
+        if pure_imag:
+            return jump_eigenvalue_neg_energy(n, cone, lam.imag)
+        return jump_eigenvalue(n, cone, lam)
+
+    mu0 = mu(0)
+    n = np.arange(1, n_max + 1)
+    nu = n / (cone.k * cone.R)
+    x = lam * cone.R
+    with np.errstate(all="ignore"):
+        if pure_imag:
+            t = lam.imag
+            prod = sps.ive(nu, t * cone.R) * sps.kve(nu, t * cone.R)
+            good = np.isfinite(prod) & (prod > 0)
+            eps = np.empty(n_max, dtype=complex)
+            eps[good] = -np.log(2 * nu[good] * prod[good])
+            eps[~good] = _log_eps_tail(nu[~good], (lam * cone.R) ** 2)
+        else:
+            J = sps.jv(nu, x)
+            H = sps.hankel1(nu, x)
+            prod = J * H
+            good = np.isfinite(prod) & (np.abs(prod) > 1e-280)
+            eps = np.empty(n_max, dtype=complex)
+            # mu_n = -2i/(pi R J H): eps_n = -log(pi nu J H / (-i))
+            eps[good] = -np.log(np.pi * nu[good] * prod[good] / (-1j))
+            eps[~good] = _log_eps_tail(nu[~good], (lam * cone.R) ** 2)
+    # analytic 1/n^2 tail model: eps_n ~ -lambda^2 (k R^2)^2 / (2 n^2)
+    c2 = -(lam * kR2) ** 2 / 2.0
+    tail = c2 * float(sps.polygamma(1, n_max + 1))
+    model_last = c2 / n_max ** 2
+    resid_last = abs(eps[-1] - model_last)
+    if abs(eps[-1]) > 1e-12 and abs(model_last) > 1e-300:
+        mism = resid_last / max(abs(eps[-1]), abs(model_last))
+        if mism > 0.2 and abs(eps[-1]) > _TAIL_TOL:
+            raise TailModelMismatch(
+                f"last mode deviates from the 1/n^2 tail model by {mism:.1%}"
+            )
+    # unmodeled remainder decays one power faster than the restored tail:
+    # bound it by the last-mode model residual times the tail mode count
+    cert = float(2 * resid_last * n_max)
+    if cert > _TAIL_TOL:
+        raise TailModelMismatch(
+            f"mode-sum truncation certificate {cert:.2e} > {_TAIL_TOL}; "
+            "increase n_max"
+        )
+    log_det = np.log(mu0) + np.log(np.pi * kR2) + 2 * (np.sum(eps) + tail)
+    diag = {
+        "mu0": complex(mu0),
+        "tail_estimate": complex(tail),
+        "modes": n_max,
+        "truncation_certificate": cert,
+    }
+    return complex(log_det), diag

@@ -79,6 +79,16 @@ def test_cone_mu0_fit(tmp_path):
     code, rep = run_cli(["cone-mu0-fit"], tmp_path)
     assert code == 0
     assert rep["outputs"]["selected"] == "gamma"
+    assert rep["outputs"]["lambda_min"] == [0.0, 1e-8]
+
+
+def test_cone_fit_jmax_is_the_largest_exponent(tmp_path):
+    code, rep = run_cli(["--jmax", "6", "cone-mu0-fit"], tmp_path)
+    assert code == 0
+    assert rep["outputs"]["lambda_min"] == [0.0, 1e-6]
+    code, rep = run_cli(["--jmax", "6", "cone-shift-fit"], tmp_path)
+    assert rep["inputs"]["exponents"] == [2, 6]
+    assert min(map(float, rep["outputs"]["samples"])) == 1e-6
 
 
 def test_tau_genus1_command(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from hurwitztau import cones
 from hurwitztau.cones import ConeCircle
-from hurwitztau.errors import DomainError
-from oracles import hankel1_0_series
+from hurwitztau.errors import DomainError, HurwitzTauError
+from oracles import detzeta_full_scan, hankel1_0_series
 
 
 def test_dtn_zero_spectrum_plane():
@@ -129,6 +129,46 @@ def test_detzeta_flat_plane_structure():
         interior = t * sps.ivp(n, t) / iv
         exterior = -t * sps.kvp(n, t) / kv
         assert abs(closed - (interior + exterior)) < 1e-10 * abs(closed)
+
+
+def _detzeta_outcome(fn, cone, lam, n_max):
+    try:
+        log_det, diag = fn(cone, lam, n_max=n_max)
+    except HurwitzTauError as exc:
+        return type(exc), str(exc)
+    diag = dict(diag)
+    diag.pop("direct_modes", None)
+    return log_det, diag
+
+
+@pytest.mark.parametrize("R", [0.5, 0.8, 1.3, 2.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_detzeta_block_scan_is_bitwise_the_full_scan(k, R):
+    # the block scan skips only products that cannot be represented, so
+    # log_det, diag and any raised error equal the full scan's exactly
+    cone = ConeCircle(k, R)
+    for a in (10.0, 1.0, 1e-1, 1e-3, 1e-7):
+        for lam in (a, 1j * a, a * (1 + 0.3j)):
+            for n_max in (2000, 4000):
+                assert _detzeta_outcome(cones.detzeta_N_model, cone, lam,
+                                        n_max) \
+                    == _detzeta_outcome(detzeta_full_scan, cone, lam, n_max)
+
+
+# the ends of each k's R band in the cone benchmark
+BAND_CONES = [(1, 1.12), (1, 1.47), (2, 0.92), (2, 1.06),
+              (3, 0.75), (3, 0.83), (4, 0.63), (4, 0.69)]
+
+
+@pytest.mark.parametrize("k,R", BAND_CONES)
+def test_detzeta_direct_modes_stay_within_four_blocks(k, R):
+    cone = ConeCircle(k, R)
+    lams = [10.0 ** -j for j in range(1, 8)] \
+        + [1j * 10.0 ** -j for j in range(1, 5)]
+    for lam in lams:
+        _, diag = cones.detzeta_N_model(cone, lam)
+        assert diag["modes"] == 4000
+        assert 0 < diag["direct_modes"] <= 4 * cones._BLOCK
 
 
 def test_mu0_fit_adjudicates_subleading():
