@@ -439,14 +439,14 @@ def cmd_cone_shift_fit(args):
     jmax = 7 if args.jmax is None else args.jmax
     exponents = range(args.jmin, jmax + 1)
     fit = cones.spectral_shift_asymptotic(cone, exponents=exponents)
+    log_dets = fit.pop("log_dets")
     out_csv = None
     if args.out:
         out_csv = os.path.splitext(args.out)[0] + ".csv"
         with open(out_csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["lam", "logdet_re", "phase"])
-            for lam in fit["samples"]:
-                log_det, _ = cones.detzeta_N_model(cone, complex(lam))
+            for lam, log_det in zip(fit["samples"], log_dets):
                 w.writerow([lam, log_det.real, log_det.imag])
     ok = abs(fit["leading"] - fit["expected"]) < _tols(args)["shift_leading"] \
         * fit["expected"]

@@ -320,12 +320,14 @@ def spectral_shift_asymptotic(cone: ConeCircle, exponents=range(2, 8),
 
     For n_cones independent model cones the phases add and the leading
     coefficient is n_cones.  Returns the fitted leading coefficient and the
-    per-sample table; xi vanishes identically for negative energies.
+    per-sample table with the sampled ln det N (``log_dets``, in sample
+    order); xi vanishes identically for negative energies.
     """
     lams = np.array([10.0 ** (-j) for j in exponents])
-    xi = []
+    xi, log_dets = [], []
     for lm in lams:
         log_det, _ = detzeta_N_model(cone, complex(lm), n_max=2000)
+        log_dets.append(log_det)
         phase = log_det.imag
         if abs(phase) > np.pi:
             raise PhaseUnwrappingFailure(
@@ -342,6 +344,7 @@ def spectral_shift_asymptotic(cone: ConeCircle, exponents=range(2, 8),
         "expected": float(n_cones),
         "samples": {float(l): float(v) for l, v in zip(lams, xi)},
         "residual": float(np.max(np.abs(V @ sol - xi))),
+        "log_dets": log_dets,
     }
 
 

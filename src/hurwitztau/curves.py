@@ -23,6 +23,7 @@ Conventions (fixed, documented):
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -215,39 +216,55 @@ _leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 _PERIOD_TARGET = 1e-10    # pair-loop period certificate
 _PANEL_DIV = 3            # branch-point distance / straight-path panel length
 
+# Curves built in this process, keyed on the branch-point bytes and the final
+# hub: an equal key reuses the period data and shares every cache container
+# (not the instance dict), least recently used entry evicted first.
+_CURVE_TABLE = OrderedDict()
+_CURVE_TABLE_SIZE = 8
+
 
 class HyperellipticCurve:
     """Hyperelliptic curve y^2 = prod(z - e_i) with 2g + 2 finite branch
     points and the degree-2 covering map f = z."""
 
     def __init__(self, branch_points, hub=None):
-        e = np.asarray(branch_points, dtype=complex).ravel()
+        e = np.array(branch_points, dtype=complex).ravel()
         if len(e) < 4 or len(e) % 2 != 0:
             raise CurveGeometryError("need an even number >= 4 of branch points")
+        if not np.all(np.isfinite(e)):
+            raise CurveGeometryError("branch points must be finite")
         scale = float(np.max(np.abs(np.subtract.outer(e, e))))
         gaps = np.abs(np.subtract.outer(e, e)) + np.eye(len(e)) * scale
         if gaps.min() < 1e-8 * scale:
             raise CurveGeometryError("branch points too close together")
+        if hub is None:
+            hub = e.mean() + 0.37j * (np.ptp(e.real) + 0.2 * scale) \
+                + 0.11 * np.ptp(np.abs(e)) + 1.3
+        hub = complex(hub)
+        if np.min(np.abs(hub - e)) < 0.05 * scale:
+            hub += 0.23j * scale
+        key = (e.tobytes(), np.complex128(hub).tobytes())
+        if key in _CURVE_TABLE:
+            _CURVE_TABLE.move_to_end(key)
+            self.__dict__.update(_CURVE_TABLE[key])
+            return
+        e.flags.writeable = False
         self.e = e
         self._others = [np.delete(e, m) for m in range(len(e))]
         self.g = (len(e) - 2) // 2
         self.scale = scale
         self.marking = "standard"
-        if hub is None:
-            hub = e.mean() + 0.37j * (np.ptp(e.real) + 0.2 * scale) \
-                + 0.11 * np.ptp(np.abs(e)) + 1.3
-        self.hub = complex(hub)
-        if np.min(np.abs(self.hub - e)) < 0.05 * scale:
-            self.hub += 0.23j * scale
+        self.hub = hub
         self.y_hub = complex(np.sqrt(np.prod(self.hub - e)))
         self._abel_cache = {}
         self._branch_cache = {}
         self._pair_cache = {}
         self._chart_cache = {}
-        self._grad_cache = None
-        self._inf_cache = None
-        self._K_half_cache = None
+        self._lazy_cache = {}     # "grad", "inf", "K": one value each
         self._build_periods()
+        _CURVE_TABLE[key] = dict(self.__dict__)
+        if len(_CURVE_TABLE) > _CURVE_TABLE_SIZE:
+            _CURVE_TABLE.popitem(last=False)
 
     # ------------------------------------------------------------------
     # fiber
@@ -323,72 +340,51 @@ class HyperellipticCurve:
         A, chain = (np.array([val for val, _ in row]) for row in loops)
         self.period_certificate = max(c for row in loops for _, c in row)
 
-        def assemble(a_signs, c_signs, which):
-            Amat = a_signs[:, None] * A
-            C = np.zeros((g, g), dtype=complex)
-            for i in range(g):
-                for k in range(i, g):
-                    C[i] += c_signs[k] * chain[k]
-            Aeff, Ceff = (Amat, C) if which == "standard" else (C, -Amat)
-            condA = np.linalg.cond(Aeff)
-            if condA > 1e10:
-                raise IllConditionedPeriods(
-                    f"a-period condition number {condA:.2e}")
-            coef = np.linalg.solve(Aeff, np.eye(g)).T
-            Braw = Ceff @ coef.T
-            sym = float(np.max(np.abs(Braw - Braw.T))
-                        / max(1.0, np.max(np.abs(Braw))))
-            return coef, Braw, sym, Ceff, Aeff
-
         # The raw pair-loop lifts of the a-cycles and of the chain members
         # sit on either sheet.  Pin all lift signs through the Riemann
         # relations: sign assignments that make B symmetric with definite
         # Im B all produce the same marking (and the same B after the global
-        # orientation flip below); anything else is rejected.
-        candidates = []
-        for abits in range(2 ** g):
-            a_signs = np.array([1.0 if not (abits >> k) & 1 else -1.0
-                                for k in range(g)])
-            for bits in range(2 ** g):
-                c_signs = np.array([1.0 if not (bits >> k) & 1 else -1.0
-                                    for k in range(g)])
-                coef, Braw, sym, Ceff, Aeff = assemble(a_signs, c_signs,
-                                                       self.marking)
-                if sym > 1e-7:
-                    continue
-                eigs = np.linalg.eigvalsh(((Braw + Braw.T) / 2).imag)
-                if eigs.min() > 0 or eigs.max() < 0:
-                    Bfix = (Braw + Braw.T) / 2
-                    if np.linalg.eigvalsh(Bfix.imag).max() < 0:
-                        Bfix = -Bfix
-                    candidates.append((a_signs, c_signs, coef, Braw, sym,
-                                       Ceff, Aeff, Bfix))
-        if not candidates:
+        # orientation flip below); anything else is rejected.  All 4^g
+        # assignments are screened as one stack, candidate n having the
+        # a-signs of bits g..2g-1 of n (outer) and the chain signs of bits
+        # 0..g-1; the first one that passes is taken.
+        n = np.arange(4 ** g)[:, None]
+        a_signs = 1.0 - 2.0 * ((n >> (g + np.arange(g))) & 1)
+        c_signs = 1.0 - 2.0 * ((n >> np.arange(g)) & 1)
+        Amat = a_signs[:, :, None] * A
+        C = np.zeros((len(n), g, g), dtype=complex)
+        for k in range(g):      # row i sums its chain members k >= i in order
+            C[:, : k + 1] += (c_signs[:, k, None] * chain[k])[:, None, :]
+        Aeff, Ceff = (Amat, C) if self.marking == "standard" else (C, -Amat)
+        condA = np.linalg.cond(Aeff)
+        if np.any(condA > 1e10):
+            raise IllConditionedPeriods(
+                f"a-period condition number {condA[condA > 1e10][0]:.2e}")
+        inv = np.linalg.solve(Aeff, np.broadcast_to(np.eye(g), Aeff.shape))
+        Braw = Ceff @ inv
+        sym = np.max(np.abs(Braw - Braw.transpose(0, 2, 1)), axis=(1, 2)) \
+            / np.maximum(1.0, np.max(np.abs(Braw), axis=(1, 2)))
+        Bsym = (Braw + Braw.transpose(0, 2, 1)) / 2
+        eigs = np.linalg.eigvalsh(Bsym.imag)
+        flip = eigs.max(axis=1) < 0
+        ok = ~(sym > 1e-7) & ((eigs.min(axis=1) > 0) | flip)
+        if not ok.any():
             raise CurveGeometryError(
                 "no lift-sign assignment makes the consecutive-pair marking "
                 "symplectic; reorder the branch points"
             )
-        B0 = candidates[0][-1]
-        for cand in candidates[1:]:
-            if np.max(np.abs(cand[-1] - B0)) > 1e-7 * max(1.0, np.max(np.abs(B0))):
-                raise CurveGeometryError(
-                    "ambiguous homology lift signs for this configuration"
-                )
-        a_signs, c_signs, coef, Braw, sym, Ceff, Aeff, _ = candidates[0]
-        self.coef = coef
-        self.sym_err = sym
-        self._a_signs = a_signs
-        self._chain_signs = c_signs
-        Bsym = (Braw + Braw.T) / 2
-        if np.linalg.eigvalsh(Bsym.imag).max() < 0:
-            self._b_sign = -1.0
-            Bsym = -Bsym
-            Ceff = -Ceff
-            self._chain_signs = -c_signs
-        else:
-            self._b_sign = 1.0
-        self._A_periods, self._C_periods = Aeff, Ceff
-        self.B = RiemannMatrix(Bsym)
+        Bfix = np.where(flip[:, None, None], -Bsym, Bsym)[ok]
+        if np.any(np.max(np.abs(Bfix[1:] - Bfix[0]), axis=(1, 2))
+                  > 1e-7 * max(1.0, np.max(np.abs(Bfix[0])))):
+            raise CurveGeometryError(
+                "ambiguous homology lift signs for this configuration"
+            )
+        c = int(np.argmax(ok))
+        self.coef = inv[c].T
+        self.sym_err = float(sym[c])
+        self._a_signs = a_signs[c]
+        self._chain_signs = -c_signs[c] if flip[c] else c_signs[c]
+        self.B = RiemannMatrix(-Bsym[c] if flip[c] else Bsym[c])
 
     def swap_marking(self):
         """Curve with (a, b) -> (b, -a); same raw contours, new normalization."""
@@ -400,8 +396,7 @@ class HyperellipticCurve:
             "marking": "swapped" if self.marking == "standard" else "standard",
             "_pair_cache": self._pair_cache,
             "_abel_cache": {},
-            "_branch_cache": {}, "_chart_cache": {}, "_grad_cache": None,
-            "_inf_cache": None, "_K_half_cache": None,
+            "_branch_cache": {}, "_chart_cache": {}, "_lazy_cache": {},
         })
         other._build_periods()
         return other
@@ -631,8 +626,8 @@ class HyperellipticCurve:
         40 panels of 16 Gauss-Legendre nodes; the second is its involution
         image, A(sigma P) = :meth:`flip_vec` - A(P).
         """
-        if self._inf_cache is not None:
-            return self._inf_cache
+        if "inf" in self._lazy_cache:
+            return self._lazy_cache["inf"]
         d = (1.0 + 0.3j) / abs(1.0 + 0.3j)
         zJ = self.hub + d * 8.0 * (self.scale + abs(self.hub))
         vec_ray, yJ = self.abel_segment(self.hub, self.y_hub, zJ)
@@ -659,8 +654,8 @@ class HyperellipticCurve:
                            v_lead=-self.coef[:, g - 1] / s_inf)
         end2 = InfinityEnd(abel=self.flip_vec() - a_first, sign=-s_inf,
                            v_lead=-self.coef[:, g - 1] / (-s_inf))
-        self._inf_cache = (end1, end2)
-        return self._inf_cache
+        self._lazy_cache["inf"] = (end1, end2)
+        return self._lazy_cache["inf"]
 
     def flip_vec(self):
         """Abel vector from the hub to its involution image: the hub path
@@ -681,7 +676,7 @@ class HyperellipticCurve:
 
     def odd_char_gradients(self):
         """All odd characteristics with their theta gradients at 0; cached."""
-        if self._grad_cache is None:
+        if "grad" not in self._lazy_cache:
             out = []
             basis = [tuple(np.eye(self.g)[i]) for i in range(self.g)]
             for ch in _odd_characteristics(self.g):
@@ -691,8 +686,8 @@ class HyperellipticCurve:
                 out.append((ch, grad))
             if not any(np.linalg.norm(gr) > 1e-10 for _, gr in out):
                 raise CharacteristicSingular("all odd theta gradients vanish")
-            self._grad_cache = out
-        return self._grad_cache
+            self._lazy_cache["grad"] = out
+        return self._lazy_cache["grad"]
 
     def _log_deriv_matrix(self, t, char):
         """L_ij = theta_ij/theta - theta_i theta_j / theta^2 at each row of
@@ -904,22 +899,34 @@ class HyperellipticCurve:
         vals = np.abs(self.theta_bundle(np.vstack([ref_t, t]))[:, 0])
         return vals[1:] / vals[0]
 
-    def _half_period_K(self):
+    def _half_period_K(self, index=None):
         """K at the basepoint 'branch point 0' as a half period, identified by
         the theta-divisor vanishing property and certified.
 
         All 4^g candidates times all probes go through one batched theta
-        call; a candidate's residual is its worst probe."""
-        if self._K_half_cache is not None:
-            return self._K_half_cache
+        call; a candidate's residual is its worst probe.  Candidate k has
+        alpha_i, beta_i as bits 2i, 2i + 1 of k.  With ``index`` (a candidate
+        frozen at a base configuration) that the search has not already
+        chosen, only that candidate is certified on the probes, a residual
+        above 1e-6 raises, and the search cache is left unfilled.  Returns
+        (K, residual)."""
+        cached = self._lazy_cache.get("K")
+        if cached is not None and index in (None, cached[0]):
+            return cached[1:]
         g = self.g
         a0 = self.branch_data(0).abel
-        # candidate k: alpha_i, beta_i are bits 2i, 2i + 1 of k
         bits = np.arange(4 ** g)[:, None] >> (2 * np.arange(g))
         Kc = (bits & 1) @ self.B.B.T / 2 + ((bits >> 1) & 1) / 2
         offsets = np.zeros((1, g)) if g == 1 else \
             np.array([self.abel_from_hub(z)[0] - a0
                       for z in self._probe_points(17, 3, 0.3, 1.2, 1.5)])
+        if index is not None:
+            resid = float(self._theta_over_reference(offsets + Kc[index]).max())
+            if not resid <= 1e-6:
+                raise LatticeResolutionFailure(
+                    f"frozen half period {index} no longer satisfies the "
+                    f"vanishing property (residual {resid:.2e})")
+            return Kc[index], resid
         t = (offsets[None, :, :] + Kc[:, None, :]).reshape(-1, g)
         worst = self._theta_over_reference(t).reshape(len(Kc), -1).max(axis=1)
         order = np.argsort(worst, kind="stable")
@@ -931,19 +938,26 @@ class HyperellipticCurve:
             )
         if worst[order[1]] < 10 * best_resid:
             raise LatticeResolutionFailure("half-period identification ambiguous")
-        self._K_half_cache = (best, best_resid)
-        return self._K_half_cache
+        self._lazy_cache["K"] = (int(order[0]), best, best_resid)
+        return best, best_resid
 
-    def riemann_constants(self, z_base=None):
+    def half_period_index(self):
+        """Candidate index of the half period K found by the search of
+        :meth:`_half_period_K` (what ``tau_genus2`` freezes)."""
+        self._half_period_K()
+        return self._lazy_cache["K"][0]
+
+    def riemann_constants(self, z_base=None, half_index=None):
         """Vector of Riemann constants for the given basepoint.
 
         Identified through the theta-divisor vanishing property at a branch
         basepoint (a half period, exact classical structure) and transported
-        by K^y = K^x + (g - 1) A^x(y).  Returns (K, certificate); for
-        g >= 2 the certificate also covers the vanishing at two admissible
-        probe points.
+        by K^y = K^x + (g - 1) A^x(y).  ``half_index`` certifies that frozen
+        half-period candidate instead of searching all 4^g.  Returns (K,
+        certificate); for g >= 2 the certificate also covers the vanishing
+        at two admissible probe points.
         """
-        K0, resid = self._half_period_K()
+        K0, resid = self._half_period_K(half_index)
         if z_base is None:
             return K0, resid
         a_base = self.abel_from_hub(z_base)[0]

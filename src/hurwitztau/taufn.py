@@ -413,9 +413,10 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
     suite); flipping the sign of Z flips the sign of the whole exponent.
 
     ``frozen`` pins the discrete choices (characteristics per prime-form
-    pair, lattice vector Z) so moduli displacements differentiate a single
-    branch; pass the base evaluation's ``frozen`` when running finite
-    differences.
+    pair, lattice vector Z, half-period index of K) so moduli displacements
+    differentiate a single branch; pass the base evaluation's ``frozen``
+    when running finite differences.  A frozen half period is certified on
+    its probes alone, with no search over the other candidates.
     """
     g = curve.g
     if g < 2:
@@ -431,7 +432,8 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
     P_zeta = curve.point(zeta_z)
     v_zeta = curve.v_hat(P_zeta)
 
-    K_zeta, K_resid = curve.riemann_constants(zeta_z)
+    K_zeta, K_resid = curve.riemann_constants(
+        zeta_z, half_index=None if frozen is None else frozen.get("K_half"))
     e_vec = sum(dks[nm] * (abel[nm] - a_zeta) for nm in names) + 2 * K_zeta
     Z, Zp, lat_resid = curve.lattice_fit(e_vec)
     if frozen is not None and "Z" in frozen:
@@ -449,7 +451,8 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
                 char_pairs[(names[i], names[j])] = curve._choose_char(
                     om_table[names[i]], om_table[names[j]])
         char_zeta = {nm: curve._choose_char(om_zeta, om_table[nm]) for nm in names}
-        frozen_out = {"Z": Z, "char_pairs": char_pairs, "char_zeta": char_zeta}
+        frozen_out = {"Z": Z, "K_half": curve.half_period_index(),
+                      "char_pairs": char_pairs, "char_zeta": char_zeta}
     else:
         char_pairs = frozen["char_pairs"]
         char_zeta = frozen["char_zeta"]

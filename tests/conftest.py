@@ -9,6 +9,15 @@ sys.path.insert(0, os.path.dirname(__file__))
 from curve_inputs import load_fixture  # noqa: E402
 
 
+@pytest.fixture(autouse=True)
+def empty_curve_table():
+    """Each test starts with no curve shared from an earlier test, so a
+    test that counts first fills sees a cold curve."""
+    from hurwitztau import curves
+
+    curves._CURVE_TABLE.clear()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

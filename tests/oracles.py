@@ -2,9 +2,11 @@
 
 Everything here is computed by a route disjoint from the package internals:
 arithmetic-geometric means, q-series, Eisenstein series, ascending Bessel
-series, and product-over-roots resultants.  The one exception is
+series, and product-over-roots resultants.  The two exceptions are
 ``detzeta_full_scan``, the earlier full-scan mode sum of
-``cones.detzeta_N_model`` kept as its bitwise reference.
+``cones.detzeta_N_model``, and ``lift_signs_per_candidate``, the earlier
+one-candidate-at-a-time lift-sign search of the period construction, each
+kept as the bitwise reference of its batched replacement.
 """
 
 import numpy as np
@@ -17,7 +19,12 @@ from hurwitztau.cones import (
     jump_eigenvalue,
     jump_eigenvalue_neg_energy,
 )
-from hurwitztau.errors import DomainError, TailModelMismatch
+from hurwitztau.errors import (
+    CurveGeometryError,
+    DomainError,
+    IllConditionedPeriods,
+    TailModelMismatch,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +254,65 @@ def detzeta_full_scan(cone: ConeCircle, lam, n_max=4000):
         "truncation_certificate": cert,
     }
     return complex(log_det), diag
+
+
+# ---------------------------------------------------------------------------
+# period construction: lift-sign search one candidate at a time
+# ---------------------------------------------------------------------------
+
+def lift_signs_per_candidate(curve):
+    """(coef, B, a_signs, chain_signs) of the curve's marking from its raw
+    pair-loop integrals, by the earlier loop over the 2^g x 2^g lift-sign
+    assignments (a-signs outer), assembling and screening one candidate at a
+    time with the same thresholds and rejections."""
+    g = curve.g
+    A, chain = (np.array([curve._pair_loop_integrals(2 * i + s, 2 * i + s + 1)[0]
+                          for i in range(g)]) for s in (0, 1))
+
+    def assemble(a_signs, c_signs, which):
+        Amat = a_signs[:, None] * A
+        C = np.zeros((g, g), dtype=complex)
+        for i in range(g):
+            for k in range(i, g):
+                C[i] += c_signs[k] * chain[k]
+        Aeff, Ceff = (Amat, C) if which == "standard" else (C, -Amat)
+        condA = np.linalg.cond(Aeff)
+        if condA > 1e10:
+            raise IllConditionedPeriods(
+                f"a-period condition number {condA:.2e}")
+        coef = np.linalg.solve(Aeff, np.eye(g)).T
+        Braw = Ceff @ coef.T
+        sym = float(np.max(np.abs(Braw - Braw.T))
+                    / max(1.0, np.max(np.abs(Braw))))
+        return coef, Braw, sym
+
+    candidates = []
+    for abits in range(2 ** g):
+        a_signs = np.array([1.0 if not (abits >> k) & 1 else -1.0
+                            for k in range(g)])
+        for bits in range(2 ** g):
+            c_signs = np.array([1.0 if not (bits >> k) & 1 else -1.0
+                                for k in range(g)])
+            coef, Braw, sym = assemble(a_signs, c_signs, curve.marking)
+            if sym > 1e-7:
+                continue
+            eigs = np.linalg.eigvalsh(((Braw + Braw.T) / 2).imag)
+            if eigs.min() > 0 or eigs.max() < 0:
+                Bfix = (Braw + Braw.T) / 2
+                if np.linalg.eigvalsh(Bfix.imag).max() < 0:
+                    Bfix = -Bfix
+                candidates.append((a_signs, c_signs, coef, Braw, Bfix))
+    if not candidates:
+        raise CurveGeometryError(
+            "no lift-sign assignment makes the consecutive-pair marking "
+            "symplectic; reorder the branch points")
+    B0 = candidates[0][-1]
+    for cand in candidates[1:]:
+        if np.max(np.abs(cand[-1] - B0)) > 1e-7 * max(1.0, np.max(np.abs(B0))):
+            raise CurveGeometryError(
+                "ambiguous homology lift signs for this configuration")
+    a_signs, c_signs, coef, Braw, _ = candidates[0]
+    Bsym = (Braw + Braw.T) / 2
+    if np.linalg.eigvalsh(Bsym.imag).max() < 0:
+        Bsym, c_signs = -Bsym, -c_signs
+    return coef, Bsym, a_signs, c_signs

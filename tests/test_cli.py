@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +111,27 @@ def test_tau_genus1_unmet_period_certificate_exits_1(tmp_path):
     assert code == 1
     assert rep["error"] == "PeriodQuadratureFailure"
     assert "pair loop (0, 1)" in rep["message"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_cli_non_finite_branch_point_exits_1(bad, tmp_path):
+    # rejected before any quadrature: no NumPy warning on stderr
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(
+        {"branch_points": [[bad, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 1.0]]}))
+    out = tmp_path / "report.json"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hurwitztau.cli", "tau", "genus1",
+         "--input", str(inp), "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    report = json.loads(out.read_text())
+    assert report["error"] == "CurveGeometryError"
+    assert report["message"] == "branch points must be finite"
+    assert proc.stderr == ("FAIL tau-genus1: CurveGeometryError: "
+                           "branch points must be finite\n")
 
 
 def test_verify_vardwa_genus0_command(tmp_path):
@@ -238,6 +261,28 @@ def test_cone_shift_fit_command(tmp_path):
     code, rep = run_cli(["cone-shift-fit"], tmp_path)
     assert code == 0
     assert rep["discrepancies"]["leading_rel"] < 0.1
+
+
+def test_cone_shift_fit_csv_rows_are_the_fit_samples(tmp_path, monkeypatch):
+    # the CSV holds the determinants the fit sampled: no second mode sum
+    from hurwitztau import cones
+
+    n_max = []
+    model = cones.detzeta_N_model
+
+    def counting(*args, **kw):
+        n_max.append(kw.get("n_max"))
+        return model(*args, **kw)
+
+    monkeypatch.setattr(cones, "detzeta_N_model", counting)
+    code, rep = run_cli(["cone-shift-fit"], tmp_path)
+    assert code == 0 and "log_dets" not in rep["outputs"]
+    samples = rep["outputs"]["samples"]
+    rows = [r.split(",") for r in
+            (tmp_path / "report.csv").read_text().splitlines()[1:]]
+    assert {float(r[0]): float(r[2]) / np.pi for r in rows} \
+        == {float(lam): xi for lam, xi in samples.items()}
+    assert n_max == [2000] * len(samples)
 
 
 def test_cone_dtn_csv(tmp_path):

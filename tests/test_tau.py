@@ -3,7 +3,11 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from hurwitztau import HyperellipticCurve, taufn
-from hurwitztau.errors import DegenerateCriticalPoint, DegenerateInput
+from hurwitztau.errors import (
+    DegenerateCriticalPoint,
+    DegenerateInput,
+    LatticeResolutionFailure,
+)
 from hurwitztau.taufn import (
     DivisorData,
     RationalCoverP1,
@@ -305,3 +309,60 @@ def test_tau_genus2_one_theta_call_per_characteristic(monkeypatch):
     # fixed calls: the theta derivative at K and the two K certification
     # probes (with the reference row)
     assert chars.count(None) == 2
+
+
+# ---------------------------------------------------------------------------
+# frozen half period of K across moduli displacements
+# ---------------------------------------------------------------------------
+
+_G2_POINTS = [-2.1, -1.0, -0.2 + 0.3j, 0.7, 1.5 + 0.1j, 2.4]
+
+
+def _theta_rows(monkeypatch):
+    """Records the argument count of every theta call of the curve layer."""
+    from hurwitztau import curves
+
+    rows = []
+    bundle = curves.riemann_theta_bundle
+
+    def recording(t, *args, **kw):
+        rows.append(len(np.atleast_2d(t)))
+        return bundle(t, *args, **kw)
+
+    monkeypatch.setattr(curves, "riemann_theta_bundle", recording)
+    return rows
+
+
+def _moved_curve(base, dz):
+    pts = list(_G2_POINTS)
+    pts[2] += dz
+    return HyperellipticCurve(pts, hub=base.hub)
+
+
+def test_frozen_half_period_that_no_longer_vanishes_raises():
+    base = HyperellipticCurve(_G2_POINTS)
+    _, ing = tau_genus2(base, 0.9 + 1.7j)
+    moved = _moved_curve(base, 1e-5j)
+    tau_genus2(moved, 0.9 + 1.7j, frozen=ing.frozen)
+    # a half period that is not a zero of theta on the moved curve
+    wrong = dict(ing.frozen, K_half=(ing.frozen["K_half"] + 1) % 16)
+    with pytest.raises(LatticeResolutionFailure, match="frozen half period"):
+        tau_genus2(moved, 0.9 + 1.7j, frozen=wrong)
+    assert "K" not in moved._lazy_cache
+
+
+def test_unfrozen_search_runs_after_a_frozen_call(monkeypatch):
+    base = HyperellipticCurve(_G2_POINTS)
+    k = base.half_period_index()
+    moved = _moved_curve(base, -1e-5)
+    rows = _theta_rows(monkeypatch)
+    K_frozen, _ = moved.riemann_constants(0.9 + 1.7j, half_index=k)
+    # the frozen candidate on the three probes plus the reference row, then
+    # the two transport probes plus the reference row
+    assert rows == [4, 3]
+    assert "K" not in moved._lazy_cache
+    K, _ = moved.riemann_constants(0.9 + 1.7j)
+    # all 4^g candidates on the three probes plus the reference row
+    assert rows == [4, 3, 49, 3]
+    assert moved.half_period_index() == k
+    assert K.tobytes() == K_frozen.tobytes()
