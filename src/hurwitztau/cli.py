@@ -438,8 +438,8 @@ def cmd_cone_shift_fit(args):
     cone = cones.ConeCircle(k=args.k, R=args.R)
     jmax = 7 if args.jmax is None else args.jmax
     exponents = range(args.jmin, jmax + 1)
-    fit = cones.spectral_shift_asymptotic(cone, exponents=exponents)
-    log_dets = fit.pop("log_dets")
+    # the CSV rows are the determinants the fit sampled
+    fit, log_dets = cones._shift_fit(cone, exponents, n_cones=1)
     out_csv = None
     if args.out:
         out_csv = os.path.splitext(args.out)[0] + ".csv"

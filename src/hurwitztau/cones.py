@@ -320,9 +320,14 @@ def spectral_shift_asymptotic(cone: ConeCircle, exponents=range(2, 8),
 
     For n_cones independent model cones the phases add and the leading
     coefficient is n_cones.  Returns the fitted leading coefficient and the
-    per-sample table with the sampled ln det N (``log_dets``, in sample
-    order); xi vanishes identically for negative energies.
+    per-sample table; xi vanishes identically for negative energies.
     """
+    return _shift_fit(cone, exponents, n_cones)[0]
+
+
+def _shift_fit(cone, exponents, n_cones):
+    """(fit, log_dets): the report of :func:`spectral_shift_asymptotic` and
+    the sampled ln det N, in sample order."""
     lams = np.array([10.0 ** (-j) for j in exponents])
     xi, log_dets = [], []
     for lm in lams:
@@ -344,8 +349,7 @@ def spectral_shift_asymptotic(cone: ConeCircle, exponents=range(2, 8),
         "expected": float(n_cones),
         "samples": {float(l): float(v) for l, v in zip(lams, xi)},
         "residual": float(np.max(np.abs(V @ sol - xi))),
-        "log_dets": log_dets,
-    }
+    }, log_dets
 
 
 def dtn_table(cone: ConeCircle, lam_values, n_values):

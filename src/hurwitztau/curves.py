@@ -941,12 +941,6 @@ class HyperellipticCurve:
         self._lazy_cache["K"] = (int(order[0]), best, best_resid)
         return best, best_resid
 
-    def half_period_index(self):
-        """Candidate index of the half period K found by the search of
-        :meth:`_half_period_K` (what ``tau_genus2`` freezes)."""
-        self._half_period_K()
-        return self._lazy_cache["K"][0]
-
     def riemann_constants(self, z_base=None, half_index=None):
         """Vector of Riemann constants for the given basepoint.
 

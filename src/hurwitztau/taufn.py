@@ -451,7 +451,8 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
                 char_pairs[(names[i], names[j])] = curve._choose_char(
                     om_table[names[i]], om_table[names[j]])
         char_zeta = {nm: curve._choose_char(om_zeta, om_table[nm]) for nm in names}
-        frozen_out = {"Z": Z, "K_half": curve.half_period_index(),
+        # the candidate index that the unfrozen K search above chose
+        frozen_out = {"Z": Z, "K_half": curve._lazy_cache["K"][0],
                       "char_pairs": char_pairs, "char_zeta": char_zeta}
     else:
         char_pairs = frozen["char_pairs"]
