@@ -11,13 +11,14 @@ Complex numbers serialize as [re, im].
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import os
 import sys
 import time
 
-from .errors import HurwitzTauError
+from .errors import DomainError, HurwitzTauError
 
 DEFAULT_TOLS = {
     "example1": 1e-9,
@@ -79,6 +80,15 @@ def _complex(v):
     if isinstance(v, (list, tuple)):
         return complex(v[0], v[1])
     return complex(v)
+
+
+def _finite_point(data, key, default):
+    """data[key] (``default`` when absent) as a complex number; a value
+    that is not finite raises DomainError naming the key."""
+    z = _complex(data.get(key, default))
+    if not cmath.isfinite(z):
+        raise DomainError(f"{key} must be finite, got {z}")
+    return z
 
 
 def _tols(args):
@@ -201,10 +211,10 @@ def cmd_tau_genus2(args):
     from . import taufn
 
     data = _load_input(args)
+    zeta = _finite_point(data, "zeta", [0.9, 1.7])
+    zeta2 = _finite_point(data, "zeta_check", [-1.4, 1.1])
     curve, pts = _curve_from_input(data)
-    zeta = _complex(data.get("zeta", [0.9, 1.7]))
     tv, ing = taufn.tau_genus2(curve, zeta)
-    zeta2 = _complex(data.get("zeta_check", [-1.4, 1.1]))
     tv2, _ = taufn.tau_genus2(curve, zeta2, frozen=None)
     rel = abs(abs(tv.value) - abs(tv2.value)) / abs(tv.value)
     ok = rel < _tols(args)["zeta_independence"]
@@ -273,12 +283,13 @@ def cmd_verify_vardwa(args):
         pts = [_complex(p) for p in data["branch_points"]]
         m = int(data.get("branch_index", 0))
         curve = HyperellipticCurve(pts)
+        if curve.g > 1:
+            zeta = _finite_point(data, "zeta", [0.9, 1.7])
         rhs = variational.vardwa_rhs_curve(curve, m)
         if curve.g == 1:
             fd, anti = variational.dln_tau_genus1_fd(pts, m, hub=curve.hub)
             tol = tols["pde_genus1"]
         else:
-            zeta = _complex(data.get("zeta", [0.9, 1.7]))
             fd, anti = variational.dln_tau_genus2_fd(pts, m, zeta, hub=curve.hub)
             tol = tols["pde_genus2"]
         d = abs(fd - rhs.value)

@@ -677,13 +677,11 @@ class HyperellipticCurve:
     def odd_char_gradients(self):
         """All odd characteristics with their theta gradients at 0; cached."""
         if "grad" not in self._lazy_cache:
-            out = []
+            odd = _odd_characteristics(self.g)
             basis = [tuple(np.eye(self.g)[i]) for i in range(self.g)]
-            for ch in _odd_characteristics(self.g):
-                grad = np.array(self.theta_bundle(
-                    np.zeros(self.g), char=ch,
-                    derivs_list=[(b,) for b in basis]))
-                out.append((ch, grad))
+            grads = self.theta_bundle(np.zeros((len(odd), self.g)), char=odd,
+                                      derivs_list=[(b,) for b in basis])
+            out = list(zip(odd, grads))
             if not any(np.linalg.norm(gr) > 1e-10 for _, gr in out):
                 raise CharacteristicSingular("all odd theta gradients vanish")
             self._lazy_cache["grad"] = out

@@ -162,6 +162,8 @@ class ThetaCharacteristic:
 _RADIUS_CAP = 120.0
 _THETA_TOL = 1e-12    # Gaussian tail relative to the central magnitude
 _THETA_CHUNK = 32     # batch arguments per lattice in riemann_theta_bundle
+_THETA_SKIP = 80.0    # skip terms below exp(-80) of each row's largest term
+_THETA_CANCEL = 2.0 ** -60   # a sum part this small (largest term 1): no skip
 
 
 @lru_cache(maxsize=32)
@@ -193,14 +195,33 @@ def riemann_theta_bundle(t, B, char=None, derivs_list=((),)):
     ``derivs_list`` is a sequence of derivative specs (each a tuple of
     direction vectors, as in :func:`riemann_theta`).  A single argument t of
     shape (g,) returns a list of complex values in spec order; a batch t of
-    shape (n, g) returns an (n, len(derivs_list)) array.
+    shape (n, g) returns an (n, len(derivs_list)) array.  ``char`` is one
+    characteristic (or None) for every row, or a sequence with one per row
+    of a batch; the rows of each characteristic are evaluated exactly as a
+    separate call with only those rows would evaluate them.
 
     The truncation radius of each t is chosen from the smallest eigenvalue
     of pi Im B so the Gaussian tail of the undifferentiated sum is below
     ``_THETA_TOL`` times the central magnitude (derivative factors are not in the
     bound).  A batch is summed in chunks of ``_THETA_CHUNK`` arguments over
-    one lattice each, whose radius is the largest over the chunk.
-    TruncationFailure is raised if any radius exceeds the cap.
+    one box lattice each, whose radius is the largest over the chunk.
+    TruncationFailure is raised if any radius exceeds the cap, and
+    DomainError for a non-finite t or B.
+
+    Chunks of two or more arguments skip terms: only the lattice points
+    whose term, derivative factor included, comes within
+    exp(-``_THETA_SKIP``) of the largest term of some row are
+    exponentiated, and each row sums its kept terms sequentially in lattice
+    order, as the full box does.  A skipped term is below a quarter ulp of
+    any partial sum of at least ``_THETA_CANCEL`` times the row's largest
+    term, so it cannot change a bit of it; a chunk with a sum whose real or
+    imaginary part is below that (a part that cancels to rounding noise, as
+    the imaginary part of a real theta does) is summed again over the whole
+    box.  One-argument chunks always sum the whole box (pairwise, as NumPy
+    sums a contiguous row).  The result is ``==`` to the full-box kernel
+    (``tests/oracles.theta_full_box``) on every case tested; the check is on
+    final sums, so a partial sum that cancels part-way and grows again lies
+    outside the argument.
     """
     if isinstance(B, RiemannMatrix):
         B = B.B
@@ -209,40 +230,97 @@ def riemann_theta_bundle(t, B, char=None, derivs_list=((),)):
     t = np.asarray(t, dtype=complex)
     batched = t.ndim == 2
     t = t.reshape(-1, g)
-    a = np.zeros(g) if char is None else np.asarray(char.a, dtype=float)
-    b = np.zeros(g) if char is None else np.asarray(char.b, dtype=float)
+    if not (np.isfinite(B).all() and np.isfinite(t).all()):
+        raise DomainError("theta needs a finite argument t and period matrix B")
+    if char is None or isinstance(char, ThetaCharacteristic):
+        by_char = {char: slice(None)}
+    elif len(char) == len(t):
+        by_char = {}
+        for row, c in enumerate(char):
+            by_char.setdefault(c, []).append(row)
+    else:
+        raise DomainError(f"{len(char)} characteristics for {len(t)} arguments")
     dirs = [[np.asarray(u, dtype=complex).reshape(g) for u in derivs]
             for derivs in derivs_list]
     Y = B.imag
     lam_min = float(np.linalg.eigvalsh(Y).min())
     if lam_min <= 0:
         raise DomainError("Im B must be positive definite")
-    # dominant lattice region is centered near -Y^{-1} Im(t); tail bound
-    # exp(-pi lam_min (r - r0)^2) <= tol with polynomial safety margin
-    center = np.linalg.solve(Y, t.imag.T).T
-    r0 = np.linalg.norm(center, axis=1) + float(np.linalg.norm(a)) + 1.0
     s = np.sqrt(max(-np.log(_THETA_TOL) + 8.0, 1.0) / (np.pi * lam_min))
-    radius = r0 + s + 2.0
-    if len(t) and radius.max() > _RADIUS_CAP:
-        raise TruncationFailure(
-            f"required lattice radius {radius.max():.1f} exceeds cap {_RADIUS_CAP}"
-        )
+    groups = []
+    for c, rows in by_char.items():
+        tc = t[rows]
+        a = np.zeros(g) if c is None else np.asarray(c.a, dtype=float)
+        b = np.zeros(g) if c is None else np.asarray(c.b, dtype=float)
+        # dominant lattice region is centered near -Y^{-1} Im(t); tail bound
+        # exp(-pi lam_min (r - r0)^2) <= tol with polynomial safety margin
+        center = np.linalg.solve(Y, tc.imag.T).T
+        r0 = np.linalg.norm(center, axis=1) + float(np.linalg.norm(a)) + 1.0
+        radius = r0 + s + 2.0
+        if len(tc) and radius.max() > _RADIUS_CAP:
+            raise TruncationFailure(
+                f"required lattice radius {radius.max():.1f} exceeds cap {_RADIUS_CAP}"
+            )
+        groups.append((tc, rows, a, b, radius))
     out = np.empty((len(t), len(dirs)), dtype=complex)
-    for lo in range(0, len(t), _THETA_CHUNK):
-        chunk = slice(lo, lo + _THETA_CHUNK)
-        q = _theta_lattice(g, int(np.ceil(radius[chunk].max()))) + a
-        expo = 1j * np.pi * np.einsum("mi,ij,mj->m", q, B, q) \
-            + 2j * np.pi * (q @ (t[chunk] + b).T).T
-        # subtract the max for overflow safety; restored at the end
-        shift = expo.real.max(axis=1)
-        base = np.exp(expo - shift[:, None])
-        scale = np.exp(shift)
-        for k, derivs in enumerate(dirs):
-            vals = base
-            for u in derivs:
-                vals = vals * (2j * np.pi * (q @ u))
-            out[chunk, k] = vals.sum(axis=1) * scale
+    for tc, rows, a, b, radius in groups:
+        vals = np.empty((len(tc), len(dirs)), dtype=complex)
+        boxes = {}
+        for lo in range(0, len(tc), _THETA_CHUNK):
+            chunk = slice(lo, lo + _THETA_CHUNK)
+            R = int(np.ceil(radius[chunk].max()))
+            if R not in boxes:
+                boxes[R] = _theta_box(_theta_lattice(g, R) + a, B, dirs, len(tc) > 1)
+            vals[chunk] = _theta_chunk(boxes[R], tc[chunk] + b)
+        out[rows] = vals
     return out if batched else [complex(v) for v in out[0]]
+
+
+def _theta_box(q, B, dirs, skip):
+    """The t-free parts of a box lattice q (n + a): the quadratic exponent,
+    the derivative factors of each spec and, where terms may be skipped,
+    the log of the largest derivative factor of any spec at each point."""
+    quad = 1j * np.pi * np.einsum("mi,ij,mj->m", q, B, q)
+    factors = [[2j * np.pi * (q @ u) for u in derivs] for derivs in dirs]
+    top = None
+    if skip:
+        with np.errstate(divide="ignore"):
+            top = np.max([sum((np.log(np.abs(f)) for f in fs), np.zeros(len(q)))
+                          for fs in factors], axis=0)
+    return q, quad, factors, top
+
+
+def _theta_chunk(box, tb):
+    """Theta sums of one chunk over a box (see :func:`_theta_box`) for the
+    shifted arguments tb (t + b) of shape (n, g); returns (n, specs)."""
+    q, quad, factors, top = box
+    expo = quad[:, None] + 2j * np.pi * (q @ tb.T)
+    # one row per argument, contiguous along the lattice: fast reductions
+    re = np.ascontiguousarray(expo.real.T)
+    # subtract the max for overflow safety; restored at the end
+    shift = re.max(axis=1)
+    whole = slice(None)
+    if len(tb) == 1:
+        sums = _theta_sums(expo, shift, factors, whole)
+    else:
+        keep = np.flatnonzero((re - shift[:, None]).max(axis=0) + top >= -_THETA_SKIP)
+        sums = _theta_sums(expo, shift, factors, keep)
+        if len(keep) < len(q) and np.abs(sums.view(float)).min() < _THETA_CANCEL:
+            sums = _theta_sums(expo, shift, factors, whole)
+    return sums * np.exp(shift)[:, None]
+
+
+def _theta_sums(expo, shift, factors, keep):
+    """Shifted sums over the box points ``keep`` of expo, in lattice order;
+    returns (n, specs)."""
+    base = np.exp(expo[keep] - shift)
+    out = np.empty((len(shift), len(factors)), dtype=complex)
+    for k, fs in enumerate(factors):
+        vals = base
+        for f in fs:
+            vals = vals * f[keep, None]
+        out[:, k] = vals.sum(axis=0)
+    return out
 
 
 def theta1_prime(tau):

@@ -24,6 +24,7 @@ from .curves import Genus0Cover, HyperellipticCurve
 from .errors import (
     DegenerateCriticalPoint,
     DegenerateInput,
+    DomainError,
     LatticeResolutionFailure,
     NormalizationFailure,
 )
@@ -421,6 +422,8 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
     g = curve.g
     if g < 2:
         raise DegenerateInput("use tau_genus1 for genus 1")
+    if not np.isfinite(zeta_z):
+        raise DomainError(f"zeta must be finite, got {zeta_z}")
     points = _divisor_tables(curve)
     DivisorData(orders=tuple(d for _, _, d, _ in points), genus=g)
     names = [nm for nm, _, _, _ in points]
@@ -469,21 +472,16 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
     mult["theta_deriv"] = (2.0 / 3.0, Dg)
     mult["wronskian"] = (-2.0 / 3.0, curve.wronskian(P_zeta))
     # each prime form as (ingredient, exponent, characteristic, theta
-    # argument, omega rows at both ends); one batched theta call per
-    # distinct characteristic
+    # argument, omega rows at both ends); one theta call for all of them
     args = [(f"E2_{a}_{b}", dks[a] * dks[b] / 12.0, char_pairs[(a, b)],
              abel[b] - abel[a], om_table[a], om_table[b])
             for i, a in enumerate(names) for b in names[i + 1:]]
     args += [(f"E2_zeta_{nm}", -(g - 1) * dks[nm] / 6.0, char_zeta[nm],
               abel[nm] - a_zeta, om_zeta, om_table[nm]) for nm in names]
-    th = {}
-    for ci in sorted({arg[2] for arg in args}):
-        rows = [k for k, arg in enumerate(args) if arg[2] == ci]
-        vals = curve.theta_bundle(np.array([args[k][3] for k in rows]),
-                                  char=odd[ci][0])
-        th.update(zip(rows, map(complex, vals[:, 0])))
-    for k, (key, expo, ci, _, omP, omQ) in enumerate(args):
-        mult[key] = (expo, th[k] ** 2 / (omP[ci] * omQ[ci]))
+    th = curve.theta_bundle(np.array([arg[3] for arg in args]),
+                            char=[odd[arg[2]][0] for arg in args])[:, 0]
+    for (key, expo, ci, _, omP, omQ), th_k in zip(args, map(complex, th)):
+        mult[key] = (expo, th_k ** 2 / (omP[ci] * omQ[ci]))
 
     additive = {
         "lattice_exp": (np.pi * 1j / 6.0) * (4 * (K_zeta @ Z) - (Z @ curve.B.B @ Z))

@@ -2,11 +2,13 @@
 
 Everything here is computed by a route disjoint from the package internals:
 arithmetic-geometric means, q-series, Eisenstein series, ascending Bessel
-series, and product-over-roots resultants.  The two exceptions are
+series, and product-over-roots resultants.  The three exceptions are
 ``detzeta_full_scan``, the earlier full-scan mode sum of
-``cones.detzeta_N_model``, and ``lift_signs_per_candidate``, the earlier
-one-candidate-at-a-time lift-sign search of the period construction, each
-kept as the bitwise reference of its batched replacement.
+``cones.detzeta_N_model``, ``lift_signs_per_candidate``, the earlier
+one-candidate-at-a-time lift-sign search of the period construction, and
+``theta_full_box``, the earlier full-box sum of
+``specfun.riemann_theta_bundle``, each kept as the bitwise reference of its
+replacement.
 """
 
 import numpy as np
@@ -24,6 +26,14 @@ from hurwitztau.errors import (
     DomainError,
     IllConditionedPeriods,
     TailModelMismatch,
+    TruncationFailure,
+)
+from hurwitztau.specfun import (
+    _RADIUS_CAP,
+    _THETA_CHUNK,
+    _THETA_TOL,
+    RiemannMatrix,
+    _theta_lattice,
 )
 
 
@@ -184,6 +194,52 @@ def theta_box_oracle(t, B, a=None, b=None, R=40):
     expo = 1j * np.pi * np.einsum("mi,ij,mj->m", q, B, q) \
         + 2j * np.pi * q @ (t + b)
     return complex(np.exp(expo).sum())
+
+
+def theta_full_box(t, B, char=None, derivs_list=((),)):
+    """The earlier ``specfun.riemann_theta_bundle`` (one characteristic per
+    call), which exponentiates every point of each chunk's box lattice."""
+    if isinstance(B, RiemannMatrix):
+        B = B.B
+    B = np.atleast_2d(np.asarray(B, dtype=complex))
+    g = B.shape[0]
+    t = np.asarray(t, dtype=complex)
+    batched = t.ndim == 2
+    t = t.reshape(-1, g)
+    a = np.zeros(g) if char is None else np.asarray(char.a, dtype=float)
+    b = np.zeros(g) if char is None else np.asarray(char.b, dtype=float)
+    dirs = [[np.asarray(u, dtype=complex).reshape(g) for u in derivs]
+            for derivs in derivs_list]
+    Y = B.imag
+    lam_min = float(np.linalg.eigvalsh(Y).min())
+    if lam_min <= 0:
+        raise DomainError("Im B must be positive definite")
+    # dominant lattice region is centered near -Y^{-1} Im(t); tail bound
+    # exp(-pi lam_min (r - r0)^2) <= tol with polynomial safety margin
+    center = np.linalg.solve(Y, t.imag.T).T
+    r0 = np.linalg.norm(center, axis=1) + float(np.linalg.norm(a)) + 1.0
+    s = np.sqrt(max(-np.log(_THETA_TOL) + 8.0, 1.0) / (np.pi * lam_min))
+    radius = r0 + s + 2.0
+    if len(t) and radius.max() > _RADIUS_CAP:
+        raise TruncationFailure(
+            f"required lattice radius {radius.max():.1f} exceeds cap {_RADIUS_CAP}"
+        )
+    out = np.empty((len(t), len(dirs)), dtype=complex)
+    for lo in range(0, len(t), _THETA_CHUNK):
+        chunk = slice(lo, lo + _THETA_CHUNK)
+        q = _theta_lattice(g, int(np.ceil(radius[chunk].max()))) + a
+        expo = 1j * np.pi * np.einsum("mi,ij,mj->m", q, B, q) \
+            + 2j * np.pi * (q @ (t[chunk] + b).T).T
+        # subtract the max for overflow safety; restored at the end
+        shift = expo.real.max(axis=1)
+        base = np.exp(expo - shift[:, None])
+        scale = np.exp(shift)
+        for k, derivs in enumerate(dirs):
+            vals = base
+            for u in derivs:
+                vals = vals * (2j * np.pi * (q @ u))
+            out[chunk, k] = vals.sum(axis=1) * scale
+    return out if batched else [complex(v) for v in out[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,48 @@ def test_verify_varodin_command(tmp_path):
     assert "varodin_sign_flipped" in rep["outputs"]
 
 
+_G2_INPUT = {"branch_points": [[-2.1, 0.0], [-1.0, 0.0], [-0.2, 0.3], [0.7, 0.0],
+                               [1.5, 0.1], [2.4, 0.0]]}
+
+
+def _cli_process(argv, data, tmp_path):
+    """Runs the CLI in a fresh process on ``data``; returns the process and
+    the report it wrote (None if none)."""
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hurwitztau.cli", *argv,
+         "--input", str(inp), "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    return proc, json.loads(out.read_text()) if out.exists() else None
+
+
+@pytest.mark.parametrize("key", ["zeta", "zeta_check"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_tau_genus2_non_finite_zeta_exits_1(key, bad, tmp_path):
+    # rejected before any path: no NumPy warning on stderr
+    proc, report = _cli_process(["tau", "genus2"],
+                                dict(_G2_INPUT, **{key: [bad, 0.0]}), tmp_path)
+    assert proc.returncode == 1
+    assert report["error"] == "DomainError"
+    msg = f"{key} must be finite, got ({bad}+0j)"
+    assert report["message"] == msg
+    assert proc.stderr == f"FAIL tau-genus2: DomainError: {msg}\n"
+
+
+def test_verify_vardwa_genus2_non_finite_zeta_exits_1(tmp_path):
+    proc, report = _cli_process(
+        ["verify", "vardwa"],
+        dict(_G2_INPUT, branch_index=1, zeta=[0.9, float("nan")]), tmp_path)
+    assert proc.returncode == 1
+    assert report["error"] == "DomainError"
+    assert proc.stderr == ("FAIL verify-vardwa: DomainError: "
+                           "zeta must be finite, got (0.9+nanj)\n")
+
+
 def test_verify_clue_command(tmp_path):
     inp = write_input(tmp_path, {
         "branch_points": [[-1.9, 0.0], [-0.85, 0.0], [0.6, 0.25], [1.7, 0.0]],

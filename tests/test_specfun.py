@@ -8,12 +8,15 @@ from hurwitztau.errors import (
     CriticalPointSingularity,
     DegenerateInput,
     DomainError,
+    TruncationFailure,
 )
+from mp_oracles import theta_mp
 from oracles import (
     hankel1_0_series,
     resultant_roots_oracle,
     theta1_prime_qseries,
     theta_box_oracle,
+    theta_full_box,
 )
 
 
@@ -238,6 +241,116 @@ def test_theta_batch_truncation_cap_any_argument():
         specfun.riemann_theta_bundle(t, B)
     assert specfun.riemann_theta_bundle(np.delete(t, 33, axis=0), B).shape \
         == (39, 1)
+
+
+def _random_B(rng, g, lam):
+    """A symmetric g x g matrix with Re B of order 1 and Im B positive
+    definite with smallest eigenvalue about ``lam``."""
+    X = rng.normal(size=(g, g)) * 0.4
+    Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+    Y = Q @ np.diag(lam * (1.0 + 1.5 * np.arange(g))) @ Q.T
+    return (X + X.T) / 2 + 1j * (Y + Y.T) / 2
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_theta_skip_is_bitwise_the_full_box(g, monkeypatch):
+    # the skipping kernel against the full-box kernel it replaced, value for
+    # value: every characteristic and every spec up to order 2, with one-
+    # argument tail chunks (33 = 32 + 1), far-off centres and, at g <= 2, a
+    # radius near the cap
+    kept = []
+    sums = specfun._theta_sums
+
+    def recording(expo, shift, factors, keep):
+        kept.append(len(expo[keep]) / len(expo))
+        return sums(expo, shift, factors, keep)
+
+    monkeypatch.setattr(specfun, "_theta_sums", recording)
+    rng = np.random.default_rng(1300 + g)
+    specs = _theta_specs(g)
+    chars = specfun.ThetaCharacteristic.all_characteristics(g)
+    B = _random_B(rng, g, 0.8 if g < 3 else 2.0)
+    sizes = (1, 2, 32, 33, 37)
+    far = 4.0 if g < 3 else 1.5
+    by_char = {}
+    for k, char in enumerate(chars):
+        # at g = 3 the first five of the 64 characteristics take one size
+        # each, the others 1 to 3 arguments
+        n = sum(sizes) if g < 3 else sizes[k] if k < len(sizes) else 1 + k % 3
+        t = rng.normal(size=(n, g)) * 0.6 + 1j * rng.normal(size=(n, g)) * 0.4
+        if k % 3 == 1:
+            t += 1j * rng.normal(size=g) * far          # far-off centre
+        lo = 0
+        for size in sizes if g < 3 else (n,):
+            block = t[lo:lo + size]
+            got = specfun.riemann_theta_bundle(block, B, char=char, derivs_list=specs)
+            assert np.all(got == theta_full_box(block, B, char=char, derivs_list=specs))
+            lo += size
+        by_char[char] = t
+    # all characteristics in one call, rows interleaved: the rows of each
+    # characteristic come out exactly as a call with only those rows would
+    order = rng.permutation(sum(map(len, by_char.values())))
+    t = np.vstack(list(by_char.values()))[order]
+    row_chars = [[c for c, tc in by_char.items() for _ in tc][i] for i in order]
+    got = specfun.riemann_theta_bundle(t, B, char=row_chars, derivs_list=specs)
+    for char in by_char:
+        rows = [i for i, c in enumerate(row_chars) if c == char]
+        assert np.all(got[rows] == specfun.riemann_theta_bundle(
+            t[rows], B, char=char, derivs_list=specs))
+    if g < 3:
+        # a centre 85 steps out along Im B's eigenvalue 0.02: radius ~113,
+        # and 10% further out exceeds the cap of 120
+        B = np.diag([0.02j, 1.0j][:g]) + 0.1
+        t = np.array([[0.3 - 1.7j, 0.2 + 0.1j][:g], [-0.4 - 1.69j, 0.1j][:g]])
+        for char in chars[:: 7 if g == 2 else 1]:
+            got = specfun.riemann_theta_bundle(t, B, char=char, derivs_list=specs)
+            assert np.all(got == theta_full_box(t, B, char=char, derivs_list=specs))
+        with pytest.raises(TruncationFailure):
+            specfun.riemann_theta_bundle(1.1 * t, B)
+    # real theta (Re B = 0, real t): the imaginary parts cancel to rounding
+    # noise, which the skipped terms could move, so these sum the whole box
+    B = 1j * _random_B(rng, g, 0.8).imag
+    t = rng.normal(size=(33, g)) + 0j
+    for char in chars[:4]:
+        got = specfun.riemann_theta_bundle(t, B, char=char, derivs_list=specs)
+        assert np.all(got == theta_full_box(t, B, char=char, derivs_list=specs))
+    assert min(kept) < 0.5 and max(kept) == 1.0
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_theta_matches_mp_oracle(g):
+    # every spec up to order 2 against a 40-digit lattice sum carried until
+    # the terms fall below 1e-35, to the rounding of the double sum
+    rng = np.random.default_rng(1400 + g)
+    B = _random_B(rng, g, 0.9 if g < 3 else 1.5)
+    specs = _theta_specs(g)
+    chars = specfun.ThetaCharacteristic.all_characteristics(g)
+    t = rng.normal(size=(2, g)) * 0.5 + 1j * rng.normal(size=(2, g)) * 0.5
+    for char, tk in zip([chars[1], chars[-1]], t):
+        got = specfun.riemann_theta_bundle(tk, B, char=char, derivs_list=specs)
+        want, scale = theta_mp(tk, B, char.a, char.b, specs)
+        err = np.abs(np.array(got) - want) / np.array(scale)
+        assert err.max() < 1e-14, err.max()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("where", ["Re t", "Im t", "B"])
+def test_theta_non_finite_input_is_a_domain_error(where, bad):
+    B = np.array([[1.2j, 0.3 + 0.1j], [0.3 + 0.1j, 0.9j]])
+    t = np.zeros((3, 2), dtype=complex)
+    if where == "B":
+        B[0, 1] = B[1, 0] = bad
+    else:
+        t[1, 0] = bad if where == "Re t" else 1j * bad
+    with pytest.raises(DomainError, match="finite"):
+        specfun.riemann_theta_bundle(t, B)
+
+
+def test_theta_characteristic_per_row_count_must_match():
+    B = np.array([[1.2j, 0.3 + 0.1j], [0.3 + 0.1j, 0.9j]])
+    odd = specfun.ThetaCharacteristic.odd_characteristics(2)
+    with pytest.raises(DomainError, match="6 characteristics for 3 arguments"):
+        specfun.riemann_theta_bundle(np.zeros((3, 2)), B, char=odd)
 
 
 def test_riemann_matrix_validation():
