@@ -192,21 +192,28 @@ def _cmul(p, q):
 
 
 def _graded_edges(z0, z1, e):
-    """Panel edges in s for the straight path z0 + s (z1 - z0), s in [0, 1]:
-    a panel starting at distance d from the nearest branch point has length
-    d / _PANEL_DIV in z (clipped at s = 1), so all of it stays at least twice
-    its length from every branch point.  A path that ends on or passes
-    through a branch point (d below 1e-12 of its length) raises."""
-    length = abs(z1 - z0) or 1.0       # a zero-length path: any panels do
-    edges, s = [0.0], 0.0
-    while s < 1.0:
-        d = float(np.min(np.abs(z0 + s * (z1 - z0) - e)))
-        if d < 1e-12 * length:
+    """Panel edges in s, one row per straight path z0 + s (z1[k] - z0), s in
+    [0, 1]: a panel starting at distance d from the nearest branch point has
+    length d / _PANEL_DIV in z (clipped at s = 1), so all of it stays at least
+    twice its length from every branch point; a row done first is padded
+    with edges at 1.  A path that ends on or passes through a branch point
+    (d below 1e-12 of its length) raises, naming its end point."""
+    z1 = np.asarray(z1, dtype=complex)
+    span = (z1 - z0)[:, None]
+    # builtin abs (hypot): NumPy's complex abs can differ in the last bit
+    length = np.array([abs(complex(d)) or 1.0 for d in span[:, 0]])
+    s = np.zeros(len(span))
+    edges = [s]
+    while s.min() < 1.0:
+        d = np.abs(z0 + s[:, None] * span - e).min(axis=1)
+        hit = (s < 1.0) & (d < 1e-12 * length)
+        if hit.any():
             raise SheetTrackingLoss(
-                f"straight path from {z0} to {z1} meets a branch point")
-        s = min(s + d / (_PANEL_DIV * length), 1.0)
+                f"straight path from {z0} to {complex(z1[hit][0])} "
+                "meets a branch point")
+        s = np.minimum(s + d / (_PANEL_DIV * length), 1.0)
         edges.append(s)
-    return np.array(edges)
+    return np.array(edges).T
 
 
 _odd_characteristics = lru_cache(maxsize=None)(
@@ -250,7 +257,7 @@ class HyperellipticCurve:
             return
         e.flags.writeable = False
         self.e = e
-        self._others = [np.delete(e, m) for m in range(len(e))]
+        self._others = np.array([np.delete(e, m) for m in range(len(e))])
         self.g = (len(e) - 2) // 2
         self.scale = scale
         self.marking = "standard"
@@ -260,7 +267,7 @@ class HyperellipticCurve:
         self._branch_cache = {}
         self._pair_cache = {}
         self._chart_cache = {}
-        self._lazy_cache = {}     # "grad", "inf", "K": one value each
+        self._lazy_cache = {}     # "grad", "inf", "K", "probes", ("tau", zeta)
         self._build_periods()
         _CURVE_TABLE[key] = dict(self.__dict__)
         if len(_CURVE_TABLE) > _CURVE_TABLE_SIZE:
@@ -442,24 +449,30 @@ class HyperellipticCurve:
     @staticmethod
     def _chart_path(s0, s1, seed, fiber2, numer, s_edges, ngl):
         """Integrals of numer(s) / sqrt(fiber2(s)) ds along the straight chart
-        segments from s0 to each end point in s1 (shape (n,)), on panels of
-        ngl Gauss-Legendre nodes with edges s_edges (fractions of the way).
+        segments from s0 (shared or one per segment) to each end point in s1
+        (shape (n,)), on panels of ngl Gauss-Legendre nodes with edges s_edges
+        (fractions of the way), one row per segment (shape (n, P + 1)) or one
+        shared row.  Edges padded at 1 make zero-width panels, whose weights
+        are exactly 0: the padding adds exact zeros.  Row k of the node arrays
+        that fiber2 and numer get lies on segment k.
 
         The square root is tracked from ``seed`` (its value at s0, shared or
         one per segment) along each segment's node chain, which runs in order
         from s0 to its end; returns the (n, g) integrals and the (n,) tracked
         roots at the ends."""
         xg, wg = _leggauss(ngl)
-        ds = np.diff(s_edges)
-        mids = s_edges[:-1, None] + ds[:, None] * (xg[None, :] + 1) / 2
         span = np.asarray(s1, dtype=complex) - s0
-        chain = s0 + span[:, None] * np.concatenate(([0.0], mids.ravel(), [1.0]))
+        n = len(span)
+        edges = np.broadcast_to(s_edges, (n, np.shape(s_edges)[-1]))
+        ds = np.diff(edges)
+        mids = edges[:, :-1, None] + ds[..., None] * (xg + 1) / 2
+        chain = np.asarray(s0)[..., None] + span[:, None] * np.concatenate(
+            (np.zeros((n, 1)), mids.reshape(n, -1), np.ones((n, 1))), axis=1)
         root = _tracked_sqrt(fiber2(chain), seed=seed)
-        panels = (len(span),) + mids.shape
-        vals = numer(chain[:, 1:-1].reshape(panels)) \
-            / root[:, 1:-1].reshape(panels)[..., None]
-        vec = np.einsum("sk,nskg,ns->ng", np.broadcast_to(wg, mids.shape), vals,
-                        span[:, None] * ds) / 2
+        vals = numer(chain[:, 1:-1].reshape(mids.shape)) \
+            / root[:, 1:-1].reshape(mids.shape)[..., None]
+        vec = np.einsum("sk,nskg,ns->ng", np.broadcast_to(wg, mids.shape[1:]),
+                        vals, span[:, None] * ds) / 2
         return vec, root[:, -1]
 
     def abel_segment(self, z0, y0, z1):
@@ -468,7 +481,7 @@ class HyperellipticCurve:
         distance to the branch points (:func:`_graded_edges`); returns
         (vector, y at z1)."""
         vec, y1 = self._chart_path(z0, [z1], y0, self.fiber2, self.v_poly,
-                                   _graded_edges(z0, z1, self.e), 16)
+                                   _graded_edges(z0, [z1], self.e), 16)
         return vec[0], complex(y1[0])
 
     def abel_from_hub(self, z):
@@ -518,50 +531,91 @@ class HyperellipticCurve:
     # distinguished charts at branch points and at infinity
     # ------------------------------------------------------------------
 
-    def _x_chart(self, m):
-        """(fiber2, numer) of :meth:`_chart_path` in the distinguished chart
-        x = (z - e_m)^(1/2) at branch point m: y = x sqrt(h) with
+    def _x_chart(self, ms):
+        """(fiber2, numer) of :meth:`_chart_path`, row k of the nodes in the
+        chart x = (z - e_m)^(1/2) at branch point m = ms[k]: y = x sqrt(h) with
         h = prod_{i != m}(z - e_i) and dz = 2x dx, so v = 2 v_poly dx / sqrt(h)."""
-        zm, others = self.e[m], self._others[m]
+        zm, others = self.e[ms][:, None], self._others[ms][:, None]
 
         def h(x):
             return np.prod((zm + x ** 2)[..., None] - others, axis=-1)
 
-        return h, lambda x: 2.0 * self.v_poly(zm + x ** 2)
+        return h, lambda x: 2.0 * self.v_poly(zm[..., None] + x ** 2)
 
-    def branch_data(self, m):
-        """Abel vector of branch point m plus the distinguished-chart branch.
-
-        The chart x = (z - e_m)^(1/2) is fixed by the tracked square root of
-        h(z) = prod_{i != m}(z - e_i) along the hub approach; y = x sqrt_h.
-        The hub path hands off to the chart 0.9 of the way to e_m; the chart
-        leg runs on 40 panels of 16 Gauss-Legendre nodes.
-        """
-        if m in self._branch_cache:
-            return self._branch_cache[m]
-        zm = self.e[m]
-        others = self._others[m]
+    def _handoff(self, m):
+        """(z, x = (z - e_m)^(1/2)) where the hub path to branch point m hands
+        off to its chart: 0.9 of the way, kept clear of the other points."""
+        zm, others = self.e[m], self._others[m]
         zh = self.hub + 0.9 * (zm - self.hub)
-        # keep the handoff clear of the other branch points
         guard = 0
         while np.min(np.abs(zh - others)) < 0.25 * np.min(np.abs(zm - others)) \
                 and guard < 30:
             zh = zm + (zh - zm) * 0.8
             guard += 1
-        vec, yh = self.abel_from_hub(zh)
         x_h = complex(np.sqrt(zh - zm))
         if abs(x_h ** 2 - (zh - zm)) > 1e-9 * abs(zh - zm):
             raise ChartBranchInconsistency(
                 "distinguished-chart square root failed to match the handoff"
             )
-        # x-chart leg: x from x_h to 0 along a straight chart segment
-        vec2, s_m = self._chart_path(x_h, [0.0], yh / x_h, *self._x_chart(m),
-                                     np.linspace(0.0, 1.0, 41), 16)
-        vec2, s_m = vec2[0], complex(s_m[0])
-        v_lead = 2.0 * self.v_poly(zm) / s_m
-        data = BranchChart(index=m, abel=vec + vec2, sqrt_h=s_m, v_lead=v_lead)
-        self._branch_cache[m] = data
-        return data
+        return complex(zh), x_h
+
+    def _divisor_abel(self):
+        """Abel data of the divisor of df in two :meth:`_chart_path` calls,
+        memos filled only once both succeed.  One holds every hub leg: each
+        :meth:`_handoff`, the ray towards 1 + 0.3i out to 8 (scale + |hub|)
+        and, for g >= 2, the 3 K and 2 transport probes of
+        :meth:`riemann_constants` (drawn once, kept as "probes").  The other
+        holds every chart leg (40 panels of 16 nodes): each handoff to its
+        branch point, and the ray's end to zeta = 1/z = 0, where
+        w = y zeta^(g+1) has w^2 = prod(1 - e_i zeta) and
+        v = -sum coef zeta^(g-1-k) dzeta / w."""
+        e, g, n = self.e, self.g, len(self.e)
+        zh, x_h = zip(*map(self._handoff, range(n)))
+        d = (1.0 + 0.3j) / abs(1.0 + 0.3j)
+        zJ = self.hub + d * 8.0 * (self.scale + abs(self.hub))
+        probes = [] if g == 1 else self._probe_points(17, 3, 0.3, 1.2, 1.5) \
+            + self._probe_points(23, 2, 0.4, 1.3, 1.4)
+        ends = [*zh, zJ, *probes]
+        vec, y = self._chart_path(self.hub, ends, self.y_hub, self.fiber2,
+                                  self.v_poly,
+                                  _graded_edges(self.hub, ends, e), 16)
+        y = list(map(complex, y))
+        zetaJ = 1.0 / zJ
+        h, numer = self._x_chart(np.arange(n))
+        leg, root = self._chart_path(
+            np.array(x_h + (zetaJ,)), np.zeros(n + 1),
+            np.array([a / b for a, b in zip(y, x_h)]
+                     + [y[n] * zetaJ ** (g + 1)]),
+            lambda s: np.concatenate(
+                (h(s[:n]), np.prod(1.0 - e * s[n:, :, None], axis=-1))),
+            lambda s: np.concatenate((numer(s[:n]), -(
+                s[n:, ..., None] ** (g - 1 - np.arange(g)) @ self.coef.T))),
+            np.linspace(0.0, 1.0, 41), 16)
+        s_inf = complex(root[n])
+        if min(abs(s_inf - 1), abs(s_inf + 1)) > 1e-6:
+            raise SheetTrackingLoss(f"infinity sheet marker {s_inf} not near +-1")
+        sign = 1.0 if abs(s_inf - 1) < abs(s_inf + 1) else -1.0
+        branch = {m: BranchChart(index=m, abel=vec[m] + leg[m], sqrt_h=s_m,
+                                 v_lead=2.0 * self.v_poly(e[m]) / s_m)
+                  for m, s_m in enumerate(map(complex, root[:n]))}
+        a_first = vec[n] + leg[n]
+        v_lead = -self.coef[:, g - 1]
+        self._abel_cache.update(zip(ends, zip(vec, y)))
+        self._branch_cache.update(branch)
+        self._lazy_cache["probes"] = probes
+        self._lazy_cache["inf"] = (
+            InfinityEnd(abel=a_first, sign=sign, v_lead=v_lead / sign),
+            InfinityEnd(abel=2 * branch[0].abel - a_first, sign=-sign,
+                        v_lead=v_lead / -sign))
+
+    def branch_data(self, m):
+        """Abel vector of branch point m plus the distinguished-chart branch:
+        x = (z - e_m)^(1/2) with y = x sqrt_h, sqrt_h the root of
+        prod_{i != m}(z - e_i) tracked along the hub approach.  The first
+        request fills every branch point (:meth:`_divisor_abel`)."""
+        if m not in self._branch_cache:
+            self._divisor_abel()
+        return self._branch_cache[m]
 
     def _chart_points(self, m, xs):
         """(z, y) at the chart values xs (shape (n,)) near branch point m:
@@ -580,7 +634,8 @@ class HyperellipticCurve:
         chart values xs (shape (n,)): one chart path from 0 per node, one
         panel of 24 Gauss-Legendre nodes."""
         bd = self.branch_data(m)
-        vec, _ = self._chart_path(0.0, xs, bd.sqrt_h, *self._x_chart(m),
+        vec, _ = self._chart_path(0.0, xs, bd.sqrt_h,
+                                  *self._x_chart(np.full(len(xs), m)),
                                   np.linspace(0.0, 1.0, 2), 24)
         return bd.abel + vec
 
@@ -619,42 +674,11 @@ class HyperellipticCurve:
         return rows[inv].reshape(xs.shape + (self.g,))
 
     def infinity_data(self):
-        """Both points over z = infinity with sheet markers +1 and -1.
-
-        The first end is reached along a straight ray from the hub in the
-        direction 1 + 0.3i, out to 8 (scale + |hub|), plus a 1/z-chart leg on
-        40 panels of 16 Gauss-Legendre nodes; the second is its involution
-        image, A(sigma P) = :meth:`flip_vec` - A(P).
-        """
-        if "inf" in self._lazy_cache:
-            return self._lazy_cache["inf"]
-        d = (1.0 + 0.3j) / abs(1.0 + 0.3j)
-        zJ = self.hub + d * 8.0 * (self.scale + abs(self.hub))
-        vec_ray, yJ = self.abel_segment(self.hub, self.y_hub, zJ)
-        zetaJ = 1.0 / zJ
-        g = self.g
-
-        # zeta leg: straight from zetaJ to 0, where w = y zeta^(g+1) has
-        # w^2 = prod(1 - e_i zeta) and v = -sum coef zeta^(g-1-k) dzeta / w
-        def w2(zeta):
-            return np.prod(1.0 - self.e * zeta[..., None], axis=-1)
-
-        def numer(zeta):
-            return -(zeta[..., None] ** (g - 1 - np.arange(g)) @ self.coef.T)
-
-        vec_leg, s_inf = self._chart_path(zetaJ, [0.0], yJ * zetaJ ** (g + 1),
-                                          w2, numer, np.linspace(0.0, 1.0, 41),
-                                          16)
-        vec_leg, s_inf = vec_leg[0], complex(s_inf[0])
-        if min(abs(s_inf - 1), abs(s_inf + 1)) > 1e-6:
-            raise SheetTrackingLoss(f"infinity sheet marker {s_inf} not near +-1")
-        s_inf = 1.0 if abs(s_inf - 1) < abs(s_inf + 1) else -1.0
-        a_first = vec_ray + vec_leg
-        end1 = InfinityEnd(abel=a_first, sign=s_inf,
-                           v_lead=-self.coef[:, g - 1] / s_inf)
-        end2 = InfinityEnd(abel=self.flip_vec() - a_first, sign=-s_inf,
-                           v_lead=-self.coef[:, g - 1] / (-s_inf))
-        self._lazy_cache["inf"] = (end1, end2)
+        """Both points over z = infinity with sheet markers +1 and -1: the
+        first through a hub ray and a 1/z-chart leg (:meth:`_divisor_abel`),
+        the second its involution image, A(sigma P) = flip_vec - A(P)."""
+        if "inf" not in self._lazy_cache:
+            self._divisor_abel()
         return self._lazy_cache["inf"]
 
     def flip_vec(self):
@@ -897,7 +921,8 @@ class HyperellipticCurve:
         vals = np.abs(self.theta_bundle(np.vstack([ref_t, t]))[:, 0])
         return vals[1:] / vals[0]
 
-    def _half_period_K(self, index=None):
+    def _half_period_K(self, index=None,
+                       extra=lambda K: np.zeros((0, len(K)))):
         """K at the basepoint 'branch point 0' as a half period, identified by
         the theta-divisor vanishing property and certified.
 
@@ -906,38 +931,48 @@ class HyperellipticCurve:
         alpha_i, beta_i as bits 2i, 2i + 1 of k.  With ``index`` (a candidate
         frozen at a base configuration) that the search has not already
         chosen, only that candidate is certified on the probes, a residual
-        above 1e-6 raises, and the search cache is left unfilled.  Returns
+        above 1e-6 raises, and the search cache is left unfilled.  The rows
+        ``extra(K)`` are certified too (their worst residual joins K's), in
+        a frozen candidate's call or else in one of their own.  Returns
         (K, residual)."""
         cached = self._lazy_cache.get("K")
         if cached is not None and index in (None, cached[0]):
-            return cached[1:]
-        g = self.g
-        a0 = self.branch_data(0).abel
-        bits = np.arange(4 ** g)[:, None] >> (2 * np.arange(g))
-        Kc = (bits & 1) @ self.B.B.T / 2 + ((bits >> 1) & 1) / 2
-        offsets = np.zeros((1, g)) if g == 1 else \
-            np.array([self.abel_from_hub(z)[0] - a0
-                      for z in self._probe_points(17, 3, 0.3, 1.2, 1.5)])
-        if index is not None:
-            resid = float(self._theta_over_reference(offsets + Kc[index]).max())
-            if not resid <= 1e-6:
+            K, resid = cached[1:]
+        else:
+            g = self.g
+            a0 = self.branch_data(0).abel
+            bits = np.arange(4 ** g)[:, None] >> (2 * np.arange(g))
+            Kc = (bits & 1) @ self.B.B.T / 2 + ((bits >> 1) & 1) / 2
+            offsets = np.zeros((1, g)) if g == 1 else \
+                np.array([self.abel_from_hub(z)[0] - a0
+                          for z in self._lazy_cache["probes"][:3]])
+            if index is not None:
+                vals = self._theta_over_reference(
+                    np.vstack([offsets + Kc[index], extra(Kc[index])]))
+                resid = float(vals[:len(offsets)].max())
+                if not resid <= 1e-6:
+                    raise LatticeResolutionFailure(
+                        f"frozen half period {index} no longer satisfies the "
+                        f"vanishing property (residual {resid:.2e})")
+                return Kc[index], float(vals.max())
+            t = (offsets[None, :, :] + Kc[:, None, :]).reshape(-1, g)
+            worst = self._theta_over_reference(t).reshape(len(Kc), -1) \
+                .max(axis=1)
+            order = np.argsort(worst, kind="stable")
+            K, resid = Kc[order[0]], float(worst[order[0]])
+            if resid > 1e-6:
                 raise LatticeResolutionFailure(
-                    f"frozen half period {index} no longer satisfies the "
-                    f"vanishing property (residual {resid:.2e})")
-            return Kc[index], resid
-        t = (offsets[None, :, :] + Kc[:, None, :]).reshape(-1, g)
-        worst = self._theta_over_reference(t).reshape(len(Kc), -1).max(axis=1)
-        order = np.argsort(worst, kind="stable")
-        best, best_resid = Kc[order[0]], float(worst[order[0]])
-        if best_resid > 1e-6:
-            raise LatticeResolutionFailure(
-                f"no half period satisfies the vanishing property "
-                f"(best residual {best_resid:.2e})"
-            )
-        if worst[order[1]] < 10 * best_resid:
-            raise LatticeResolutionFailure("half-period identification ambiguous")
-        self._lazy_cache["K"] = (int(order[0]), best, best_resid)
-        return best, best_resid
+                    f"no half period satisfies the vanishing property "
+                    f"(best residual {resid:.2e})"
+                )
+            if worst[order[1]] < 10 * resid:
+                raise LatticeResolutionFailure(
+                    "half-period identification ambiguous")
+            self._lazy_cache["K"] = (int(order[0]), K, resid)
+        t = extra(K)
+        if len(t):
+            resid = max(resid, float(self._theta_over_reference(t).max()))
+        return K, resid
 
     def riemann_constants(self, z_base=None, half_index=None):
         """Vector of Riemann constants for the given basepoint.
@@ -945,20 +980,18 @@ class HyperellipticCurve:
         Identified through the theta-divisor vanishing property at a branch
         basepoint (a half period, exact classical structure) and transported
         by K^y = K^x + (g - 1) A^x(y).  ``half_index`` certifies that frozen
-        half-period candidate instead of searching all 4^g.  Returns (K,
-        certificate); for g >= 2 the certificate also covers the vanishing
-        at two admissible probe points.
+        half-period candidate instead of searching all 4^g, in one theta call
+        with the transport probes.  Returns (K, certificate); for g >= 2 the
+        certificate also covers the vanishing at two admissible probe points.
         """
-        K0, resid = self._half_period_K(half_index)
         if z_base is None:
-            return K0, resid
+            return self._half_period_K(half_index)
         a_base = self.abel_from_hub(z_base)[0]
-        K = K0 + (self.g - 1) * (a_base - self.branch_data(0).abel)
-        if self.g >= 2:
-            t = np.array([self.abel_from_hub(zc)[0] - a_base + K
-                          for zc in self._probe_points(23, 2, 0.4, 1.3, 1.4)])
-            resid = max(resid, float(self._theta_over_reference(t).max()))
-        return K, resid
+        shift = (self.g - 1) * (a_base - self.branch_data(0).abel)
+        K0, resid = self._half_period_K(half_index, lambda K: np.reshape(
+            [self.abel_from_hub(zc)[0] - a_base + (K + shift)
+             for zc in self._lazy_cache["probes"][3:]], (-1, self.g)))
+        return K0 + shift, resid
 
     def lattice_fit(self, vec, tol=1e-6):
         """Nearest lattice vector B Z + Z' to vec; raises when the residual

@@ -417,13 +417,18 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
     pair, lattice vector Z, half-period index of K) so moduli displacements
     differentiate a single branch; pass the base evaluation's ``frozen``
     when running finite differences.  A frozen half period is certified on
-    its probes alone, with no search over the other candidates.
+    its probes alone, with no search over the other candidates.  Unfrozen
+    results are kept per configuration and zeta (the same objects come back:
+    treat them as read-only); a frozen call is always evaluated.
     """
     g = curve.g
     if g < 2:
         raise DegenerateInput("use tau_genus1 for genus 1")
     if not np.isfinite(zeta_z):
         raise DomainError(f"zeta must be finite, got {zeta_z}")
+    memo = ("tau", complex(zeta_z))
+    if frozen is None and memo in curve._lazy_cache:
+        return curve._lazy_cache[memo]
     points = _divisor_tables(curve)
     DivisorData(orders=tuple(d for _, _, d, _ in points), genus=g)
     names = [nm for nm, _, _, _ in points]
@@ -501,4 +506,6 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
             "K_certificate": K_resid, "zeta": complex(zeta_z),
         },
     )
+    if frozen is None:
+        curve._lazy_cache[memo] = (tv, ing)
     return tv, ing

@@ -2,13 +2,14 @@
 
 Everything here is computed by a route disjoint from the package internals:
 arithmetic-geometric means, q-series, Eisenstein series, ascending Bessel
-series, and product-over-roots resultants.  The three exceptions are
+series, and product-over-roots resultants.  The four exceptions are
 ``detzeta_full_scan``, the earlier full-scan mode sum of
 ``cones.detzeta_N_model``, ``lift_signs_per_candidate``, the earlier
-one-candidate-at-a-time lift-sign search of the period construction, and
+one-candidate-at-a-time lift-sign search of the period construction,
 ``theta_full_box``, the earlier full-box sum of
-``specfun.riemann_theta_bundle``, each kept as the bitwise reference of its
-replacement.
+``specfun.riemann_theta_bundle``, and ``abel_paths_per_leg``, the earlier
+one-path-per-leg Abel data of the divisor of df, each kept as the bitwise
+reference of its replacement.
 """
 
 import numpy as np
@@ -21,10 +22,12 @@ from hurwitztau.cones import (
     jump_eigenvalue,
     jump_eigenvalue_neg_energy,
 )
+from hurwitztau.curves import _PANEL_DIV, _leggauss, _tracked_sqrt
 from hurwitztau.errors import (
     CurveGeometryError,
     DomainError,
     IllConditionedPeriods,
+    SheetTrackingLoss,
     TailModelMismatch,
     TruncationFailure,
 )
@@ -372,3 +375,104 @@ def lift_signs_per_candidate(curve):
     if np.linalg.eigvalsh(Bsym.imag).max() < 0:
         Bsym, c_signs = -Bsym, -c_signs
     return coef, Bsym, a_signs, c_signs
+
+
+# ---------------------------------------------------------------------------
+# Abel data of the divisor of df, one path per leg (reference for the batch)
+# ---------------------------------------------------------------------------
+
+def _graded_edges_per_leg(z0, z1, e):
+    """The earlier scalar ``curves._graded_edges``: panel edges of one
+    straight path, walked one panel at a time."""
+    length = abs(z1 - z0) or 1.0
+    edges, s = [0.0], 0.0
+    while s < 1.0:
+        d = float(np.min(np.abs(z0 + s * (z1 - z0) - e)))
+        if d < 1e-12 * length:
+            raise SheetTrackingLoss(
+                f"straight path from {z0} to {z1} meets a branch point")
+        s = min(s + d / (_PANEL_DIV * length), 1.0)
+        edges.append(s)
+    return np.array(edges)
+
+
+def _chart_path_per_leg(s0, s1, seed, fiber2, numer, s_edges, ngl):
+    """The earlier ``HyperellipticCurve._chart_path``: one start point and
+    one row of panel edges shared by every segment."""
+    xg, wg = _leggauss(ngl)
+    ds = np.diff(s_edges)
+    mids = s_edges[:-1, None] + ds[:, None] * (xg[None, :] + 1) / 2
+    span = np.asarray(s1, dtype=complex) - s0
+    chain = s0 + span[:, None] * np.concatenate(([0.0], mids.ravel(), [1.0]))
+    root = _tracked_sqrt(fiber2(chain), seed=seed)
+    panels = (len(span),) + mids.shape
+    vals = numer(chain[:, 1:-1].reshape(panels)) \
+        / root[:, 1:-1].reshape(panels)[..., None]
+    vec = np.einsum("sk,nskg,ns->ng", np.broadcast_to(wg, mids.shape), vals,
+                    span[:, None] * ds) / 2
+    return vec, root[:, -1]
+
+
+def abel_paths_per_leg(curve):
+    """Abel data of the divisor of df by the earlier per-leg paths: each hub
+    leg (handoffs, infinity ray, K and transport probes) and each chart leg
+    (x charts, 1/z chart) is its own path.  Returns (branch, ends, probes):
+    per branch point (abel, sqrt_h, v_lead), per end over infinity (abel,
+    sign, v_lead), and {z: Abel vector} for the probe points of genus >= 2."""
+    e, g, coef = curve.e, curve.g, curve.coef
+
+    def hub_leg(z1):
+        vec, y1 = _chart_path_per_leg(
+            curve.hub, [z1], curve.y_hub, curve.fiber2, curve.v_poly,
+            _graded_edges_per_leg(curve.hub, z1, e), 16)
+        return vec[0], complex(y1[0])
+
+    branch = []
+    for m in range(len(e)):
+        zm, others = e[m], np.delete(e, m)
+        zh = curve.hub + 0.9 * (zm - curve.hub)
+        guard = 0
+        while np.min(np.abs(zh - others)) < 0.25 * np.min(np.abs(zm - others)) \
+                and guard < 30:
+            zh = zm + (zh - zm) * 0.8
+            guard += 1
+        vec, yh = hub_leg(complex(zh))
+        x_h = complex(np.sqrt(zh - zm))
+
+        def h(x, zm=zm, others=others):
+            return np.prod((zm + x ** 2)[..., None] - others, axis=-1)
+
+        def numer(x, zm=zm):
+            return 2.0 * curve.v_poly(zm + x ** 2)
+
+        vec2, s_m = _chart_path_per_leg(x_h, [0.0], yh / x_h, h, numer,
+                                        np.linspace(0.0, 1.0, 41), 16)
+        s_m = complex(s_m[0])
+        branch.append((vec + vec2[0], s_m, 2.0 * curve.v_poly(zm) / s_m))
+
+    d = (1.0 + 0.3j) / abs(1.0 + 0.3j)
+    zJ = curve.hub + d * 8.0 * (curve.scale + abs(curve.hub))
+    vec_ray, yJ = hub_leg(zJ)
+    zetaJ = 1.0 / zJ
+
+    def w2(zeta):
+        return np.prod(1.0 - e * zeta[..., None], axis=-1)
+
+    def numer_inf(zeta):
+        return -(zeta[..., None] ** (g - 1 - np.arange(g)) @ coef.T)
+
+    vec_leg, s_inf = _chart_path_per_leg(
+        zetaJ, [0.0], yJ * zetaJ ** (g + 1), w2, numer_inf,
+        np.linspace(0.0, 1.0, 41), 16)
+    s_inf = complex(s_inf[0])
+    sign = 1.0 if abs(s_inf - 1) < abs(s_inf + 1) else -1.0
+    a_first = vec_ray + vec_leg[0]
+    ends = [(a_first, sign, -coef[:, g - 1] / sign),
+            (2 * branch[0][0] - a_first, -sign, -coef[:, g - 1] / (-sign))]
+
+    probes = {}
+    if g >= 2:
+        for z in curve._probe_points(17, 3, 0.3, 1.2, 1.5) \
+                + curve._probe_points(23, 2, 0.4, 1.3, 1.4):
+            probes[z] = hub_leg(z)[0]
+    return branch, ends, probes

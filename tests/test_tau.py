@@ -357,12 +357,13 @@ def test_unfrozen_search_runs_after_a_frozen_call(monkeypatch):
     moved = _moved_curve(base, -1e-5)
     rows = _theta_rows(monkeypatch)
     K_frozen, _ = moved.riemann_constants(0.9 + 1.7j, half_index=k)
-    # the frozen candidate on the three probes plus the reference row, then
-    # the two transport probes plus the reference row
-    assert rows == [4, 3]
+    # one call: the reference row, the frozen candidate on the three probes
+    # and the two transport probes
+    assert rows == [6]
     assert "K" not in moved._lazy_cache
     K, _ = moved.riemann_constants(0.9 + 1.7j)
-    # all 4^g candidates on the three probes plus the reference row
-    assert rows == [4, 3, 49, 3]
+    # all 4^g candidates on the three probes plus the reference row, then
+    # the two transport probes plus the reference row
+    assert rows == [6, 49, 3]
     assert moved._lazy_cache["K"][0] == k
     assert K.tobytes() == K_frozen.tobytes()
