@@ -450,7 +450,7 @@ def cmd_cone_shift_fit(args):
     jmax = 7 if args.jmax is None else args.jmax
     exponents = range(args.jmin, jmax + 1)
     # the CSV rows are the determinants the fit sampled
-    fit, log_dets = cones._shift_fit(cone, exponents, n_cones=1)
+    fit, log_dets = cones._shift_fit(cone, exponents)
     out_csv = None
     if args.out:
         out_csv = os.path.splitext(args.out)[0] + ".csv"

@@ -12,9 +12,9 @@ Im lambda >= 0; "negative energy" means lambda = i t, t > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.special as sps
 
 from .errors import (
     DomainError,
@@ -80,6 +80,8 @@ def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
         raise DomainError("require Im lambda >= 0")
     nu = cone.nu(n)
     if lam.real == 0.0 and lam.imag > 0:
+        import scipy.special as sps   # deferred: only the Bessel paths need SciPy
+
         t = lam.imag
         x = t * cone.R
         kv = sps.kve(nu, x)
@@ -125,6 +127,8 @@ def jump_eigenvalue_neg_energy(n, cone: ConeCircle, t):
     mu_n = 1 / (R I_nu(t R) K_nu(t R)).  Real and positive."""
     if t <= 0:
         raise DomainError("t must be positive for negative energy")
+    import scipy.special as sps
+
     nu = cone.nu(n)
     x = t * cone.R
     prod = sps.ive(nu, x) * sps.kve(nu, x)   # I K with exact exponent cancel
@@ -135,6 +139,8 @@ def jump_eigenvalue(n, cone: ConeCircle, lam):
     """Jump-operator eigenvalue mu_n(lambda) = -2i / (pi R J_nu(lambda R) H_nu(lambda R)),
     valid for Im lambda >= 0, lambda != 0 (interior Bessel-J sector DtN plus
     the exterior Hankel DtN, combined by the Wronskian)."""
+    import scipy.special as sps
+
     lam = complex(lam)
     nu = cone.nu(n)
     J = sps.jv(nu, lam * cone.R)
@@ -166,6 +172,23 @@ def _log_eps_tail(nu, lam_R_sq):
     return out
 
 
+@lru_cache(maxsize=32)
+def _trigamma(n):
+    """psi'(n) = sum_{m >= n} 1/m^2, the tail model's mode sum; one SciPy
+    call per mode count."""
+    import scipy.special as sps
+
+    return float(sps.polygamma(1, n))
+
+
+def _where_nonzero(second, first, nb, x):
+    """second(nb, x) at the orders where ``first`` is nonzero, 0 elsewhere."""
+    out = np.zeros_like(first)
+    keep = first != 0
+    out[keep] = second(nb[keep], x)
+    return out
+
+
 def detzeta_N_model(cone: ConeCircle, lam, n_max=4000):
     """log of the zeta-regularized determinant of the Neumann jump operator
     on the model cone at spectral parameter lambda (Im lambda > 0 for real
@@ -184,10 +207,16 @@ def detzeta_N_model(cone: ConeCircle, lam, n_max=4000):
     modes of rising nu, up to the first block with no representable product
     that starts past the turning point nu > 2 |lambda R| + 2: beyond it |J|
     and I fall, |H| and K rise monotonically in nu, so no later product is
-    representable.  All other modes take the expansion of ``_log_eps_tail``.
+    representable.  Within a block the second factor (H, or K) is evaluated
+    only where the first (J, or I) is nonzero and taken as 0 elsewhere:
+    there the full product is 0 or NaN, and both are rejected as
+    unrepresentable, so the sum is exactly the one over every product.  All
+    other modes take the expansion of ``_log_eps_tail``.
     Returns (log_det, diagnostics); diagnostics["direct_modes"] counts the
-    modes whose product was evaluated.
+    modes scanned, that is, the modes of the blocks evaluated.
     """
+    import scipy.special as sps
+
     lam = complex(lam)
     if lam == 0:
         raise DomainError("lambda must be nonzero")
@@ -199,12 +228,16 @@ def detzeta_N_model(cone: ConeCircle, lam, n_max=4000):
     x = lam * cone.R
 
     def direct(nb):
+        # the product is formed on the whole block, so each representable
+        # one is bitwise the product of the two unmasked factor arrays
         if pure_imag:
             tR = lam.imag * cone.R
-            prod = sps.ive(nb, tR) * sps.kve(nb, tR)
+            first = sps.ive(nb, tR)
+            prod = first * _where_nonzero(sps.kve, first, nb, tR)
             good = np.isfinite(prod) & (prod > 0)
             return good, -np.log(2 * nb[good] * prod[good])
-        prod = sps.jv(nb, x) * sps.hankel1(nb, x)
+        first = sps.jv(nb, x)
+        prod = first * _where_nonzero(sps.hankel1, first, nb, x)
         good = np.isfinite(prod) & (np.abs(prod) > 1e-280)
         # mu_n = -2i/(pi R J H): eps_n = -log(pi nu J H / (-i))
         return good, -np.log(np.pi * nb[good] * prod[good] / (-1j))
@@ -223,7 +256,7 @@ def detzeta_N_model(cone: ConeCircle, lam, n_max=4000):
         eps[~good] = _log_eps_tail(nu[~good], x ** 2)
     # analytic 1/n^2 tail model: eps_n ~ -lambda^2 (k R^2)^2 / (2 n^2)
     c2 = -(lam * kR2) ** 2 / 2.0
-    tail = c2 * float(sps.polygamma(1, n_max + 1))
+    tail = c2 * _trigamma(n_max + 1)
     model_last = c2 / n_max ** 2
     resid_last = abs(eps[-1] - model_last)
     if abs(eps[-1]) > 1e-12 and abs(model_last) > 1e-300:
@@ -312,33 +345,38 @@ def mu0_asymptotic_fit(cone: ConeCircle, exponents=range(2, 9)):
     }
 
 
-def spectral_shift_asymptotic(cone: ConeCircle, exponents=range(2, 8),
-                              n_cones=1):
+def spectral_shift_asymptotic(circles, exponents=range(2, 8)):
     """Spectral-shift leading law: xi(lambda) = pi^{-1} Arg det N(lambda + i0)
     fitted against 1 / log(lambda^2) along lambda = 10^-j (2000 modes per
     determinant).
 
-    For n_cones independent model cones the phases add and the leading
-    coefficient is n_cones.  Returns the fitted leading coefficient and the
-    per-sample table; xi vanishes identically for negative energies.
+    ``circles`` is one ConeCircle or a sequence of them: the determinant of
+    independent model cones is the product of theirs, so the phases add and
+    the expected leading coefficient is the number of cones.  Returns the
+    fitted leading coefficient and the per-sample table; xi vanishes
+    identically for negative energies.
     """
-    return _shift_fit(cone, exponents, n_cones)[0]
+    return _shift_fit(circles, exponents)[0]
 
 
-def _shift_fit(cone, exponents, n_cones):
+def _shift_fit(circles, exponents):
     """(fit, log_dets): the report of :func:`spectral_shift_asymptotic` and
-    the sampled ln det N, in sample order."""
+    the sampled ln det N (summed over the cones), in sample order."""
+    if isinstance(circles, ConeCircle):
+        circles = [circles]
     lams = np.array([10.0 ** (-j) for j in exponents])
     xi, log_dets = [], []
     for lm in lams:
-        log_det, _ = detzeta_N_model(cone, complex(lm), n_max=2000)
+        per_cone = [detzeta_N_model(c, complex(lm), n_max=2000)[0]
+                    for c in circles]
+        for log_det in per_cone:
+            if abs(log_det.imag) > np.pi:
+                raise PhaseUnwrappingFailure(
+                    f"unexpectedly large determinant phase {log_det.imag:.3f}"
+                )
+        log_det = sum(per_cone[1:], per_cone[0])
         log_dets.append(log_det)
-        phase = log_det.imag
-        if abs(phase) > np.pi:
-            raise PhaseUnwrappingFailure(
-                f"unexpectedly large determinant phase {phase:.3f}"
-            )
-        xi.append(n_cones * phase / np.pi)
+        xi.append(log_det.imag / np.pi)
     xi = np.array(xi)
     x = 1.0 / np.log(lams ** 2)
     V = np.vander(x, 2, increasing=True)
@@ -346,7 +384,7 @@ def _shift_fit(cone, exponents, n_cones):
     leading = float(sol[1])
     return {
         "leading": leading,
-        "expected": float(n_cones),
+        "expected": float(len(circles)),
         "samples": {float(l): float(v) for l, v in zip(lams, xi)},
         "residual": float(np.max(np.abs(V @ sol - xi))),
     }, log_dets

@@ -1,9 +1,17 @@
+import cmath
+
 import numpy as np
 import pytest
+import scipy.special as sps
+from hypothesis import given, settings, strategies as st
 
 from hurwitztau import cones
 from hurwitztau.cones import ConeCircle
-from hurwitztau.errors import DomainError, HurwitzTauError
+from hurwitztau.errors import (
+    DomainError,
+    HurwitzTauError,
+    PhaseUnwrappingFailure,
+)
 from oracles import detzeta_full_scan, hankel1_0_series
 
 
@@ -171,6 +179,47 @@ def test_detzeta_direct_modes_stay_within_four_blocks(k, R):
         assert 0 < diag["direct_modes"] <= 4 * cones._BLOCK
 
 
+def test_second_factor_only_where_the_first_is_nonzero(monkeypatch):
+    # H (or K) is asked for only at orders whose J (or I) is nonzero, and
+    # some orders of every scan are skipped
+    seen = []
+
+    def wrap(second, first):
+        def checked(nu, x):
+            orders = np.atleast_1d(nu)
+            assert np.all(first(orders, x) != 0)
+            seen.append(orders.size)
+            return second(nu, x)
+        return checked
+
+    monkeypatch.setattr(sps, "hankel1", wrap(sps.hankel1, sps.jv))
+    monkeypatch.setattr(sps, "kve", wrap(sps.kve, sps.ive))
+    lams = [10.0 ** -j for j in range(1, 8)] \
+        + [1j * 10.0 ** -j for j in range(1, 5)]
+    for k, R in BAND_CONES:
+        for lam in lams:
+            seen.clear()
+            _, diag = cones.detzeta_N_model(ConeCircle(k, R), lam)
+            # seen[0] is the mode n = 0 of mu_0
+            assert seen[0] == 1
+            assert 0 < sum(seen[1:]) < diag["direct_modes"]
+
+
+def _lam_on_ray(a, ray):
+    return {"real": complex(a), "imag": 1j * a, "tilted": cmath.rect(a, 0.3)}[ray]
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(k=st.integers(1, 4), R=st.floats(0.3, 3.0),
+       log_a=st.floats(-8.0, float(np.log10(20.0))),
+       ray=st.sampled_from(["real", "imag", "tilted"]))
+def test_detzeta_is_the_full_scan_on_random_cones(k, R, log_a, ray):
+    cone = ConeCircle(k, R)
+    lam = _lam_on_ray(10.0 ** log_a, ray)
+    assert _detzeta_outcome(cones.detzeta_N_model, cone, lam, 4000) \
+        == _detzeta_outcome(detzeta_full_scan, cone, lam, 4000)
+
+
 def test_mu0_fit_adjudicates_subleading():
     for k, R in ((1, 1.0), (2, 1.0), (1, 1.8)):
         fit = cones.mu0_asymptotic_fit(ConeCircle(k, R))
@@ -212,9 +261,33 @@ def test_spectral_shift_vanishes_negative_energy():
 
 
 def test_spectral_shift_cone_additivity():
-    one = cones.spectral_shift_asymptotic(ConeCircle(1, 1.0), n_cones=1)
-    three = cones.spectral_shift_asymptotic(ConeCircle(1, 1.0), n_cones=3)
-    assert abs(three["leading"] - 3 * one["leading"]) < 1e-10
+    # three distinct band cones through the API: each xi sample is the sum
+    # of the three determinant phases over pi, and the leading law adds up
+    circles = [ConeCircle(1, 1.3), ConeCircle(2, 1.0), ConeCircle(3, 0.8)]
+    fit = cones.spectral_shift_asymptotic(circles)
+    assert fit["expected"] == 3.0
+    for lam, xi in fit["samples"].items():
+        phases = sum(cones.detzeta_N_model(c, complex(lam), n_max=2000)[0].imag
+                     for c in circles)
+        assert abs(xi - phases / np.pi) < 1e-14
+    assert abs(fit["leading"] - 3.0) < 0.3
+
+
+@pytest.mark.parametrize("phases, raises", [
+    ((2.0, 2.0), False),     # each phase within (-pi, pi], the sum not
+    ((3.5, -3.0), True),     # the sum within, one phase not
+])
+def test_shift_fit_unwraps_each_cone_phase(monkeypatch, phases, raises):
+    circles = [ConeCircle(1, 1.0 + i) for i in range(len(phases))]
+    by_cone = dict(zip(circles, phases))
+    monkeypatch.setattr(cones, "detzeta_N_model",
+                        lambda c, lam, n_max: (complex(0.0, by_cone[c]), {}))
+    if raises:
+        with pytest.raises(PhaseUnwrappingFailure):
+            cones.spectral_shift_asymptotic(circles)
+    else:
+        fit = cones.spectral_shift_asymptotic(circles)
+        assert set(fit["samples"].values()) == {sum(phases) / np.pi}
 
 
 def test_spectral_shift_additivity_over_distinct_cones():

@@ -91,9 +91,22 @@ def test_tau_commands_load_no_scipy_special(command, name):
 
 
 def test_cone_command_loads_scipy_special():
-    # sanity check: the probe does see a deferred import
-    loaded = loaded_after(cli_run("cone", "det-n0", "--k", "2"))
+    # sanity check: the probe does see a deferred import (cone dtn
+    # evaluates K_nu)
+    loaded = loaded_after(cli_run("cone", "dtn", "--k", "2"))
     assert loaded["scipy.special"]
+
+
+def test_cone_closed_form_loads_no_scipy_special():
+    # det* N(0) is a closed form: no Bessel function, so no SciPy
+    loaded = loaded_after(cli_run("cone", "det-n0", "--k", "2"))
+    assert loaded["numpy"]
+    assert not loaded["scipy.special"]
+
+
+def test_cones_import_loads_no_scipy_special():
+    loaded = loaded_after("import hurwitztau.cones")
+    assert loaded == {"numpy": True, "scipy.special": False}
 
 
 def test_all_is_the_exported_names():
