@@ -17,9 +17,7 @@ _EXPORTS = {
         "CoverSpec",
         "Permutation",
         "cover_from_json",
-        "cover_to_json",
         "genus_from_riemann_hurwitz",
-        "reference_surface",
         "validate_cover",
     ), "covers"),
     **dict.fromkeys((
@@ -55,18 +53,15 @@ _EXPORTS = {
     ), "taufn"),
     **dict.fromkeys((
         "CubicFamily",
-        "amatrix",
         "clue_identity_check",
         "det_imB_derivative",
         "dln_tau_genus1_fd",
         "dln_tau_genus2_fd",
         "rauch_check",
         "smatrix_hh_zero",
-        "trace_identity_check",
         "vardwa_rhs_curve",
         "vardwa_rhs_genus0",
         "varodin_rhs_curve",
-        "varodin_rhs_genus0",
     ), "variational"),
 }
 

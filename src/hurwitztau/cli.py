@@ -183,18 +183,34 @@ def cmd_tau_rational3(args):
     }, ok
 
 
+def _branch_index(data, n):
+    """data["branch_index"] (0 when absent) as an index into n points; any
+    other value is a usage error naming the key."""
+    m = data.get("branch_index", 0)
+    if type(m) not in (int, float) or not float(m).is_integer() \
+            or not 0 <= m < n:
+        raise SystemExit(f"branch_index must be an integer in 0..{n - 1}, "
+                         f"got {m!r}")
+    return int(m)
+
+
 def _curve_from_input(data):
+    """(curve, branch points, branch index) of a curve command's input."""
     from .curves import HyperellipticCurve
 
+    if "branch_points" not in data:
+        raise SystemExit("the input has no branch_points (only verify vardwa "
+                         "takes cubic-family input)")
     pts = [_complex(p) for p in data["branch_points"]]
-    return HyperellipticCurve(pts), pts
+    m = _branch_index(data, len(pts))
+    return HyperellipticCurve(pts), pts, m
 
 
 def cmd_tau_genus1(args):
     from . import taufn
 
     data = _load_input(args)
-    curve, pts = _curve_from_input(data)
+    curve, _, _ = _curve_from_input(data)
     tv, _ = taufn.tau_genus1(curve)
     return {
         "inputs": data,
@@ -213,7 +229,7 @@ def cmd_tau_genus2(args):
     data = _load_input(args)
     zeta = _finite_point(data, "zeta", [0.9, 1.7])
     zeta2 = _finite_point(data, "zeta_check", [-1.4, 1.1])
-    curve, pts = _curve_from_input(data)
+    curve, _, _ = _curve_from_input(data)
     tv, ing = taufn.tau_genus2(curve, zeta)
     tv2, _ = taufn.tau_genus2(curve, zeta2, frozen=None)
     rel = abs(abs(tv.value) - abs(tv2.value)) / abs(tv.value)
@@ -237,12 +253,9 @@ def cmd_verify_rauch(args):
     from .curves import HyperellipticCurve
 
     data = _load_input(args)
-    pts = [_complex(p) for p in data["branch_points"]]
-    m = int(data.get("branch_index", 0))
+    curve, pts, m = _curve_from_input(data)
     tols = _tols(args)
-    hub = HyperellipticCurve(pts).hub
-    factory = lambda p: HyperellipticCurve(p, hub=hub)
-    curve = factory(pts)
+    factory = lambda p: HyperellipticCurve(p, hub=curve.hub)
     g = curve.g
     worst = 0.0
     entries = {}
@@ -275,14 +288,11 @@ def cmd_verify_rauch(args):
 
 def cmd_verify_vardwa(args):
     from . import taufn, variational
-    from .curves import HyperellipticCurve
 
     data = _load_input(args)
     tols = _tols(args)
     if "branch_points" in data:
-        pts = [_complex(p) for p in data["branch_points"]]
-        m = int(data.get("branch_index", 0))
-        curve = HyperellipticCurve(pts)
+        curve, pts, m = _curve_from_input(data)
         if curve.g > 1:
             zeta = _finite_point(data, "zeta", [0.9, 1.7])
         rhs = variational.vardwa_rhs_curve(curve, m)
@@ -303,7 +313,7 @@ def cmd_verify_vardwa(args):
     # genus 0 cubic family
     a = _complex(data.get("a", [-3.0, 0.0]))
     b = _complex(data.get("b", [0.0, 0.0]))
-    m = int(data.get("branch_index", 0))
+    m = _branch_index(data, 2)      # a cubic has two critical values
     fam = variational.CubicFamily(a, b)
     cover = taufn.RationalCoverP1(fam.coeffs())
     rhs = variational.vardwa_rhs_genus0(cover, m)
@@ -324,10 +334,8 @@ def cmd_verify_varodin(args):
 
     data = _load_input(args)
     tols = _tols(args)
-    pts = [_complex(p) for p in data["branch_points"]]
-    m = int(data.get("branch_index", 0))
-    hub = HyperellipticCurve(pts).hub
-    factory = lambda p: HyperellipticCurve(p, hub=hub)
+    base, pts, m = _curve_from_input(data)
+    factory = lambda p: HyperellipticCurve(p, hub=base.hub)
     curve = factory(pts)
     vr = variational.varodin_rhs_curve(curve, m)
     vd = variational.vardwa_rhs_curve(curve, m)
@@ -350,13 +358,10 @@ def cmd_verify_varodin(args):
 
 def cmd_verify_clue(args):
     from . import variational
-    from .curves import HyperellipticCurve
 
     data = _load_input(args)
     tols = _tols(args)
-    pts = [_complex(p) for p in data["branch_points"]]
-    m = int(data.get("branch_index", 0))
-    curve = HyperellipticCurve(pts)
+    curve, _, m = _curve_from_input(data)
     res = variational.clue_identity_check(curve, m, ell=2)
     block = res["block"]
     sym = block.symmetry_defect

@@ -3,7 +3,7 @@
 Branched covers of the sphere presented by permutation monodromies: one
 permutation sigma_0 for the loop around infinity and one permutation per
 distinct finite critical value.  Validation, Riemann-Hurwitz genus, cone
-angles, end profiles, and the flat reference surface.
+angles and end profiles.
 
 Conventions
 -----------
@@ -36,9 +36,7 @@ __all__ = [
     "CoverReport",
     "validate_cover",
     "genus_from_riemann_hurwitz",
-    "reference_surface",
     "cover_from_json",
-    "cover_to_json",
 ]
 
 
@@ -271,12 +269,6 @@ def genus_from_riemann_hurwitz(spec: CoverSpec, _validated=False) -> int:
     return g
 
 
-def reference_surface(spec: CoverSpec):
-    """Reference flat surface: one infinite cone of angle 2 pi k_j per
-    sigma_0 cycle, tip over the base point."""
-    return [(len(c), spec.base_point) for c in spec.sigma_infinity.cycles()]
-
-
 # ---------------------------------------------------------------------------
 # JSON schema:
 # {degree, sigma_infinity, branches: [{value: [re, im], sigma}], base_point}
@@ -295,18 +287,3 @@ def cover_from_json(text_or_dict) -> CoverSpec:
         perms.append(Permutation.from_cycles(br["sigma"], n))
     bp = d.get("base_point", [0.0, 0.0])
     return CoverSpec(n, sig0, tuple(perms), tuple(vals), complex(bp[0], bp[1]))
-
-
-def cover_to_json(spec: CoverSpec) -> dict:
-    return {
-        "degree": spec.degree,
-        "sigma_infinity": [list(c) for c in spec.sigma_infinity.cycles(include_fixed=False)],
-        "branches": [
-            {
-                "value": [w.real, w.imag],
-                "sigma": [list(c) for c in p.cycles(include_fixed=False)],
-            }
-            for p, w in zip(spec.finite_monodromies, spec.critical_values)
-        ],
-        "base_point": [spec.base_point.real, spec.base_point.imag],
-    }

@@ -1,10 +1,11 @@
 """Computational Riemann-surface layer for hyperelliptic models y^2 = prod(z - e_i)
-with the covering map f = z, plus the genus-0 rational-curve counterpart.
+with the covering map f = z, plus the genus-0 rational map f = num/den.
 
 Implements period matrices, normalized differentials, Abel maps with sheet
 tracking, the canonical bidifferential W (via second log-derivatives of odd
-theta functions), Bergman and Schiffer projective connections, the Bergman
-kernel, prime forms, Riemann constants, and distinguished local parameters.
+theta functions) in the distinguished chart of each branch point, Bergman
+and Schiffer projective connections, the Bergman kernel and Riemann
+constants.
 
 Conventions (fixed, documented):
 
@@ -40,7 +41,6 @@ from .errors import (
     LatticeResolutionFailure,
     PeriodQuadratureFailure,
     SheetTrackingLoss,
-    WrongOrder,
 )
 from .specfun import (
     RiemannMatrix,
@@ -53,11 +53,8 @@ __all__ = [
     "CurvePoint",
     "BranchChart",
     "InfinityEnd",
-    "DistinguishedParameter",
     "HyperellipticCurve",
     "Genus0Cover",
-    "distinguished_parameter",
-    "distinguished_parameter_exponent",
 ]
 
 
@@ -95,50 +92,6 @@ class InfinityEnd:
     abel: np.ndarray
     sign: float
     v_lead: np.ndarray
-
-
-def distinguished_parameter_exponent(d_k):
-    """Chart exponent 1/(d_k + 1) for a divisor point of df of order d_k."""
-    if d_k == -1:
-        raise WrongOrder("d_k = -1 does not occur for a meromorphic differential")
-    return 1.0 / (d_k + 1)
-
-
-@dataclass(frozen=True)
-class DistinguishedParameter:
-    """Distinguished chart at a divisor point of df.
-
-    ``kind`` is "zero" (x = (f - f(p))^(1/(d+1))) or "pole"
-    (x = f^(1/(d+1))); ``branch`` records the square-root/sheet choice that
-    fixes the chart.
-    """
-
-    kind: str
-    center: complex
-    order: int
-    exponent: float
-    branch: complex
-
-
-def distinguished_parameter(curve, kind, index):
-    """Distinguished chart data for a divisor point of df on the curve.
-
-    kind="zero": branch point ``index`` (d_k = 1, chart x = (z - e_m)^(1/2));
-    kind="pole": infinity end ``index`` (d_k = -2, chart x = 1/z).
-    """
-    if kind == "zero":
-        bd = curve.branch_data(index)
-        return DistinguishedParameter(
-            kind="zero", center=complex(curve.e[index]), order=1,
-            exponent=distinguished_parameter_exponent(1), branch=bd.sqrt_h,
-        )
-    if kind == "pole":
-        end = curve.infinity_data()[index]
-        return DistinguishedParameter(
-            kind="pole", center=complex(np.inf), order=-2,
-            exponent=distinguished_parameter_exponent(-2), branch=end.sign,
-        )
-    raise WrongOrder(f"unknown divisor point kind {kind!r}")
 
 
 def _tracked_sqrt(vals, seed=None):
@@ -288,9 +241,6 @@ class HyperellipticCurve:
         vec, y = self.abel_from_hub(z)
         return CurvePoint(complex(z), complex(y))
 
-    def other_sheet(self, P):
-        return CurvePoint(P.z, -P.y)
-
     # ------------------------------------------------------------------
     # pair loops and periods
     # ------------------------------------------------------------------
@@ -326,17 +276,6 @@ class HyperellipticCurve:
                     f"point lies on or near the segment from e_{i} to e_{j}")
             self._pair_cache[key] = (val, cert)
         return self._pair_cache[key]
-
-    def _cycle_pairs(self, kind, i):
-        """Pair-loop indices composing the homology cycle (standard marking).
-
-        Cycle members carry the lift signs pinned during period
-        construction (the raw pair-loop lift of a member may sit on either
-        sheet)."""
-        if kind == "a":
-            return [((2 * i, 2 * i + 1), self._a_signs[i])]
-        return [((2 * k + 1, 2 * k + 2), self._chain_signs[k])
-                for k in range(i, self.g)]
 
     def _build_periods(self):
         g = self.g
@@ -491,42 +430,6 @@ class HyperellipticCurve:
             self._abel_cache[key] = self.abel_segment(self.hub, self.y_hub, key)
         return self._abel_cache[key]
 
-    def abel_of_point(self, P):
-        """Hub-based Abel vector of an arbitrary sheet-resolved point.
-
-        Points on the hub-continued sheet use the straight star path; points
-        on the other sheet follow the involution rule
-        A(sigma P) = 2 A(e_0) - A(P) (see :meth:`flip_vec`)."""
-        vec, ytr = self.abel_from_hub(P.z)
-        if abs(P.y - ytr) <= 1e-6 * abs(ytr):
-            return vec
-        if abs(P.y + ytr) <= 1e-6 * abs(ytr):
-            return self.flip_vec() - vec
-        raise SheetTrackingLoss(
-            f"point fiber value {P.y} matches neither sheet over z = {P.z}"
-        )
-
-    def abel_between(self, P, Q):
-        """A(P -> Q) through the hub star (either sheet); nearby same-sheet
-        pairs integrate directly along the connecting segment (much tighter
-        error than differencing two long hub paths)."""
-        sep = abs(P.z - Q.z)
-        if 0 < sep < 0.05 * self.scale \
-                and float(np.min(np.abs(P.z - self.e))) > 4 * sep:
-            vec, y_end = self.abel_segment(P.z, P.y, Q.z)
-            if abs(y_end - Q.y) <= 1e-6 * abs(y_end):
-                return vec
-        return self.abel_of_point(Q) - self.abel_of_point(P)
-
-    def abel_loop(self, kind, i):
-        """Abel vector of a closed homology cycle (normalized differentials)."""
-        if self.marking == "swapped":
-            raise CurveGeometryError("abel_loop supported on the standard marking")
-        raw = np.zeros(self.g, dtype=complex)
-        for (u, v), sign in self._cycle_pairs(kind, i):
-            raw += sign * self._pair_loop_integrals(u, v)[0]
-        return raw @ self.coef.T
-
     # ------------------------------------------------------------------
     # distinguished charts at branch points and at infinity
     # ------------------------------------------------------------------
@@ -676,17 +579,10 @@ class HyperellipticCurve:
     def infinity_data(self):
         """Both points over z = infinity with sheet markers +1 and -1: the
         first through a hub ray and a 1/z-chart leg (:meth:`_divisor_abel`),
-        the second its involution image, A(sigma P) = flip_vec - A(P)."""
+        the second its involution image, A(sigma P) = 2 A(e_0) - A(P)."""
         if "inf" not in self._lazy_cache:
             self._divisor_abel()
         return self._lazy_cache["inf"]
-
-    def flip_vec(self):
-        """Abel vector from the hub to its involution image: the hub path
-        into branch point 0, then that path's involution image back, which
-        gives 2 A(e_0) since sigma* v = -v.  Continuation to the other sheet
-        over any z costs A(sigma P) = flip_vec - A(P)."""
-        return 2 * self.branch_data(0).abel
 
     # ------------------------------------------------------------------
     # theta layer
@@ -735,14 +631,6 @@ class HyperellipticCurve:
     # canonical bidifferential and projective connections
     # ------------------------------------------------------------------
 
-    def w_hat(self, P, Q):
-        """z-chart value W(P, Q)/(dz dz) via -sum L_ij v_j(P) v_i(Q)."""
-        if abs(P.z - Q.z) + abs(P.y - Q.y) < 1e-8 * self.scale:
-            raise DiagonalTooClose("bidifferential requested on the diagonal")
-        t = self.abel_between(P, Q)
-        L = self._log_deriv_matrix(t[None], self._w_char())[0]
-        return -complex(np.einsum("ij,j,i->", L, self.v_hat(P), self.v_hat(Q)))
-
     def w_hat_branch_chart(self, m, x1, x2):
         """Distinguished-chart value of W at two chart points near branch m."""
         return complex(self.w_hat_branch_chart_pairs(m, x1, x2))
@@ -788,18 +676,6 @@ class HyperellipticCurve:
 
         return self._richardson_even(
             np.array([H(delta), H(delta / 2), H(delta / 4)]), tol)
-
-    def bergman_sb_z(self, P, delta_rel=1e-2):
-        """Bergman projective connection S_B in the z chart at P."""
-        delta = delta_rel * self.scale
-
-        def wpair(u, v):
-            Pu = self.point(u)
-            Pv = self.point(v)
-            return self.w_hat(Pu, Pv)
-
-        val, _ = self._h_limit(wpair, P.z, delta, 1e-4)
-        return 6.0 * val
 
     def bergman_sb_branch(self, m, x0):
         """S_B in the distinguished chart at branch point m, chart point x0
@@ -866,7 +742,7 @@ class HyperellipticCurve:
         return complex(v_values @ Yi @ np.conj(v_values))
 
     # ------------------------------------------------------------------
-    # prime form
+    # odd characteristics of the prime forms (tau_genus2)
     # ------------------------------------------------------------------
 
     def _choose_char(self, om_a, om_b):
@@ -883,20 +759,6 @@ class HyperellipticCurve:
 
     def _omega_values(self, v_values):
         return np.array([gr @ v_values for _, gr in self.odd_char_gradients()])
-
-    def prime_form(self, P, Q):
-        """Prime form chart value E(P, Q) in the z charts at both points."""
-        ci = self._choose_char(self._omega_values(self.v_hat(P)),
-                               self._omega_values(self.v_hat(Q)))
-        return self.prime_form_fixed_char(P, Q, ci)
-
-    def prime_form_fixed_char(self, P, Q, ci):
-        """Prime form chart value E(P, Q) with odd characteristic ``ci``."""
-        vP, vQ = self.v_hat(P), self.v_hat(Q)
-        omP, omQ = self._omega_values(vP), self._omega_values(vQ)
-        ch, _ = self.odd_char_gradients()[ci]
-        th = self.theta(self.abel_between(P, Q), char=ch)
-        return th / (np.sqrt(omP[ci]) * np.sqrt(omQ[ci]))
 
     # ------------------------------------------------------------------
     # Riemann constants
@@ -1036,19 +898,18 @@ def _trapezoid_doubling(fun, nodes=32, max_doublings=5, target=1e-10):
     return cur, N, cert
 
 
-def h_taylor_torus(w_pairs, rho1, rho2, order, n_fft=16, certify=True):
+def h_taylor_torus(w_pairs, rho1, rho2, order, n_fft=16):
     """Taylor coefficients H_{pq} (p, q < order) of the regular part
     H(x, y) = W(x, y) - (x - y)^{-2} of a bidifferential by 2-D Fourier
     extraction on the torus |x| = rho1, |y| = rho2; ``w_pairs(X, Y)`` gives W
     on two equal-shape arrays of chart points.
 
     Distinct radii keep the diagonal away from the sampling torus, so no
-    small-separation amplification occurs.  With ``certify`` the 2N grid is
-    sampled once, its even-index subgrid is the N grid (same nodes), and the
-    grid-doubling certificate must stay below 1e-7.  Returns (coefficients,
-    certificate), the certificate nan when not certified.
+    small-separation amplification occurs.  The 2N grid is sampled once, its
+    even-index subgrid is the N grid (same nodes), and the grid-doubling
+    certificate must stay below 1e-7.  Returns (coefficients, certificate).
     """
-    N = 2 * n_fft if certify else n_fft
+    N = 2 * n_fft
     th = np.arange(N) * 2 * np.pi / N
     X, Y = np.meshgrid(rho1 * np.exp(1j * th), rho2 * np.exp(1j * th),
                        indexing="ij")
@@ -1062,8 +923,6 @@ def h_taylor_torus(w_pairs, rho1, rho2, order, n_fft=16, certify=True):
             / (rho1 ** p[:, None] * rho2 ** p[None, :])
 
     out = taylor(vals)
-    if not certify:
-        return out, np.nan
     coarse = taylor(vals[::2, ::2])
     cert = float(np.max(np.abs(coarse - out)) / max(1.0, np.max(np.abs(out))))
     if cert > 1e-7:
@@ -1074,7 +933,7 @@ def h_taylor_torus(w_pairs, rho1, rho2, order, n_fft=16, certify=True):
 
 class Genus0Cover:
     """Rational curve (P^1 with global coordinate w) carrying a degree-N map
-    f = num/den; the bidifferential is the exact global-chart double pole."""
+    f = num/den."""
 
     def __init__(self, num, den=(1.0,)):
         self.num = np.asarray(num, dtype=complex)
@@ -1087,10 +946,3 @@ class Genus0Cover:
     def fprime(self, w):
         d1n, d1d = _rat_derivs(self.num, self.den)
         return npoly.polyval(w, d1n) / npoly.polyval(w, d1d)
-
-    @staticmethod
-    def w_hat_global(w1, w2):
-        """W in the global chart: 1/(w1 - w2)^2."""
-        if w1 == w2:
-            raise DiagonalTooClose("bidifferential on the diagonal")
-        return 1.0 / (w1 - w2) ** 2

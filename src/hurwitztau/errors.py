@@ -115,10 +115,6 @@ class ChartBranchInconsistency(HurwitzTauError):
     """Distinguished-chart branch could not be matched across a handoff."""
 
 
-class DifferentiationUnstable(HurwitzTauError):
-    """Numerical differentiation certificate failed."""
-
-
 # --- cone spectra ---
 
 class HankelZero(HurwitzTauError):

@@ -26,7 +26,6 @@ from .errors import (
 __all__ = [
     "hankel1",
     "hankel1_deriv",
-    "besselj",
     "RiemannMatrix",
     "ThetaCharacteristic",
     "riemann_theta",
@@ -79,13 +78,6 @@ def hankel1_deriv(nu, z):
     nu = float(nu)
     return _hankel_contract("hankel1_deriv", nu, z, lambda z: (
         sps.hankel1(nu - 1.0, z) - sps.hankel1(nu + 1.0, z)) / 2.0)
-
-
-def besselj(nu, z):
-    """Bessel J of real order at complex argument (scipy-backed)."""
-    import scipy.special as sps
-
-    return complex(sps.jv(float(nu), complex(z)))
 
 
 # ---------------------------------------------------------------------------

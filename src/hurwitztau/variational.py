@@ -3,8 +3,8 @@
 Rauch formulas for the period matrix, the det Im B variation, the governing
 system for ln tau (finite differences against distinguished-chart contour
 integrals of the projective-connection difference), the zero-energy
-S-matrix block at a conical point, the antidiagonal trace matrix, and the
-chained Schiffer-connection identity.
+S-matrix block at a conical point, and the chained Schiffer-connection
+identity.
 
 All identity checks return signed discrepancies; tolerance policy lives in
 the callers/tests.  Every contour integral carries a node-doubling
@@ -16,32 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .curves import HyperellipticCurve, _trapezoid_doubling, h_taylor_torus
-from .errors import (
-    ContourTooLarge,
-    DifferentiationUnstable,
-    NonConvergence,
-    WrongOrder,
-)
-from .taufn import RationalCoverP1, TauIngredients, tau_genus0, tau_genus1, tau_genus2
+from .curves import HyperellipticCurve, _trapezoid_doubling
+from .errors import ContourTooLarge, NonConvergence, WrongOrder
+from .taufn import RationalCoverP1, tau_genus0, tau_genus1, tau_genus2
 
 __all__ = [
     "ContourIntegralResult",
     "SMatrixBlock",
-    "AMatrix",
     "rauch_contour",
     "rauch_check",
     "det_imB_derivative",
     "vardwa_rhs_genus0",
     "vardwa_rhs_curve",
     "varodin_rhs_curve",
-    "varodin_rhs_genus0",
     "smatrix_hh_zero",
     "clue_identity_check",
-    "amatrix",
-    "trace_identity_check",
     "CubicFamily",
     "dln_tau_genus1_fd",
     "dln_tau_genus2_fd",
@@ -61,7 +51,7 @@ class SMatrixBlock:
     """Zero-energy S-matrix data at a 4 pi cone (ell = 2).
 
     ``hh`` is the 1 x 1 holomorphic-holomorphic block at the exponent
-    nu = 1/2; ``ha_diag`` the Bergman-kernel companion entry where computed.
+    nu = 1/2; ``ha_diag`` the Bergman-kernel companion entry.
     """
 
     hh: np.ndarray
@@ -71,52 +61,6 @@ class SMatrixBlock:
     @property
     def symmetry_defect(self):
         return float(np.max(np.abs(self.hh - self.hh.T)))
-
-
-@dataclass
-class AMatrix:
-    """Antidiagonal matrix a_{mu nu} = 4 pi mu c_mu nu c_nu (mu + nu = 1)."""
-
-    ell: int
-    entries: np.ndarray
-
-    @staticmethod
-    def build(ell):
-        ell = int(ell)
-        n = ell - 1
-        A = np.zeros((n, n))
-        for k in range(1, ell):
-            mu = k / ell
-            nu = 1.0 - mu
-            # c_nu = 1 / (2 sqrt(nu ell pi)):  4 pi mu c_mu nu c_nu = sqrt(mu nu)/ell
-            c_mu = 1.0 / (2 * np.sqrt(mu * ell * np.pi))
-            c_nu = 1.0 / (2 * np.sqrt(nu * ell * np.pi))
-            A[k - 1, ell - k - 1] = 4 * np.pi * mu * c_mu * nu * c_nu
-        return AMatrix(ell=ell, entries=A)
-
-
-def amatrix(ell):
-    return AMatrix.build(ell)
-
-
-def trace_identity_check(ell, block):
-    """Tr(A S) from the antidiagonal matrix versus the direct weighted sum
-    sum_{mu+nu=1} sqrt(mu) sqrt(nu) S_{mu nu}; both reported.
-
-    With the coupling-coefficient normalization of the antidiagonal matrix
-    the two routes differ by the uniform factor ell; the ratio is returned
-    for the caller to record.
-    """
-    A = AMatrix.build(ell).entries
-    S = np.asarray(block, dtype=complex)
-    trace_route = complex(np.trace(A @ S))
-    direct = 0.0 + 0.0j
-    for k in range(1, ell):
-        mu, nu = k / ell, (ell - k) / ell
-        direct += np.sqrt(mu * nu) * S[k - 1, ell - k - 1]
-    ratio = direct / trace_route if trace_route != 0 else np.nan
-    return {"trace_route": trace_route, "direct_sum": complex(direct),
-            "ratio": complex(ratio)}
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +202,9 @@ def det_imB_derivative(curve_factory, base_points, m):
 # governing-system right-hand sides
 # ---------------------------------------------------------------------------
 
-def schwarzian_chart_pullback(ell):
-    """Coefficient c in {z, x} = c / x^2 for z = z_m + x^(ell+1)."""
-    return -(ell * (ell + 2)) / 2.0
+# c in S_f = {z, x} = c / x^2 in the distinguished chart z = z_m + x^2 of a
+# simple branch point: z' = 2x and z'' = 2 give -(3/2) (z''/z')^2
+_SCHWARZIAN_CHART = -1.5
 
 
 def vardwa_rhs_curve(curve, m):
@@ -268,11 +212,10 @@ def vardwa_rhs_curve(curve, m):
     distinguished chart (simple branch points: ell = 1), on 24 nodes doubled
     once."""
     r = _branch_contour_radius(curve, m)
-    coef = schwarzian_chart_pullback(1)
 
     def fun(xs):
         sb = curve.bergman_sb_branch(m, xs)
-        sf = coef / xs ** 2
+        sf = _SCHWARZIAN_CHART / xs ** 2
         return (sb - sf) / (2.0 * xs)
 
     res = _circle_contour(fun, r, 24, max_doublings=1)
@@ -305,8 +248,8 @@ def varodin_rhs_curve(curve, m):
     branch point: the chain-consistent value -(1/12) S_Sch(0) in the
     distinguished chart.
 
-    The chain identity (contour form plus the det Im B variation), anchored
-    by the genus-0 closed forms, fixes the sign used in ``value``; the
+    The chain identity that ``verify varodin`` gates (the contour form plus
+    the det Im B variation) fixes the sign used in ``value``; the
     opposite-sign convention is reported alongside as ``sign_flipped``.
     """
     s = curve.schiffer_branch_origin(m)
@@ -314,107 +257,45 @@ def varodin_rhs_curve(curve, m):
             "schiffer_at_origin": s}
 
 
-def varodin_rhs_genus0(cover: RationalCoverP1, m):
-    """Genus-0 chain value: S_Sch = S_B in the distinguished chart x at the
-    critical point (no holomorphic differentials)."""
-    w_hat_x = _genus0_chart_w(cover, m)
-    delta = 0.02 * np.sqrt(_genus0_base_radius(cover, m))
-
-    def H(d):
-        return w_hat_x(d, -d) - 1.0 / (2 * d) ** 2
-
-    h1, h2 = H(delta), H(delta / 2)
-    extrap = (4 * h2 - h1) / 3
-    if abs(extrap - h2) > 1e-4 * max(1.0, abs(extrap)):
-        raise DifferentiationUnstable("genus-0 H(0,0) extrapolation unstable")
-    s = 6.0 * extrap
-    return {"value": -s / 12.0, "sign_flipped": s / 12.0,
-            "schiffer_at_origin": s}
-
-
-def _genus0_chart_w(cover: RationalCoverP1, m):
-    """Distinguished-chart W(x1, x2) at critical point m of a genus-0 cover,
-    vectorised over the chart points: the global-chart double pole pulled
-    back through w(x), the Newton solve of f(w) = z_m + x^2 seeded by the
-    quadratic model."""
-    wm = cover.critical_points[m]
-    zm = cover.critical_values[m]
-    f2 = cover.f2(wm)
-
-    def w_of_x(x):
-        w = wm + x * np.sqrt(2.0 / f2)
-        active = np.ones(np.shape(x), dtype=bool)
-        for _ in range(40):
-            step = (cover.cover.f(w) - (zm + x * x)) / cover.fprime(w)
-            w = np.where(active, w - step, w)
-            active &= ~(np.abs(step) < 1e-14 * np.maximum(1.0, np.abs(w)))
-            if not active.any():
-                break
-        return w
-
-    def w_hat_x(x1, x2):
-        w1, w2 = w_of_x(x1), w_of_x(x2)
-        return (2 * x1 / cover.fprime(w1)) * (2 * x2 / cover.fprime(w2)) \
-            / (w1 - w2) ** 2
-
-    return w_hat_x
-
-
 # ---------------------------------------------------------------------------
 # S-matrix block at zero energy
 # ---------------------------------------------------------------------------
 
 
-def smatrix_hh_zero(target, m, ell=2):
+def smatrix_hh_zero(curve, m, ell=2):
     """Zero-energy holomorphic-holomorphic S-matrix block at the cone over
-    critical point m.
+    branch point m of a hyperelliptic curve.
 
-    Every branch point of a hyperelliptic curve and every accepted critical
-    point of a genus-0 cover is simple, so each cone has angle 4 pi
-    (ell = 2) and the block is 1 x 1, at the exponent nu = 1/2:
+    Every branch point is simple, so each cone has angle 4 pi (ell = 2) and
+    the block is 1 x 1, at the exponent nu = 1/2:
 
       S^{hh}_{1/2,1/2}(0) = -H(0, 0) + pi sum_{ab} (Im B)^{-1}_{ab} v_a(0) v_b(0)
 
-    in the distinguished chart.  ``target`` is a HyperellipticCurve (m = a
-    branch point index) or a RationalCoverP1 (m = a critical point index,
-    H from the global-chart pullback, no differential term).  Any other
-    ``ell`` raises WrongOrder.
+    in the distinguished chart.  Any other ``ell`` raises WrongOrder.
     """
     if ell != 2:
         raise WrongOrder(f"the S-matrix block is computed at 4 pi cones "
                          f"(ell = 2) only, got ell = {ell!r}")
-    if isinstance(target, HyperellipticCurve):
-        # order 2: the grid certificate also covers the first derivatives
-        H, cert = target.h_taylor_branch(m, order=2)
-        vlead = target.branch_data(m).v_lead
-        hh = -H[0, 0] + np.pi * complex(vlead @ target.imB_inv() @ vlead)
-        ha = np.array([target.bergman_kernel(vlead)])
-    else:
-        r0 = np.sqrt(_genus0_base_radius(target, m))
-        # a single grid: the genus-0 pullback is exact, no certificate
-        H, cert = h_taylor_torus(_genus0_chart_w(target, m), 0.3 * r0,
-                                 0.21 * r0, 1, 16, certify=False)
-        hh = -H[0, 0]
-        ha = np.array([0.0 + 0.0j])
-    return SMatrixBlock(hh=np.array([[hh]], dtype=complex), ha_diag=ha,
+    # order 2: the grid certificate also covers the first derivatives
+    H, cert = curve.h_taylor_branch(m, order=2)
+    vlead = curve.branch_data(m).v_lead
+    hh = -H[0, 0] + np.pi * complex(vlead @ curve.imB_inv() @ vlead)
+    return SMatrixBlock(hh=np.array([[hh]], dtype=complex),
+                        ha_diag=np.array([curve.bergman_kernel(vlead)]),
                         diagnostics={"H00": complex(H[0, 0]),
                                      "h_taylor_certificate": cert})
 
 
-def clue_identity_check(target, m, ell=2):
+def clue_identity_check(curve, m, ell=2):
     """LHS (1/2) S^{hh}_{1/2,1/2}(0) at the 4 pi cone versus the RHS
     -(1/12) S_Sch(0); signed discrepancy.  The RHS is computed through the
     diagonal H(x, x) limit, a numerically independent evaluation path.  Any
     ``ell`` other than 2 raises WrongOrder."""
-    block = smatrix_hh_zero(target, m, ell=ell)
+    block = smatrix_hh_zero(curve, m, ell=ell)
     lhs = 0.5 * block.hh[0, 0]
     # right side through the near-diagonal limit: numerically independent
     # of the Fourier extraction feeding the block
-    if isinstance(target, HyperellipticCurve):
-        s = target.schiffer_branch_origin_richardson(m)
-    else:
-        s = varodin_rhs_genus0(target, m)["schiffer_at_origin"]
-    rhs = -s / 12.0
+    rhs = -curve.schiffer_branch_origin_richardson(m) / 12.0
     return {"lhs": complex(lhs), "rhs": complex(rhs),
             "discrepancy": complex(lhs - rhs), "block": block}
 

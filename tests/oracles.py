@@ -2,14 +2,21 @@
 
 Everything here is computed by a route disjoint from the package internals:
 arithmetic-geometric means, q-series, Eisenstein series, ascending Bessel
-series, and product-over-roots resultants.  The four exceptions are
-``detzeta_full_scan``, the earlier full-scan mode sum of
-``cones.detzeta_N_model``, ``lift_signs_per_candidate``, the earlier
-one-candidate-at-a-time lift-sign search of the period construction,
-``theta_full_box``, the earlier full-box sum of
-``specfun.riemann_theta_bundle``, and ``abel_paths_per_leg``, the earlier
-one-path-per-leg Abel data of the divisor of df, each kept as the bitwise
-reference of its replacement.
+series, and product-over-roots resultants.  The exceptions use package
+primitives:
+
+* ``detzeta_full_scan``, the earlier full-scan mode sum of
+  ``cones.detzeta_N_model``, ``lift_signs_per_candidate``, the earlier
+  one-candidate-at-a-time lift-sign search of the period construction,
+  ``theta_full_box``, the earlier full-box sum of
+  ``specfun.riemann_theta_bundle``, and ``abel_paths_per_leg``, the earlier
+  one-path-per-leg Abel data of the divisor of df, each kept as the bitwise
+  reference of its replacement;
+* the z-chart W route (``w_hat`` and ``bergman_sb_z``, with ``abel_between``,
+  ``abel_of_point``, ``other_sheet``, ``flip_vec`` and ``cycle_pairs``), an
+  independent cross-check of the distinguished-chart theta kernel;
+* ``cover_to_json``, the inverse of ``covers.cover_from_json`` for the JSON
+  round trip.
 """
 
 import numpy as np
@@ -22,9 +29,10 @@ from hurwitztau.cones import (
     jump_eigenvalue,
     jump_eigenvalue_neg_energy,
 )
-from hurwitztau.curves import _PANEL_DIV, _leggauss, _tracked_sqrt
+from hurwitztau.curves import CurvePoint, _PANEL_DIV, _leggauss, _tracked_sqrt
 from hurwitztau.errors import (
     CurveGeometryError,
+    DiagonalTooClose,
     DomainError,
     IllConditionedPeriods,
     SheetTrackingLoss,
@@ -75,13 +83,6 @@ def theta1_prime_qseries(tau, terms=60):
     s = sum((-1) ** n * (2 * n + 1) * q ** (n * (n + 1) / 2)
             for n in range(terms))
     return 2 * np.pi * q ** 0.125 * s
-
-
-def theta1_qseries(z, tau, terms=60):
-    q = np.exp(1j * np.pi * tau)
-    s = sum((-1) ** n * q ** ((n + 0.5) ** 2) * np.sin((2 * n + 1) * np.pi * z)
-            for n in range(terms))
-    return 2 * s
 
 
 # ---------------------------------------------------------------------------
@@ -476,3 +477,91 @@ def abel_paths_per_leg(curve):
                 + curve._probe_points(23, 2, 0.4, 1.3, 1.4):
             probes[z] = hub_leg(z)[0]
     return branch, ends, probes
+
+
+# ---------------------------------------------------------------------------
+# z-chart W: the theta kernel between two curve points in their z charts,
+# with Abel vectors from hub paths (cross-check of the distinguished-chart
+# kernel, which takes its Abel vectors from chart paths)
+# ---------------------------------------------------------------------------
+
+def other_sheet(P):
+    return CurvePoint(P.z, -P.y)
+
+
+def flip_vec(curve):
+    """Abel vector from the hub to its involution image: the hub path into
+    branch point 0, then that path's involution image back, which gives
+    2 A(e_0) since sigma* v = -v."""
+    return 2 * curve.branch_data(0).abel
+
+
+def abel_of_point(curve, P):
+    """Hub-based Abel vector of a sheet-resolved point: the straight star
+    path on the hub-continued sheet, A(sigma P) = flip_vec - A(P) on the
+    other."""
+    vec, ytr = curve.abel_from_hub(P.z)
+    if abs(P.y - ytr) <= 1e-6 * abs(ytr):
+        return vec
+    if abs(P.y + ytr) <= 1e-6 * abs(ytr):
+        return flip_vec(curve) - vec
+    raise SheetTrackingLoss(
+        f"point fiber value {P.y} matches neither sheet over z = {P.z}")
+
+
+def abel_between(curve, P, Q):
+    """A(P -> Q) through the hub star (either sheet); nearby same-sheet
+    pairs integrate directly along the connecting segment (much tighter
+    error than differencing two long hub paths)."""
+    sep = abs(P.z - Q.z)
+    if 0 < sep < 0.05 * curve.scale \
+            and float(np.min(np.abs(P.z - curve.e))) > 4 * sep:
+        vec, y_end = curve.abel_segment(P.z, P.y, Q.z)
+        if abs(y_end - Q.y) <= 1e-6 * abs(y_end):
+            return vec
+    return abel_of_point(curve, Q) - abel_of_point(curve, P)
+
+
+def cycle_pairs(curve, kind, i):
+    """Pair-loop indices and pinned lift signs composing the homology cycle
+    (standard marking)."""
+    if kind == "a":
+        return [((2 * i, 2 * i + 1), curve._a_signs[i])]
+    return [((2 * k + 1, 2 * k + 2), curve._chain_signs[k])
+            for k in range(i, curve.g)]
+
+
+def w_hat(curve, P, Q):
+    """z-chart value W(P, Q)/(dz dz) via -sum L_ij v_j(P) v_i(Q)."""
+    if abs(P.z - Q.z) + abs(P.y - Q.y) < 1e-8 * curve.scale:
+        raise DiagonalTooClose("bidifferential requested on the diagonal")
+    t = abel_between(curve, P, Q)
+    L = curve._log_deriv_matrix(t[None], curve._w_char())[0]
+    return -complex(np.einsum("ij,j,i->", L, curve.v_hat(P), curve.v_hat(Q)))
+
+
+def bergman_sb_z(curve, P, delta_rel=1e-2):
+    """Bergman projective connection S_B in the z chart at P."""
+    def wpair(u, v):
+        return w_hat(curve, curve.point(u), curve.point(v))
+
+    val, _ = curve._h_limit(wpair, P.z, delta_rel * curve.scale, 1e-4)
+    return 6.0 * val
+
+
+# ---------------------------------------------------------------------------
+# cover JSON writer (inverse of covers.cover_from_json)
+# ---------------------------------------------------------------------------
+
+def cover_to_json(spec):
+    return {
+        "degree": spec.degree,
+        "sigma_infinity": [list(c) for c in
+                           spec.sigma_infinity.cycles(include_fixed=False)],
+        "branches": [
+            {"value": [w.real, w.imag],
+             "sigma": [list(c) for c in p.cycles(include_fixed=False)]}
+            for p, w in zip(spec.finite_monodromies, spec.critical_values)
+        ],
+        "base_point": [spec.base_point.real, spec.base_point.imag],
+    }

@@ -270,16 +270,6 @@ def test_criterion_9_property_suites():
         count += 1
     _report("criterion 9c (Schwarzian cocycle x100)", worst, 1e-6)
 
-    # prime-form antisymmetry on random curves/pairs
-    worst = 0.0
-    cur = ht.HyperellipticCurve([-2.1, -1.0, -0.2 + 0.3j, 0.7, 1.5 + 0.1j, 2.4])
-    for _ in range(25):
-        P = cur.point(complex(rng.uniform(-2, 2), rng.uniform(0.7, 2.0)))
-        Q = cur.point(complex(rng.uniform(-2, 2), rng.uniform(-2.0, -0.7)))
-        E1, E2 = cur.prime_form(P, Q), cur.prime_form(Q, P)
-        worst = max(worst, abs(E1 + E2) / abs(E1))
-    _report("criterion 9d (prime-form antisymmetry x25)", worst, 1e-10)
-
     # Im B positive definite + doubling certificates over random curves
     worst_cert = 0.0
     min_eig = np.inf

@@ -276,6 +276,36 @@ def test_verify_vardwa_genus2_non_finite_zeta_exits_1(tmp_path):
                            "zeta must be finite, got (0.9+nanj)\n")
 
 
+_CUBIC = {"a": [-3.0, 0.0], "b": [0.0, 0.0]}
+_NOT_A_CURVE = ("the input has no branch_points "
+                "(only verify vardwa takes cubic-family input)")
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("clue", dict(_G2_INPUT, branch_index=9),
+     "branch_index must be an integer in 0..5, got 9"),
+    ("vardwa", dict(_G2_INPUT, branch_index=9),
+     "branch_index must be an integer in 0..5, got 9"),
+    ("varodin", dict(_G2_INPUT, branch_index=9),
+     "branch_index must be an integer in 0..5, got 9"),
+    ("rauch", dict(_G2_INPUT, branch_index=2.5),
+     "branch_index must be an integer in 0..5, got 2.5"),
+    ("clue", dict(_G2_INPUT, branch_index=-1),
+     "branch_index must be an integer in 0..5, got -1"),
+    ("vardwa", dict(_CUBIC, branch_index=2),
+     "branch_index must be an integer in 0..1, got 2"),
+    ("clue", _CUBIC, _NOT_A_CURVE),
+    ("varodin", _CUBIC, _NOT_A_CURVE),
+], ids=["clue-9", "vardwa-9", "varodin-9", "rauch-2.5", "clue-negative",
+        "vardwa-cubic-2", "clue-cubic", "varodin-cubic"])
+def test_malformed_curve_input_is_a_usage_error(command, data, message,
+                                                tmp_path, capsys):
+    code, rep = run_cli(["verify", command, "--input",
+                         write_input(tmp_path, data)], tmp_path)
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_verify_clue_command(tmp_path):
     inp = write_input(tmp_path, {
         "branch_points": [[-1.9, 0.0], [-0.85, 0.0], [0.6, 0.25], [1.7, 0.0]],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hurwitztau import CurvePoint, HyperellipticCurve
-from hurwitztau.curves import Genus0Cover, _tracked_sqrt, distinguished_parameter
+from hurwitztau.curves import _tracked_sqrt
 from hurwitztau.errors import (
     CurveGeometryError,
     DiagonalTooClose,
@@ -12,9 +12,14 @@ from hurwitztau.errors import (
 from chart_reference import chart_rows_per_node
 from curve_inputs import load_fixture, random_branch_points
 from oracles import (
+    abel_between,
+    abel_of_point,
+    bergman_sb_z,
+    cycle_pairs,
+    flip_vec,
+    other_sheet,
     tau_agm,
-    theta1_qseries,
-    theta1_prime_qseries,
+    w_hat,
     weierstrass_eta1,
     weierstrass_zeta_half_series,
 )
@@ -126,26 +131,17 @@ def test_fixture_periods_bit_exact(name):
 
 def test_abel_basepoint_zero(genus2_curve):
     P = genus2_curve.point(0.9 + 1.7j)
-    assert np.max(np.abs(genus2_curve.abel_between(P, P))) < 1e-14
-
-
-def test_abel_closed_loops(genus2_curve):
-    g = genus2_curve.g
-    for i in range(g):
-        assert np.max(np.abs(genus2_curve.abel_loop("a", i) - np.eye(g)[i])) \
-            < 1e-8
-        assert np.max(np.abs(genus2_curve.abel_loop("b", i)
-                             - genus2_curve.B.B[i])) < 1e-8
+    assert np.max(np.abs(abel_between(genus2_curve, P, P))) < 1e-14
 
 
 def test_abel_sheet_flip_consistency(genus2_curve):
     cur = genus2_curve
     P = cur.point(0.4 + 1.2j)
-    sig = cur.other_sheet(P)
+    sig = other_sheet(P)
     # A(P) + A(sigma P) = flip_vec for every P
-    s1 = cur.abel_of_point(P) + cur.abel_of_point(sig)
+    s1 = abel_of_point(cur, P) + abel_of_point(cur, sig)
     Q = cur.point(-1.5 + 0.8j)
-    s2 = cur.abel_of_point(Q) + cur.abel_of_point(cur.other_sheet(Q))
+    s2 = abel_of_point(cur, Q) + abel_of_point(cur, other_sheet(Q))
     assert np.max(np.abs(s1 - s2)) < 1e-8
 
 
@@ -167,7 +163,7 @@ def test_flip_vec_matches_fine_flip_circle(fixture_genus2):
     vec_circle = (F[1:-1].sum(axis=0) + (F[0] + F[-1]) / 2) * 2 * np.pi / N
     vec_out, y_back = cur.abel_segment(w1, ys[-1], cur.hub)
     assert abs(y_back + cur.y_hub) < 1e-9 * abs(cur.y_hub)
-    assert np.max(np.abs(cur.flip_vec() - (vec_in + vec_circle + vec_out))) \
+    assert np.max(np.abs(flip_vec(cur) - (vec_in + vec_circle + vec_out))) \
         < 1e-8
 
 
@@ -175,19 +171,13 @@ def test_flip_vec_matches_fine_flip_circle(fixture_genus2):
 # canonical bidifferential
 # ---------------------------------------------------------------------------
 
-def test_w_genus0_closed_form():
-    assert Genus0Cover.w_hat_global(2.0, 1.0 + 1.0j) == 1.0 / (1.0 - 1.0j) ** 2
-    with pytest.raises(DiagonalTooClose):
-        Genus0Cover.w_hat_global(1.0, 1.0)
-
-
 def test_w_symmetry_random_pairs(genus2_curve, rng):
     cur = genus2_curve
     for _ in range(6):
         z1 = complex(rng.uniform(-2, 2), rng.uniform(0.7, 1.8))
         z2 = complex(rng.uniform(-2, 2), rng.uniform(-1.8, -0.7))
         P, Q = cur.point(z1), cur.point(z2)
-        w1, w2 = cur.w_hat(P, Q), cur.w_hat(Q, P)
+        w1, w2 = w_hat(cur, P, Q), w_hat(cur, Q, P)
         assert abs(w1 - w2) < 1e-7 * abs(w1)
 
 
@@ -197,14 +187,14 @@ def _w_cycle_period(cur, kind, i, P, N=192):
     at the half-shifted nodes theta = 2 pi (k + 1/2) / N (y != 0 at all)."""
     th = (np.arange(N) + 0.5) * 2 * np.pi / N
     out = 0.0 + 0.0j
-    for (u, v), sign in cur._cycle_pairs(kind, i):
+    for (u, v), sign in cycle_pairs(cur, kind, i):
         c, d = (cur.e[u] + cur.e[v]) / 2, (cur.e[v] - cur.e[u]) / 2
         others = np.delete(cur.e, [u, v])
         zs = c + d * np.cos(th)
         s = np.sqrt(np.prod(c - others)) \
             * np.prod(np.sqrt((zs[:, None] - others) / (c - others)), axis=1)
         ys = 1j * d * np.sin(th) * s
-        vals = np.array([cur.w_hat(CurvePoint(zs[j], ys[j]), P)
+        vals = np.array([w_hat(cur, CurvePoint(zs[j], ys[j]), P)
                          for j in range(N)])
         out += sign * np.mean(vals * -d * np.sin(th)) * 2 * np.pi
     return out
@@ -231,27 +221,6 @@ def test_w_periods_genus2(genus2_curve):
 # projective connections
 # ---------------------------------------------------------------------------
 
-def test_sb_genus0_vanishes_globally():
-    # H = W - double pole = 0 exactly in the global chart
-    for pair in ((0.3, 1.7 + 0.2j), (2.0 - 1.0j, -0.4)):
-        H = Genus0Cover.w_hat_global(*pair) - 1.0 / (pair[0] - pair[1]) ** 2
-        assert H == 0
-
-
-def test_sb_genus0_distinguished_chart_schwarzian():
-    # at a critical point of p = w^3 - 3w the pulled-back connection equals
-    # the chart Schwarzian {w, x}(0) = (9/4)/a^3 with z - z_m = (w - w_m)^2 a
-    # and a = w_m + 2 evaluated at the opposite root: -1/12 at w = -1 (m=0)
-    # and +1/12 at w = +1 (m=1)
-    from hurwitztau.taufn import RationalCoverP1
-    from hurwitztau.variational import varodin_rhs_genus0
-
-    cover = RationalCoverP1([0.0, -3.0, 0.0, 1.0])
-    for m, expected in ((0, -1.0 / 12.0), (1, 1.0 / 12.0)):
-        out = varodin_rhs_genus0(cover, m)
-        assert abs(out["schiffer_at_origin"] - expected) < 1e-6
-
-
 def test_sb_genus1_weierstrass_oracle(genus1_curve):
     # transported to the Abel-map chart u, the Bergman connection equals
     # 12 eta_1(B) at every point of the torus
@@ -262,7 +231,7 @@ def test_sb_genus1_weierstrass_oracle(genus1_curve):
     assert abs(weierstrass_eta1(B) - weierstrass_zeta_half_series(B)) < 5e-9
     for z0 in (0.5 + 1.3j, -1.2 + 0.9j):
         P = cur.point(z0)
-        sb_z = cur.bergman_sb_z(P, delta_rel=5e-3)
+        sb_z = bergman_sb_z(cur, P, delta_rel=5e-3)
         v = cur.v_hat(P)[0]          # du/dz
         # {u, z} from the exact derivatives of v = du/dz on the curve
         dv = cur.v_hat_deriv(P)[0]
@@ -294,11 +263,11 @@ def test_sb_cocycle_under_chart_change(genus1_curve, rng):
             P1, P2 = cur.point(z1), cur.point(z2)
             dz1 = 1.0 / np.sqrt(1.0 + 4.0 * c * u1)
             dz2 = 1.0 / np.sqrt(1.0 + 4.0 * c * u2)
-            return cur.w_hat(P1, P2) * dz1 * dz2
+            return w_hat(cur, P1, P2) * dz1 * dz2
 
         sb_u, _ = cur._h_limit(w_u, u0, 2e-2 * max(1.0, abs(u0)), tol=1e-3)
         sb_u *= 6.0
-        sb_z = cur.bergman_sb_z(cur.point(z0), delta_rel=2e-2)
+        sb_z = bergman_sb_z(cur, cur.point(z0), delta_rel=2e-2)
         phi_p2 = 1.0 + 4.0 * c * u0            # phi'(z0)^2
         transported = sb_z / phi_p2 + 6.0 * c ** 2 / phi_p2 ** 2
         assert abs(sb_u - transported) < 1e-6 * max(1.0, abs(transported))
@@ -474,14 +443,10 @@ def test_certification_probes_are_the_seed_draws(fixture_genus2):
     assert cur._probe_points(23, 2, 0.4, 1.3, 1.4) == draws
 
 
-def test_certification_replaces_a_rejected_probe(monkeypatch):
-    # With six branch points the first seed-23 draws lie more than the
-    # curve's scale from the other points' centroid, so none lands near a
-    # branch point; a scripted generator puts the first draw on e_5.
-    from hurwitztau import curves
-
+def test_probe_points_reject_a_draw_on_a_branch_point(monkeypatch):
+    # a scripted generator puts the first seed-23 draw on e_5: it is
+    # rejected, and the probes are the generator's next two draws
     cur = _fixture_curve("curve_genus2")
-    cur._half_period_K()
     on_branch = (cur.e[5] - cur.e.mean()) / cur.scale
     real_rng = np.random.default_rng
 
@@ -493,21 +458,12 @@ def test_certification_replaces_a_rejected_probe(monkeypatch):
         def uniform(self, lo, hi):
             return self.queue.pop(0) if self.queue else self.rng.uniform(lo, hi)
 
-    rows = []
-    bundle = curves.riemann_theta_bundle
-
-    def recording(t, *args, **kw):
-        rows.append(np.shape(t))
-        return bundle(t, *args, **kw)
-
+    rng = real_rng(23)
+    draws = [complex(rng.uniform(-1.4, 1.4) * cur.scale,
+                     rng.uniform(0.4, 1.3) * cur.scale) + cur.e.mean()
+             for _ in range(2)]
     monkeypatch.setattr(np.random, "default_rng", Scripted)
-    monkeypatch.setattr(curves, "riemann_theta_bundle", recording)
-    probes = cur._probe_points(23, 2, 0.4, 1.3, 1.4)
-    assert len(probes) == 2 and cur.e[5] not in probes
-    K, resid = cur.riemann_constants(0.9 + 1.7j)
-    # the reference row plus two probe rows, in one call
-    assert rows == [(3, 2)]
-    assert resid < 1e-8
+    assert cur._probe_points(23, 2, 0.4, 1.3, 1.4) == draws
 
 
 def test_canonical_divisor_lattice_membership(genus1_curve, genus2_curve):
@@ -526,70 +482,16 @@ def test_canonical_divisor_lattice_membership(genus1_curve, genus2_curve):
 
 
 # ---------------------------------------------------------------------------
-# prime form
+# distinguished chart at a branch point
 # ---------------------------------------------------------------------------
 
-def test_prime_form_antisymmetry(genus2_curve, rng):
-    cur = genus2_curve
-    for _ in range(6):
-        P = cur.point(complex(rng.uniform(-2, 2), rng.uniform(0.6, 1.9)))
-        Q = cur.point(complex(rng.uniform(-2, 2), rng.uniform(-1.9, -0.6)))
-        E1, E2 = cur.prime_form(P, Q), cur.prime_form(Q, P)
-        assert abs(E1 + E2) < 1e-12 * abs(E1)
-
-
-def test_prime_form_diagonal_slope(genus2_curve):
-    cur = genus2_curve
-    z0 = 0.4 + 1.2j
-    P = cur.point(z0)
-    for eps in (1e-3, 1e-4):
-        Q = cur.point(z0 + eps)
-        slope = abs(cur.prime_form(P, Q)) / eps
-        assert abs(slope - 1.0) < 50 * eps
-
-
-def test_prime_form_delta_independence(genus2_curve):
-    cur = genus2_curve
-    P = cur.point(0.8 + 1.9j)
-    Q = cur.point(-1.1 + 0.9j)
-    vals = [cur.prime_form_fixed_char(P, Q, ci)
-            for ci in range(len(cur.odd_char_gradients()))]
-    for v in vals[1:]:
-        assert abs(v - vals[0]) < 1e-9 * abs(vals[0])
-
-
-def test_prime_form_genus1_theta1_oracle(genus1_curve):
-    # |E(P,Q)| = |theta_1(A(P->Q) | B) / theta_1'(0 | B)| * |v(P) v(Q)|^(-1/2)
+def test_branch_chart_point_is_on_the_curve(genus1_curve):
+    # defining property of the chart x = (z - e_m)^(1/2): exact by the model
     cur = genus1_curve
-    B = cur.B.B[0, 0]
-    P = cur.point(0.5 + 1.5j)
-    Q = cur.point(-1.0 + 1.1j)
-    E = cur.prime_form(P, Q)
-    dA = cur.abel_between(P, Q)[0]
-    oracle = abs(theta1_qseries(dA, B) / theta1_prime_qseries(B)) \
-        / np.sqrt(abs(cur.v_hat(P)[0]) * abs(cur.v_hat(Q)[0]))
-    assert abs(abs(E) - oracle) < 1e-9 * oracle
-
-
-# ---------------------------------------------------------------------------
-# distinguished parameters
-# ---------------------------------------------------------------------------
-
-def test_distinguished_parameter_branch(genus1_curve):
-    cur = genus1_curve
-    dp = distinguished_parameter(cur, "zero", 1)
-    assert dp.exponent == 0.5
-    # defining property df = (d+1) x^d dx + ... : exact by the chart model
     x = 0.05 + 0.02j
     P = cur.branch_chart_point(1, x)
     assert abs((P.z - cur.e[1]) - x ** 2) < 1e-12
     assert abs(P.y ** 2 - cur.fiber2(P.z)) < 1e-10 * abs(P.y) ** 2
-
-
-def test_distinguished_parameter_pole(genus1_curve):
-    dp = distinguished_parameter(genus1_curve, "pole", 0)
-    assert dp.exponent == -1.0
-    assert dp.branch in (1.0, -1.0)
 
 
 def test_quadrature_doubling_certificate(genus2_curve):

@@ -20,9 +20,8 @@ FIXTURES = os.path.join(ROOT, "fixtures")
 
 # the names the six eager ``from .x import (...)`` blocks re-exported
 EXPORTED = {
-    "covers": ("CoverSpec", "Permutation", "cover_from_json", "cover_to_json",
-               "genus_from_riemann_hurwitz", "reference_surface",
-               "validate_cover"),
+    "covers": ("CoverSpec", "Permutation", "cover_from_json",
+               "genus_from_riemann_hurwitz", "validate_cover"),
     "cones": ("ConeCircle", "detstar_N0_model", "detzeta_N_model",
               "dtn_exterior_eigenvalue", "dtn_zero_spectrum",
               "mu0_asymptotic_fit", "spectral_shift_asymptotic"),
@@ -32,12 +31,11 @@ EXPORTED = {
                 "theta1_prime"),
     "taufn": ("RationalCoverP1", "TauValue", "m_polynomial", "tau_genus0",
               "tau_genus1", "tau_genus2", "tau_polynomial", "tau_three_poles"),
-    "variational": ("CubicFamily", "amatrix", "clue_identity_check",
+    "variational": ("CubicFamily", "clue_identity_check",
                     "det_imB_derivative", "dln_tau_genus1_fd",
                     "dln_tau_genus2_fd", "rauch_check", "smatrix_hh_zero",
-                    "trace_identity_check", "vardwa_rhs_curve",
-                    "vardwa_rhs_genus0", "varodin_rhs_curve",
-                    "varodin_rhs_genus0"),
+                    "vardwa_rhs_curve", "vardwa_rhs_genus0",
+                    "varodin_rhs_curve"),
 }
 ALL_NAMES = {name for names in EXPORTED.values() for name in names}
 

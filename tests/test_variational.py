@@ -180,19 +180,6 @@ def test_varodin_chain_identity(g1, g2):
         assert abs(vr["sign_flipped"] + vr["value"]) < 1e-14
 
 
-def test_varodin_genus0_equals_vardwa():
-    # at genus 0 there is no det Im B term: the Schiffer form equals the
-    # contour form, and both equal the fd of ln tau
-    fam = V.CubicFamily(-3.0, 0.0)
-    cover = RationalCoverP1(fam.coeffs())
-    for m in (0, 1):
-        vo = V.varodin_rhs_genus0(cover, m)
-        vd = V.vardwa_rhs_genus0(cover, m)
-        assert abs(vo["value"] - vd.value) < 1e-7
-        fd, _ = fam.dln_tau_fd(m)
-        assert abs(vo["value"] - fd) < 1e-6
-
-
 def test_varodin_simple_point_specialization(g1):
     # l_m = 1: the value is -(1/12) S_Sch(0) in the distinguished chart
     pts, hub, fac = g1
@@ -202,7 +189,7 @@ def test_varodin_simple_point_specialization(g1):
 
 
 # ---------------------------------------------------------------------------
-# S-matrix block and trace identities
+# S-matrix block
 # ---------------------------------------------------------------------------
 
 def test_smatrix_hh_l2_equals_schiffer(g1):
@@ -216,22 +203,12 @@ def test_smatrix_hh_l2_equals_schiffer(g1):
     assert abs(ha.imag) < 1e-12 and ha.real >= 0
 
 
-def test_smatrix_genus0_pure_cocycle():
-    cover = RationalCoverP1([0.0, -3.0, 0.0, 1.0])
-    block = V.smatrix_hh_zero(cover, 1)
-    s = V.varodin_rhs_genus0(cover, 1)["schiffer_at_origin"]
-    assert abs(block.hh[0, 0] - (-s / 6.0)) < 1e-7
-    assert block.ha_diag[0] == 0
-
-
 @pytest.mark.parametrize("check", [V.smatrix_hh_zero, V.clue_identity_check])
 def test_cone_order_other_than_4pi_is_a_typed_error(g1, check):
-    # every supported cone is 4 pi (ell = 2): a branch point of a curve and
-    # a critical point of a genus-0 cover are both simple
+    # every supported cone is 4 pi (ell = 2): a branch point is simple
     pts, hub, fac = g1
-    for target in (fac(pts), RationalCoverP1([0.0, -3.0, 0.0, 1.0])):
-        with pytest.raises(WrongOrder):
-            check(target, 1, ell=3)
+    with pytest.raises(WrongOrder):
+        check(fac(pts), 1, ell=3)
 
 
 def test_clue_identity(g1, g2):
@@ -239,32 +216,6 @@ def test_clue_identity(g1, g2):
         cur = fac(pts)
         res = V.clue_identity_check(cur, 1, ell=2)
         assert abs(res["discrepancy"]) < 1e-6
-
-
-def test_amatrix_entries():
-    A = V.amatrix(2)
-    # 1x1 with the antidiagonal entry sqrt(mu nu)/ell = (1/2)/2
-    assert A.entries.shape == (1, 1)
-    assert abs(A.entries[0, 0] - 0.25) < 1e-14
-    A4 = V.amatrix(4)
-    for k in range(1, 4):
-        mu, nu = k / 4, 1 - k / 4
-        assert abs(A4.entries[k - 1, 4 - k - 1] - np.sqrt(mu * nu) / 4) < 1e-14
-    # supported exactly on the antidiagonal
-    mask = np.ones((3, 3), dtype=bool)
-    for k in range(3):
-        mask[k, 2 - k] = False
-    assert np.all(A4.entries[mask] == 0)
-
-
-def test_trace_identity_factor_ell(rng):
-    # the two normalization routes differ by the uniform factor ell
-    for ell in (2, 3, 5):
-        S = rng.normal(size=(ell - 1, ell - 1)) \
-            + 1j * rng.normal(size=(ell - 1, ell - 1))
-        S = (S + S.T) / 2
-        out = V.trace_identity_check(ell, S)
-        assert abs(out["ratio"] - ell) < 1e-10
 
 
 # ---------------------------------------------------------------------------
