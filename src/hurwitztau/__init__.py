@@ -29,12 +29,10 @@ _EXPORTS = {
         "mu0_asymptotic_fit",
         "spectral_shift_asymptotic",
     ), "cones"),
-    **dict.fromkeys(("CurvePoint", "Genus0Cover", "HyperellipticCurve"),
-                    "curves"),
+    **dict.fromkeys(("CurvePoint", "HyperellipticCurve"), "curves"),
     **dict.fromkeys((
         "RiemannMatrix",
         "ThetaCharacteristic",
-        "hankel1",
         "poly_roots",
         "resultant",
         "riemann_theta",

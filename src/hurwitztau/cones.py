@@ -20,17 +20,16 @@ from .errors import (
     DomainError,
     FitUnstable,
     HankelZero,
+    LossOfPrecision,
     PhaseUnwrappingFailure,
     TailModelMismatch,
 )
-from .specfun import hankel1, hankel1_deriv
 
 __all__ = [
     "ConeCircle",
     "dtn_exterior_eigenvalue",
     "dtn_zero_spectrum",
     "detstar_N0_model",
-    "jump_eigenvalue_neg_energy",
     "jump_eigenvalue",
     "detzeta_N_model",
     "mu0_asymptotic_fit",
@@ -65,23 +64,32 @@ class ConeCircle:
         return abs(n) / (self.k * self.R)
 
 
+def _on_imag_axis(lam):
+    """Whether lambda lies on the imaginary axis, where the DtN and jump
+    eigenvalues and the mode sums use I_nu and K_nu in place of J_nu and
+    H_nu."""
+    return abs(lam.real) < 1e-14 * abs(lam)
+
+
 def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
     """Exterior DtN eigenvalue mu_n(lambda) = -d_r H_nu(lambda r)|_R / H_nu(lambda R).
 
     Defined for Im lambda >= 0, lambda != 0; mu_n = mu_{-n}.  On the positive
     imaginary axis the Hankel ratio is evaluated through the modified Bessel
     K (numerically stable down to arbitrarily small |lambda|): there
-    mu_n(i t) = -t K_nu'(t R) / K_nu(t R) > 0.
+    mu_n(i t) = -t K_nu'(t R) / K_nu(t R) > 0.  Elsewhere H_nu' is the
+    two-sided recurrence (H_{nu-1} - H_{nu+1}) / 2, and a non-finite H_nu or
+    H_nu' (AMOS overflow) raises LossOfPrecision.
     """
     lam = complex(lam)
     if lam == 0:
         raise DomainError("use dtn_zero_spectrum for lambda = 0")
     if lam.imag < -1e-12 * abs(lam):
         raise DomainError("require Im lambda >= 0")
-    nu = cone.nu(n)
-    if lam.real == 0.0 and lam.imag > 0:
-        import scipy.special as sps   # deferred: only the Bessel paths need SciPy
+    import scipy.special as sps   # deferred: only the Bessel paths need SciPy
 
+    nu = cone.nu(n)
+    if _on_imag_axis(lam):
         t = lam.imag
         x = t * cone.R
         kv = sps.kve(nu, x)
@@ -89,10 +97,16 @@ def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
         if kv == 0 or not np.isfinite(kv):
             raise HankelZero(f"K_nu(t R) unusable at nu={nu}, t={t}")
         return complex(-t * kvp / kv)
-    denom = hankel1(nu, lam * cone.R)
+    z = lam * cone.R
+    denom = complex(sps.hankel1(nu, z))
+    deriv = complex((sps.hankel1(nu - 1.0, z)
+                     - sps.hankel1(nu + 1.0, z)) / 2.0)
+    if not (np.isfinite(denom) and np.isfinite(deriv)):
+        raise LossOfPrecision(
+            f"H_nu(lambda R) lost all significance at nu={nu}, lambda={lam}")
     if abs(denom) < 1e-290:
         raise HankelZero(f"H_nu(lambda R) ~ 0 at nu={nu}, lambda={lam}")
-    return -lam * hankel1_deriv(nu, lam * cone.R) / denom
+    return -lam * deriv / denom
 
 
 def dtn_zero_spectrum(cone: ConeCircle, n_max=20):
@@ -122,27 +136,21 @@ def detstar_N0_model(cone: ConeCircle, family="exterior"):
     raise DomainError(f"unknown family {family!r}")
 
 
-def jump_eigenvalue_neg_energy(n, cone: ConeCircle, t):
-    """Jump-operator eigenvalue at lambda = i t (t > 0), in closed form:
-    mu_n = 1 / (R I_nu(t R) K_nu(t R)).  Real and positive."""
-    if t <= 0:
-        raise DomainError("t must be positive for negative energy")
-    import scipy.special as sps
-
-    nu = cone.nu(n)
-    x = t * cone.R
-    prod = sps.ive(nu, x) * sps.kve(nu, x)   # I K with exact exponent cancel
-    return 1.0 / (cone.R * prod)
-
-
 def jump_eigenvalue(n, cone: ConeCircle, lam):
     """Jump-operator eigenvalue mu_n(lambda) = -2i / (pi R J_nu(lambda R) H_nu(lambda R)),
     valid for Im lambda >= 0, lambda != 0 (interior Bessel-J sector DtN plus
-    the exterior Hankel DtN, combined by the Wronskian)."""
+    the exterior Hankel DtN, combined by the Wronskian).  At lambda = i t,
+    t > 0, it is the real closed form 1 / (R I_nu(t R) K_nu(t R)) > 0."""
     import scipy.special as sps
 
     lam = complex(lam)
     nu = cone.nu(n)
+    if _on_imag_axis(lam):
+        if lam.imag <= 0:
+            raise DomainError("t must be positive for negative energy")
+        x = lam.imag * cone.R
+        prod = sps.ive(nu, x) * sps.kve(nu, x)   # I K with exact exponent cancel
+        return 1.0 / (cone.R * prod)
     J = sps.jv(nu, lam * cone.R)
     H = sps.hankel1(nu, lam * cone.R)
     denom = J * H
@@ -221,9 +229,8 @@ def detzeta_N_model(cone: ConeCircle, lam, n_max=4000):
     if lam == 0:
         raise DomainError("lambda must be nonzero")
     kR2 = cone.k * cone.R ** 2
-    pure_imag = abs(lam.real) < 1e-14 * abs(lam)
-    mu0 = (jump_eigenvalue_neg_energy(0, cone, lam.imag) if pure_imag
-           else jump_eigenvalue(0, cone, lam))
+    pure_imag = _on_imag_axis(lam)
+    mu0 = jump_eigenvalue(0, cone, lam)
     nu = np.arange(1, n_max + 1) / (cone.k * cone.R)
     x = lam * cone.R
 

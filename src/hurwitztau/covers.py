@@ -239,7 +239,7 @@ def validate_cover(spec: CoverSpec) -> CoverReport:
         for cyc in p.cycles(include_fixed=False):
             conical.append(ConicalPoint(w, len(cyc) - 1, cyc))
     ends = EndProfile(tuple(len(c) for c in spec.sigma_infinity.cycles()))
-    g = genus_from_riemann_hurwitz(spec, _validated=True)
+    g = genus_from_riemann_hurwitz(spec)
     return CoverReport(
         transitive=True,
         product_identity=True,
@@ -250,7 +250,7 @@ def validate_cover(spec: CoverSpec) -> CoverReport:
     )
 
 
-def genus_from_riemann_hurwitz(spec: CoverSpec, _validated=False) -> int:
+def genus_from_riemann_hurwitz(spec: CoverSpec) -> int:
     """Genus from sum(l_m) - sum(k_j + 1) = 2g - 2.
 
     l_m are the finite-cycle lengths minus one, k_j the sigma_0 cycle lengths.

@@ -1,5 +1,5 @@
 """Computational Riemann-surface layer for hyperelliptic models y^2 = prod(z - e_i)
-with the covering map f = z, plus the genus-0 rational map f = num/den.
+with the covering map f = z.
 
 Implements period matrices, normalized differentials, Abel maps with sheet
 tracking, the canonical bidifferential W (via second log-derivatives of odd
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     CharacteristicSingular,
@@ -45,7 +44,6 @@ from .errors import (
 from .specfun import (
     RiemannMatrix,
     ThetaCharacteristic,
-    _rat_derivs,
     riemann_theta_bundle,
 )
 
@@ -54,7 +52,6 @@ __all__ = [
     "BranchChart",
     "InfinityEnd",
     "HyperellipticCurve",
-    "Genus0Cover",
 ]
 
 
@@ -930,19 +927,3 @@ def h_taylor_torus(w_pairs, rho1, rho2, order, n_fft=16):
             f"H Taylor grid-doubling certificate {cert:.2e}")
     return out, cert
 
-
-class Genus0Cover:
-    """Rational curve (P^1 with global coordinate w) carrying a degree-N map
-    f = num/den."""
-
-    def __init__(self, num, den=(1.0,)):
-        self.num = np.asarray(num, dtype=complex)
-        self.den = np.asarray(den, dtype=complex)
-        self.g = 0
-
-    def f(self, w):
-        return npoly.polyval(w, self.num) / npoly.polyval(w, self.den)
-
-    def fprime(self, w):
-        d1n, d1d = _rat_derivs(self.num, self.den)
-        return npoly.polyval(w, d1n) / npoly.polyval(w, d1d)

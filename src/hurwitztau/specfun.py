@@ -1,6 +1,5 @@
 """Special-function and polynomial-algebra kernel.
 
-Complex Bessel/Hankel functions of real order (scipy-backed, validated),
 Riemann theta functions with characteristics and directional derivatives,
 resultants, certified polynomial roots, and Schwarzian derivatives of
 rational functions.
@@ -18,14 +17,11 @@ from .errors import (
     CriticalPointSingularity,
     DegenerateInput,
     DomainError,
-    LossOfPrecision,
     NonConvergence,
     TruncationFailure,
 )
 
 __all__ = [
-    "hankel1",
-    "hankel1_deriv",
     "RiemannMatrix",
     "ThetaCharacteristic",
     "riemann_theta",
@@ -35,49 +31,6 @@ __all__ = [
     "schwarzian",
     "poly_normalize",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Bessel / Hankel
-# ---------------------------------------------------------------------------
-
-def _hankel_contract(name, nu, z, evaluate):
-    """Domain contract and precision flag of the Hankel wrappers: DomainError
-    for z = 0 or Im z < 0, LossOfPrecision when AMOS signals a partial loss
-    of significance (a non-finite value)."""
-    z = complex(z)
-    if z == 0:
-        raise DomainError(f"{name} is singular at z = 0")
-    if z.imag < -1e-12 * abs(z):
-        raise DomainError(f"argument must satisfy Im z >= 0, got {z}")
-    out = complex(evaluate(z))
-    if not np.isfinite(out):
-        raise LossOfPrecision(f"{name}({nu}, {z}) lost all significance")
-    return out
-
-
-def hankel1(nu, z):
-    """Hankel function of the first kind, real order nu >= 0, Im z >= 0, z != 0.
-
-    Backed by scipy's AMOS routines; the domain contract and precision flag
-    live in :func:`_hankel_contract`.
-    """
-    import scipy.special as sps   # deferred: only the Bessel paths need SciPy
-
-    nu = float(nu)
-    if nu < 0:
-        raise DomainError(f"order must be >= 0, got {nu}")
-    return _hankel_contract("hankel1", nu, z, lambda z: sps.hankel1(nu, z))
-
-
-def hankel1_deriv(nu, z):
-    """d/dz H^(1)_nu(z) via the two-sided recurrence (H_{nu-1} - H_{nu+1})/2,
-    under the contract of :func:`hankel1`."""
-    import scipy.special as sps
-
-    nu = float(nu)
-    return _hankel_contract("hankel1_deriv", nu, z, lambda z: (
-        sps.hankel1(nu - 1.0, z) - sps.hankel1(nu + 1.0, z)) / 2.0)
 
 
 # ---------------------------------------------------------------------------

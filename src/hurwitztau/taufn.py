@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curves import Genus0Cover, HyperellipticCurve
+from .curves import HyperellipticCurve
 from .errors import (
     DegenerateCriticalPoint,
     DegenerateInput,
@@ -231,7 +231,6 @@ class RationalCoverP1:
     def __init__(self, num, den=(1.0,)):
         self.num = poly_normalize(num)
         self.den = poly_normalize(den)
-        self.cover = Genus0Cover(self.num, self.den)
         self.k_inf = len(self.num) - len(self.den)
         if self.k_inf < 1:
             raise NormalizationFailure(
@@ -247,7 +246,7 @@ class RationalCoverP1:
                 raise DegenerateCriticalPoint("critical points must be simple")
             crit.append(complex(r))
         self.critical_points = _canonical_order(np.array(crit))
-        self.critical_values = np.array([self.cover.f(w) for w in
+        self.critical_values = np.array([self.f(w) for w in
                                          self.critical_points])
         # finite poles (simple only supported)
         if len(self.den) > 1:
@@ -279,32 +278,16 @@ class RationalCoverP1:
         return self.U_lin[0]
 
     def f(self, w):
-        return self.cover.f(w)
+        return npoly.polyval(w, self.num) / npoly.polyval(w, self.den)
 
     def fprime(self, w):
-        return self.cover.fprime(w)
+        d1n, d1d = _rat_derivs(self.num, self.den)
+        return npoly.polyval(w, d1n) / npoly.polyval(w, d1d)
 
     def f2(self, w):
         """Second derivative of f at w (exact rational differentiation)."""
         d2n, d2d = _rat_derivs(*_rat_derivs(self.num, self.den))
         return npoly.polyval(w, d2n) / npoly.polyval(w, d2d)
-
-    def pole_residue(self, w_p):
-        """Residue of f at a finite simple pole."""
-        den1, rem = deflate(self.den, w_p)
-        return npoly.polyval(w_p, self.num) / npoly.polyval(w_p, den1)
-
-
-def deflate(poly, root):
-    """poly = (w - root) * q + rem by synthetic division; returns (q, rem)."""
-    c = np.asarray(poly, dtype=complex)[::-1]
-    q = np.zeros(len(c) - 1, dtype=complex)
-    acc = 0.0 + 0.0j
-    for i, cc in enumerate(c[:-1]):
-        acc = cc + acc * root if i else cc
-        q[i] = acc
-    rem = c[-1] + acc * root
-    return q[::-1], rem
 
 
 def tau_genus0(cover: RationalCoverP1):
@@ -326,13 +309,16 @@ def tau_genus0(cover: RationalCoverP1):
     if alpha_exp != 0.0:
         mult["U_slope"] = (alpha_exp, alpha)
     for j, wp in enumerate(cover.finite_poles):
-        A = cover.pole_residue(wp)
+        # residue of f at the simple pole w_p: num(w_p) / den'(w_p)
+        A = (npoly.polyval(wp, cover.num)
+             / npoly.polyval(wp, npoly.polyder(cover.den)))
         mult[f"pole_{j}"] = ((1 + 1) / 12.0, A)
-    for m, wm in enumerate(cover.critical_points):
-        f2 = cover.f2(wm)
-        if abs(f2) < 1e-12:
-            raise DegenerateCriticalPoint("f'' vanished at a critical point")
-        mult[f"crit_{m}"] = (-1.0 / 24.0, 2.0 / f2)
+    f2 = np.array([cover.f2(wm) for wm in cover.critical_points])
+    if np.any(np.abs(f2) < 1e-12):
+        raise DegenerateCriticalPoint("f'' vanished at a critical point")
+    # one ingredient for all critical points: their sorted order, and so a
+    # per-point name, may flip under a moduli displacement
+    mult["crit"] = (-1.0 / 24.0, complex(np.prod(2.0 / f2)))
     ing = TauIngredients(multiplicative=mult, additive={})
     lt = ing.log_tau()
     tv = TauValue(

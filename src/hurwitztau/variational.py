@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import HyperellipticCurve, _trapezoid_doubling
-from .errors import ContourTooLarge, NonConvergence, WrongOrder
+from .errors import ContourTooLarge, WrongOrder
 from .taufn import RationalCoverP1, tau_genus0, tau_genus1, tau_genus2
 
 __all__ = [
@@ -305,9 +305,13 @@ def clue_identity_check(curve, m, ell=2):
 # ---------------------------------------------------------------------------
 
 class CubicFamily:
-    """Monic centered cubics p = w^3 + a w + b: Newton inversion of the map
-    (a, b) -> (z_1, z_2) (critical values), so prescribed critical-value
-    displacements become coefficient displacements."""
+    """Monic centered cubics p = w^3 + a w + b, moved in their critical
+    values.
+
+    Each critical point w has w^2 = -a/3 and p(w) = b - 2 w^3, so the map
+    (a, b) -> (z_0, z_1) inverts in closed form.  The labels m are those of
+    RationalCoverP1.critical_points, the ones the contour side uses.
+    """
 
     def __init__(self, a, b):
         self.a = complex(a)
@@ -316,39 +320,24 @@ class CubicFamily:
     def coeffs(self):
         return np.array([self.b, self.a, 0.0, 1.0], dtype=complex)
 
-    def critical_values(self, ab=None):
-        """Critical values ordered like RationalCoverP1.critical_points."""
-        from .taufn import _canonical_order
+    def critical_points(self):
+        """The labelled critical points w_0, w_1 (w^2 = -a/3)."""
+        return RationalCoverP1(self.coeffs()).critical_points
 
-        a, b = ab if ab is not None else (self.a, self.b)
-        s = np.sqrt(-a / 3.0)
-        w = _canonical_order(np.array([s, -s], dtype=complex))
-        return w ** 3 + a * w + b
+    def critical_values(self):
+        """Critical values ordered like RationalCoverP1.critical_points."""
+        return self.b - 2.0 * self.critical_points() ** 3
 
     def move_critical_value(self, m, dz):
         """Coefficients (a, b) after moving z_m by dz with the other critical
-        value held fixed (at most 8 Newton steps, Jacobian by central
-        differences of step 1e-7)."""
-        target = self.critical_values().astype(complex)
-        target[m] += dz
-        ab = np.array([self.a, self.b], dtype=complex)
-        for _ in range(8):
-            cur = self.critical_values(ab)
-            r = cur - target
-            if np.max(np.abs(r)) < 1e-13 * max(1.0, np.max(np.abs(target))):
-                break
-            J = np.zeros((2, 2), dtype=complex)
-            for j in range(2):
-                abp = ab.copy()
-                abp[j] += 1e-7
-                abm = ab.copy()
-                abm[j] -= 1e-7
-                J[:, j] = (self.critical_values(abp)
-                           - self.critical_values(abm)) / 2e-7
-            ab = ab - np.linalg.solve(J, r)
-        else:
-            raise NonConvergence("Newton inversion of the critical-value map")
-        return ab
+        value z_o held fixed: b' = (z_m + dz + z_o) / 2 = b + dz / 2 and
+        w_m'^3 = (z_o - z_m - dz) / 4 = w_m^3 - dz / 4, with w_m' the cube
+        root nearest w_m and a' = -3 w_m'^2."""
+        wm = self.critical_points()[m]
+        roots = (wm ** 3 - dz / 4.0) ** (1.0 / 3.0) \
+            * np.exp(2j * np.pi * np.arange(3) / 3.0)
+        w = roots[np.argmin(np.abs(roots - wm))]
+        return np.array([-3.0 * w ** 2, self.b + dz / 2.0], dtype=complex)
 
     def dln_tau_fd(self, m):
         """Wirtinger FD (step 1e-6) of ln tau (uniformizer route) under z_m

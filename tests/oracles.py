@@ -26,8 +26,8 @@ from hurwitztau.cones import (
     _TAIL_TOL,
     ConeCircle,
     _log_eps_tail,
+    _on_imag_axis,
     jump_eigenvalue,
-    jump_eigenvalue_neg_energy,
 )
 from hurwitztau.curves import CurvePoint, _PANEL_DIV, _leggauss, _tracked_sqrt
 from hurwitztau.errors import (
@@ -259,14 +259,8 @@ def detzeta_full_scan(cone: ConeCircle, lam, n_max=4000):
     if lam == 0:
         raise DomainError("lambda must be nonzero")
     kR2 = cone.k * cone.R ** 2
-    pure_imag = abs(lam.real) < 1e-14 * abs(lam)
-
-    def mu(n):
-        if pure_imag:
-            return jump_eigenvalue_neg_energy(n, cone, lam.imag)
-        return jump_eigenvalue(n, cone, lam)
-
-    mu0 = mu(0)
+    pure_imag = _on_imag_axis(lam)
+    mu0 = jump_eigenvalue(0, cone, lam)
     n = np.arange(1, n_max + 1)
     nu = n / (cone.k * cone.R)
     x = lam * cone.R

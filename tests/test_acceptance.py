@@ -72,7 +72,7 @@ def test_criterion_2_example2_dual_route():
 
 
 def test_criterion_3_pde_genus0():
-    """Degree-3 family, critical values moved by Newton inversion: finite
+    """Degree-3 family, critical values moved by closed-form inversion: finite
     difference of ln tau vs the contour right side, 5 configurations."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)

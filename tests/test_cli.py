@@ -142,6 +142,19 @@ def test_verify_vardwa_genus0_command(tmp_path):
     assert rep["discrepancies"]["pde"] < 1e-6
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_verify_vardwa_cubic_family_axis_fixture(tmp_path, m):
+    # a = 1, b = 2: both critical points on the imaginary axis, whose sorted
+    # order flips under the FD moves
+    with open(_fixture_path("cubic_family_axis")) as fh:
+        data = json.load(fh)
+    inp = write_input(tmp_path, dict(data, branch_index=m))
+    code, rep = run_cli(["verify", "vardwa", "--input", inp], tmp_path)
+    assert code == 0
+    assert rep["discrepancies"]["pde"] < 1e-6
+    assert abs(complex(*rep["outputs"]["antiholomorphic_part"])) < 1e-6
+
+
 def test_tolerance_override_can_fail(tmp_path):
     inp = write_input(tmp_path, {"a": [-3.0, 0.0], "b": [0.0, 0.0],
                                  "branch_index": 0})

@@ -10,6 +10,7 @@ from hurwitztau.cones import ConeCircle
 from hurwitztau.errors import (
     DomainError,
     HurwitzTauError,
+    LossOfPrecision,
     PhaseUnwrappingFailure,
 )
 from oracles import detzeta_full_scan, hankel1_0_series
@@ -83,6 +84,47 @@ def test_dtn_hankel_route_matches_series():
     assert abs(mu - oracle) < 1e-6 * abs(oracle)
 
 
+def test_dtn_small_lambda_log_law_off_axis():
+    # H_0(z) ~ (2i/pi) log z as z -> 0, so mu_0 ~ -1 / (R log(lambda R))
+    # off the imaginary axis too; the ascending series is the oracle
+    cone = ConeCircle(k=1, R=1.0)
+    for t in (1e-2, 1e-3, 1e-4):
+        lam = t * cmath.exp(0.3j)
+        mu = cones.dtn_exterior_eigenvalue(0, cone, lam)
+        h = 1e-6
+        H = hankel1_0_series(lam)
+        dH = (hankel1_0_series(lam * (1 + h))
+              - hankel1_0_series(lam * (1 - h))) / (2 * lam * h)
+        oracle = -lam * dH / H
+        assert abs(mu - oracle) < 1e-6 * abs(oracle)
+        assert abs(mu * -np.log(lam) - 1.0) < 2.5 / abs(np.log(t))
+
+
+def test_dtn_half_integer_order_closed_form():
+    # nu = 1/2: H_{1/2}(z) = -i sqrt(2 / (pi z)) e^{iz}, so the exterior DtN
+    # eigenvalue is 1/(2R) - i lambda exactly
+    cone = ConeCircle(k=1, R=2.0)
+    for lam in (0.35, 1.0 + 0.5j, 2.5 + 0.1j):
+        mu = cones.dtn_exterior_eigenvalue(1, cone, lam)
+        closed = 1.0 / (2 * cone.R) - 1j * lam
+        assert abs(mu - closed) < 1e-12 * abs(closed)
+
+
+def test_dtn_domain_errors():
+    cone = ConeCircle(k=1, R=2.0)
+    with pytest.raises(DomainError):
+        cones.dtn_exterior_eigenvalue(1, cone, 0.5 - 0.5j)
+    with pytest.raises(DomainError):
+        cones.dtn_exterior_eigenvalue(1, cone, 0.0)
+
+
+def test_dtn_hankel_overflow_is_loss_of_precision():
+    # H_800 overflows at |lambda R| ~ 1e-8: a typed error, never a NaN
+    with pytest.raises(LossOfPrecision):
+        cones.dtn_exterior_eigenvalue(800, ConeCircle(k=1, R=1.0),
+                                      1e-8 * (1 + 1j))
+
+
 def test_detstar_closed_forms():
     assert abs(cones.detstar_N0_model(ConeCircle(1, 1.0)) - 2 * np.pi) < 1e-12
     assert abs(cones.detstar_N0_model(ConeCircle(2, 1.0)) - 4 * np.pi) < 1e-12
@@ -131,7 +173,7 @@ def test_detzeta_flat_plane_structure():
     cone = ConeCircle(k=1, R=1.0)
     t = 0.8
     for n in (0, 1, 3):
-        closed = cones.jump_eigenvalue_neg_energy(n, cone, t)
+        closed = cones.jump_eigenvalue(n, cone, 1j * t)
         iv = sps.iv(n, t)
         kv = sps.kv(n, t)
         interior = t * sps.ivp(n, t) / iv

@@ -25,10 +25,9 @@ EXPORTED = {
     "cones": ("ConeCircle", "detstar_N0_model", "detzeta_N_model",
               "dtn_exterior_eigenvalue", "dtn_zero_spectrum",
               "mu0_asymptotic_fit", "spectral_shift_asymptotic"),
-    "curves": ("CurvePoint", "Genus0Cover", "HyperellipticCurve"),
-    "specfun": ("RiemannMatrix", "ThetaCharacteristic", "hankel1",
-                "poly_roots", "resultant", "riemann_theta", "schwarzian",
-                "theta1_prime"),
+    "curves": ("CurvePoint", "HyperellipticCurve"),
+    "specfun": ("RiemannMatrix", "ThetaCharacteristic", "poly_roots",
+                "resultant", "riemann_theta", "schwarzian", "theta1_prime"),
     "taufn": ("RationalCoverP1", "TauValue", "m_polynomial", "tau_genus0",
               "tau_genus1", "tau_genus2", "tau_polynomial", "tau_three_poles"),
     "variational": ("CubicFamily", "clue_identity_check",
@@ -40,13 +39,13 @@ EXPORTED = {
 ALL_NAMES = {name for names in EXPORTED.values() for name in names}
 
 
-def loaded_after(code):
-    """Which of numpy / scipy.special a fresh interpreter has loaded after
-    running ``code``; the answer is the last line of its stdout."""
+def loaded_after(code, modules=("numpy", "scipy.special")):
+    """Which of ``modules`` a fresh interpreter has loaded after running
+    ``code``; the answer is the last line of its stdout."""
     script = code + (
         "\nimport json, sys\n"
         "print(json.dumps({m: m in sys.modules "
-        "for m in ('numpy', 'scipy.special')}))\n"
+        f"for m in {tuple(modules)!r}}}))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run([sys.executable, "-c", script], env=env, cwd=ROOT,
@@ -105,6 +104,17 @@ def test_cone_closed_form_loads_no_scipy_special():
 def test_cones_import_loads_no_scipy_special():
     loaded = loaded_after("import hurwitztau.cones")
     assert loaded == {"numpy": True, "scipy.special": False}
+
+
+@pytest.mark.parametrize("code", [
+    "import hurwitztau.cones",
+    cli_run("cone", "det-n0", "--k", "2"),
+], ids=["import", "det-n0"])
+def test_cones_load_no_specfun_or_polynomial(code):
+    # the cone layer calls SciPy's Bessel functions itself: neither the
+    # theta/polynomial kernel nor numpy.polynomial comes with it
+    loaded = loaded_after(code, ("hurwitztau.specfun", "numpy.polynomial"))
+    assert loaded == {"hurwitztau.specfun": False, "numpy.polynomial": False}
 
 
 def test_all_is_the_exported_names():

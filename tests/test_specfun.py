@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy.special import gamma as cgamma
-from scipy.special import jv
 
 from hurwitztau import specfun
 from hurwitztau.errors import (
@@ -13,7 +12,6 @@ from hurwitztau.errors import (
 )
 from mp_oracles import theta_mp
 from oracles import (
-    hankel1_0_series,
     resultant_roots_oracle,
     theta1_prime_qseries,
     theta_box_oracle,
@@ -22,29 +20,8 @@ from oracles import (
 
 
 # ---------------------------------------------------------------------------
-# Hankel / Bessel
+# Bessel
 # ---------------------------------------------------------------------------
-
-def test_hankel1_small_argument_log_behavior():
-    # H_0(i t) ~ (2i/pi) log t as t -> 0+, checked against the series oracle
-    for t in (1e-2, 1e-3, 1e-4):
-        z = 1j * t
-        val = specfun.hankel1(0.0, z)
-        oracle = hankel1_0_series(z)
-        assert abs(val - oracle) < 1e-10 * abs(oracle)
-        assert abs(val / ((2j / np.pi) * np.log(t)) - 1.0) < 2.5 / abs(np.log(t))
-
-
-def test_hankel1_half_integer_closed_form():
-    for z in (0.7, 2.0 + 1.0j, 5.0 + 0.2j):
-        z = complex(z)
-        val = specfun.hankel1(0.5, z)
-        closed = np.sqrt(2.0 / (np.pi * z)) * (np.sin(z) - 1j * np.cos(z))
-        assert abs(val - closed) < 1e-12 * abs(closed)
-        jval = jv(0.5, z)
-        jclosed = np.sqrt(2.0 / (np.pi * z)) * np.sin(z)
-        assert abs(jval - jclosed) < 1e-12 * abs(jclosed)
-
 
 def test_bessel_wronskian_identity_grid():
     # J_nu Y'_nu - J'_nu Y_nu = 2/(pi z) across a (nu, z) grid
@@ -58,49 +35,11 @@ def test_bessel_wronskian_identity_grid():
             assert abs(lhs - 2 / (np.pi * z)) < 1e-9 * abs(2 / (np.pi * z))
 
 
-def test_hankel1_domain_errors():
-    with pytest.raises(DomainError):
-        specfun.hankel1(0.5, 0.0)
-    with pytest.raises(DomainError):
-        specfun.hankel1(0.5, 1.0 - 1.0j)
-    with pytest.raises(DomainError):
-        specfun.hankel1(-1.0, 1.0)
-
-
-def test_hankel1_loss_of_precision_flagged():
-    from hurwitztau.errors import LossOfPrecision
-
-    with pytest.raises(LossOfPrecision):
-        specfun.hankel1(800.0, 1e-8j)
-
-
 def test_theta_truncation_cap():
     from hurwitztau.errors import TruncationFailure
 
     with pytest.raises(TruncationFailure):
         specfun.riemann_theta([0.0 + 4000.0j], [[0.01j]])
-
-
-def test_hankel1_deriv_domain_error():
-    with pytest.raises(DomainError):
-        specfun.hankel1_deriv(0.5, 1.0 - 1.0j)
-    with pytest.raises(DomainError):
-        specfun.hankel1_deriv(0.5, 0.0)
-
-
-def test_hankel1_deriv_loss_of_precision_flagged():
-    from hurwitztau.errors import LossOfPrecision
-
-    with pytest.raises(LossOfPrecision):
-        specfun.hankel1_deriv(800.0, 1e-8j)
-
-
-def test_hankel1_deriv_vs_fd():
-    for nu in (0.0, 0.37, 1.5):
-        z = 2.0 + 0.5j
-        h = 1e-6
-        fd = (specfun.hankel1(nu, z + h) - specfun.hankel1(nu, z - h)) / (2 * h)
-        assert abs(specfun.hankel1_deriv(nu, z) - fd) < 1e-8 * abs(fd)
 
 
 # ---------------------------------------------------------------------------

@@ -219,10 +219,10 @@ def test_clue_identity(g1, g2):
 
 
 # ---------------------------------------------------------------------------
-# Newton moduli motion
+# closed-form moduli motion of the cubic family
 # ---------------------------------------------------------------------------
 
-def test_newton_inversion_moves_one_critical_value():
+def test_closed_form_inversion_moves_one_critical_value():
     fam = V.CubicFamily(-2.0 + 0.8j, 0.5 - 0.3j)
     z0 = fam.critical_values()
     dz = 1e-4 + 2e-4j
@@ -230,6 +230,34 @@ def test_newton_inversion_moves_one_critical_value():
     z1 = V.CubicFamily(a, b).critical_values()
     assert abs(z1[0] - (z0[0] + dz)) < 1e-12
     assert abs(z1[1] - z0[1]) < 1e-12
+    # the moved point is the critical point nearest the base w_0, also where
+    # the two critical points share a real part and their sorted order flips
+    for fam in (fam, V.CubicFamily(1.0, 2.0)):
+        w0 = fam.critical_points()[0]
+        z0 = fam.critical_values()
+        for dz in (1e-6, -1e-6, 1e-6j, -1e-6j):
+            a, b = fam.move_critical_value(0, dz)
+            moved = V.CubicFamily(a, b)
+            w = moved.critical_points()
+            nearest = int(np.argmin(np.abs(w - w0)))
+            assert abs(moved.critical_values()[nearest] - (z0[0] + dz)) \
+                < 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("a, b", [
+    (1.0, 2.0), (3.0, 0.5), (0.2, -1.0), (1.0, 2.0j), (-3.0, 0.0),
+    (-2.0 + 0.8j, 0.5 - 0.3j),
+])
+def test_vardwa_genus0_fd_matches_contour(a, b, m):
+    # with a real and positive the critical points +-i sqrt(a/3) share a
+    # real part, so a +-h move flips their sorted order: the FD side must
+    # still move the point the contour side labels m
+    fam = V.CubicFamily(a, b)
+    rhs = V.vardwa_rhs_genus0(RationalCoverP1(fam.coeffs()), m)
+    fd, anti = fam.dln_tau_fd(m)
+    assert abs(fd - rhs.value) < 1e-6
+    assert abs(anti) < 1e-6
 
 
 def test_contour_certificates_present(g1):
