@@ -71,33 +71,20 @@ def test_dtn_symmetry_in_n():
 
 
 def test_dtn_hankel_route_matches_series():
-    # exterior eigenvalue through the Hankel ratio at a generic complex
-    # lambda, cross-checked with the ascending-series oracle at nu = 0
+    # exterior eigenvalue through the Hankel ratio at generic complex
+    # lambda, cross-checked with the ascending-series oracle at nu = 0; as
+    # lambda -> 0, H_0(z) ~ (2i/pi) log z gives mu_0 ~ -1 / (R log lambda R)
     cone = ConeCircle(k=1, R=1.0)
-    lam = 0.31 + 0.17j
-    mu = cones.dtn_exterior_eigenvalue(0, cone, lam)
     h = 1e-6
-    H = hankel1_0_series(lam)
-    dH = (hankel1_0_series(lam * (1 + h)) - hankel1_0_series(lam * (1 - h))) \
-        / (2 * lam * h)
-    oracle = -lam * dH / H
-    assert abs(mu - oracle) < 1e-6 * abs(oracle)
-
-
-def test_dtn_small_lambda_log_law_off_axis():
-    # H_0(z) ~ (2i/pi) log z as z -> 0, so mu_0 ~ -1 / (R log(lambda R))
-    # off the imaginary axis too; the ascending series is the oracle
-    cone = ConeCircle(k=1, R=1.0)
-    for t in (1e-2, 1e-3, 1e-4):
-        lam = t * cmath.exp(0.3j)
+    for lam in [0.31 + 0.17j] + [t * cmath.exp(0.3j) for t in (1e-2, 1e-4)]:
         mu = cones.dtn_exterior_eigenvalue(0, cone, lam)
-        h = 1e-6
         H = hankel1_0_series(lam)
         dH = (hankel1_0_series(lam * (1 + h))
               - hankel1_0_series(lam * (1 - h))) / (2 * lam * h)
         oracle = -lam * dH / H
         assert abs(mu - oracle) < 1e-6 * abs(oracle)
-        assert abs(mu * -np.log(lam) - 1.0) < 2.5 / abs(np.log(t))
+        if abs(lam) < 0.1:
+            assert abs(mu * -np.log(lam) - 1.0) < 2.5 / abs(np.log(abs(lam)))
 
 
 def test_dtn_half_integer_order_closed_form():
@@ -108,14 +95,6 @@ def test_dtn_half_integer_order_closed_form():
         mu = cones.dtn_exterior_eigenvalue(1, cone, lam)
         closed = 1.0 / (2 * cone.R) - 1j * lam
         assert abs(mu - closed) < 1e-12 * abs(closed)
-
-
-def test_dtn_domain_errors():
-    cone = ConeCircle(k=1, R=2.0)
-    with pytest.raises(DomainError):
-        cones.dtn_exterior_eigenvalue(1, cone, 0.5 - 0.5j)
-    with pytest.raises(DomainError):
-        cones.dtn_exterior_eigenvalue(1, cone, 0.0)
 
 
 def test_dtn_hankel_overflow_is_loss_of_precision():
@@ -352,6 +331,8 @@ def test_cone_validation():
         ConeCircle(k=1, R=-1.0)
     with pytest.raises(DomainError):
         cones.dtn_exterior_eigenvalue(0, ConeCircle(1, 1.0), 0.0)
+    with pytest.raises(DomainError):
+        cones.dtn_exterior_eigenvalue(1, ConeCircle(1, 2.0), 0.5 - 0.5j)
 
 
 def test_dtn_table_rows():
