@@ -400,7 +400,7 @@ def cmd_cone_dtn(args):
             w.writerow(["n", "lam_re", "lam_im", "mu_re", "mu_im"])
             for n, lm, mu in rows:
                 w.writerow([n, lm.real, lm.imag, mu.real, mu.imag])
-    zero = cones.dtn_zero_spectrum(cone, n_max=8)
+    zero = cones.dtn_zero_spectrum(cone, n_last=8)
     return {
         "inputs": {"k": args.k, "R": args.R},
         "outputs": {

@@ -11,6 +11,8 @@ Im lambda >= 0; "negative energy" means lambda = i t, t > 0.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,7 +24,7 @@ from .errors import (
     HankelZero,
     LossOfPrecision,
     PhaseUnwrappingFailure,
-    TailModelMismatch,
+    TruncationFailure,
 )
 
 __all__ = [
@@ -39,8 +41,15 @@ __all__ = [
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
-_TAIL_TOL = 1e-8    # mode-sum truncation certificate of detzeta_N_model
+_TAIL_TOL = 1e-8    # largest tail remainder bound detzeta_N_model accepts
 _BLOCK = 128        # modes per direct Bessel-product block of detzeta_N_model
+_SERIES_X = 0.5     # |lambda R| up to which the mode sum makes no SciPy call
+_NU_TAIL = 24.0     # lowest order at which the closed-form tail may start
+_TAIL_TERMS = 5     # K: terms of S_nu that the tail expands
+_TAIL_ORDER = 14    # Q: powers of 1/nu^2 that the tail sums in closed form
+_CAUCHY_NODES = 64  # nodes of the circle integral at (near-)integer orders
+_CAUCHY_RADIUS = 0.25
+_MAX_MODES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -71,32 +80,86 @@ def _on_imag_axis(lam):
     return abs(lam.real) < 1e-14 * abs(lam)
 
 
+# order-0 and order-1 ascending series: 12 terms hold to rounding for
+# |z| <= _SERIES_X
+_HARMONIC = [sum(1.0 / j for j in range(1, k + 1)) for k in range(13)]  # H_0..H_12
+
+
+def _order0_sums(w):
+    """(sum_{k>=0} w^k / k!^2, sum_{k>=1} H_k w^k / k!^2), H_k the harmonic
+    numbers: with w = z^2/4 they build I_0 and K_0 (DLMF 10.25.2, 10.31.2),
+    with w = -z^2/4 J_0 and Y_0 (DLMF 10.2.2, 10.8.2)."""
+    term, total, weighted = 1.0, 1.0, 0.0
+    for k in range(1, 13):
+        term *= w / (k * k)
+        total += term
+        weighted += _HARMONIC[k] * term
+    return total, weighted
+
+
+def _k01(y):
+    """(I_0(y), K_0(y), K_1(y)) for 0 < y <= _SERIES_X, by DLMF 10.31.2 and
+    10.31.1."""
+    w = y * y / 4
+    i0, h = _order0_sums(w)
+    log_half = math.log(y / 2)
+    k0 = -(log_half + EULER_GAMMA) * i0 + h
+    # b_k = w^k / (k! (k+1)!); psi(k+1) + psi(k+2) = H_k + H_{k+1} - 2 gamma
+    b, i1, psi = 1.0, 1.0, 1.0 - 2 * EULER_GAMMA
+    for k in range(1, 12):
+        b *= w / (k * (k + 1))
+        i1 += b
+        psi += b * (_HARMONIC[k] + _HARMONIC[k + 1] - 2 * EULER_GAMMA)
+    k1 = 1.0 / y + log_half * (y / 2) * i1 - (y / 4) * psi
+    return i0, k0, k1
+
+
+def _j0_h0(z):
+    """(J_0(z), H_0(z)) for 0 < |z| <= _SERIES_X, Im z >= 0, by DLMF 10.2.2
+    and 10.8.2 on the principal branch of log."""
+    j0, h = _order0_sums(-z * z / 4)
+    y0 = (2 / np.pi) * ((cmath.log(z / 2) + EULER_GAMMA) * j0 - h)
+    return j0, j0 + 1j * y0
+
+
 def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
     """Exterior DtN eigenvalue mu_n(lambda) = -d_r H_nu(lambda r)|_R / H_nu(lambda R).
 
     Defined for Im lambda >= 0, lambda != 0; mu_n = mu_{-n}.  On the positive
-    imaginary axis the Hankel ratio is evaluated through the modified Bessel
-    K (numerically stable down to arbitrarily small |lambda|): there
-    mu_n(i t) = -t K_nu'(t R) / K_nu(t R) > 0.  Elsewhere H_nu' is the
-    two-sided recurrence (H_{nu-1} - H_{nu+1}) / 2, and a non-finite H_nu or
-    H_nu' (AMOS overflow) raises LossOfPrecision.
+    imaginary axis, mu_n(i t) = -t K_nu'(x) / K_nu(x) = t (nu / x + r_nu),
+    x = t R, with the ratio r_nu = K_{nu-1}(x) / K_nu(x) carried up from the
+    fractional order f = nu - floor(nu) by r_{nu+1} = 1 / (r_nu + 2 nu / x)
+    (DLMF 10.29.1), so no K_nu is formed and nothing overflows; r_f comes
+    from SciPy's scaled K, or at f = 0 and x <= _SERIES_X from the series
+    of K_0 and K_1.  Elsewhere H_nu' is the two-sided recurrence
+    (H_{nu-1} - H_{nu+1}) / 2, and a non-finite H_nu or H_nu' (AMOS
+    overflow) raises LossOfPrecision.
     """
     lam = complex(lam)
     if lam == 0:
         raise DomainError("use dtn_zero_spectrum for lambda = 0")
     if lam.imag < -1e-12 * abs(lam):
         raise DomainError("require Im lambda >= 0")
-    import scipy.special as sps   # deferred: only the Bessel paths need SciPy
-
     nu = cone.nu(n)
     if _on_imag_axis(lam):
         t = lam.imag
         x = t * cone.R
-        kv = sps.kve(nu, x)
-        kvp = -(sps.kve(nu - 1.0, x) + sps.kve(nu + 1.0, x)) / 2.0
-        if kv == 0 or not np.isfinite(kv):
-            raise HankelZero(f"K_nu(t R) unusable at nu={nu}, t={t}")
-        return complex(-t * kvp / kv)
+        frac = nu - math.floor(nu)
+        if frac == 0.0 and x <= _SERIES_X:
+            _, k0, k1 = _k01(x)
+            r = k1 / k0
+        else:
+            import scipy.special as sps   # deferred: only this path needs SciPy
+
+            r = sps.kve(1.0 - frac, x) / sps.kve(frac, x)
+            if not (np.isfinite(r) and r > 0):
+                raise LossOfPrecision(
+                    f"K_nu ratio unusable at nu={frac}, t={t}")
+        for i in range(math.floor(nu)):
+            r = 1.0 / (r + 2.0 * (frac + i) / x)
+        return complex(t * (nu / x + r))
+    import scipy.special as sps
+
     z = lam * cone.R
     denom = complex(sps.hankel1(nu, z))
     deriv = complex((sps.hankel1(nu - 1.0, z)
@@ -109,12 +172,12 @@ def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
     return -lam * deriv / denom
 
 
-def dtn_zero_spectrum(cone: ConeCircle, n_max=20):
+def dtn_zero_spectrum(cone: ConeCircle, n_last=20):
     """Zero-energy exterior DtN spectrum {|n| / (k R^2)}, n in Z.
 
     Multiplicity 2 for n != 0 (modes +-n), 1 for n = 0.
     """
-    n = np.arange(0, n_max + 1)
+    n = np.arange(0, n_last + 1)
     mu = n / (cone.k * cone.R ** 2)
     mult = np.where(n == 0, 1, 2)
     return n, mu, mult
@@ -140,14 +203,25 @@ def jump_eigenvalue(n, cone: ConeCircle, lam):
     """Jump-operator eigenvalue mu_n(lambda) = -2i / (pi R J_nu(lambda R) H_nu(lambda R)),
     valid for Im lambda >= 0, lambda != 0 (interior Bessel-J sector DtN plus
     the exterior Hankel DtN, combined by the Wronskian).  At lambda = i t,
-    t > 0, it is the real closed form 1 / (R I_nu(t R) K_nu(t R)) > 0."""
+    t > 0, it is the real closed form 1 / (R I_nu(t R) K_nu(t R)) > 0.
+    At n = 0 and |lambda R| <= _SERIES_X the Bessel values are the
+    ascending series of ``_k01`` and ``_j0_h0``, with no SciPy call."""
+    lam = complex(lam)
+    if lam == 0:
+        raise DomainError("lambda must be nonzero")
+    nu = cone.nu(n)
+    axis = _on_imag_axis(lam)
+    if axis and lam.imag <= 0:
+        raise DomainError("t must be positive for negative energy")
+    if nu == 0 and abs(lam) * cone.R <= _SERIES_X:
+        if axis:
+            i0, k0, _ = _k01(lam.imag * cone.R)
+            return 1.0 / (cone.R * i0 * k0)
+        J, H = _j0_h0(lam * cone.R)
+        return -2j / (np.pi * cone.R * J * H)
     import scipy.special as sps
 
-    lam = complex(lam)
-    nu = cone.nu(n)
-    if _on_imag_axis(lam):
-        if lam.imag <= 0:
-            raise DomainError("t must be positive for negative energy")
+    if axis:
         x = lam.imag * cone.R
         prod = sps.ive(nu, x) * sps.kve(nu, x)   # I K with exact exponent cancel
         return 1.0 / (cone.R * prod)
@@ -159,34 +233,297 @@ def jump_eigenvalue(n, cone: ConeCircle, lam):
     return -2j / (np.pi * cone.R * denom)
 
 
-def _log_eps_tail(nu, lam_R_sq):
-    """log(mu_n R / (2 nu)) fallback for orders where the direct Bessel
-    product under/overflows; analytic in s = (lambda R)^2.
+# ---------------------------------------------------------------------------
+# mode sum: product split per mode, closed-form tail
+# ---------------------------------------------------------------------------
 
-    Small-argument product: mu_n = (2 nu / R)(1 - s/(2(nu^2-1)) + ...);
-    otherwise the uniform (Debye) product expansion with z^2 = -s/nu^2:
-    I K = (1/(2 nu)) (1+z^2)^{-1/2} [1 + (t^2 - 6 t^4 + 5 t^6)/(8 nu^2)],
-    t^2 = 1/(1+z^2).
+_EM_B = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730]) \
+    / np.array([math.factorial(2 * j) for j in range(1, 7)])
+_EM_NEXT = (7 / 6) / math.factorial(14)
+_EM_POW = 1.0 - 2 * np.arange(1, 7)
+_ZETA_DIRECT = np.arange(8.0)
+
+
+def _zeta_scaled(sig, a, c):
+    """c^sig zeta(sig, a) = sum_{n>=0} (c / (a + n))^sig for an array of
+    sig > 1 and a, c > 0: 8 terms summed, then Euler-Maclaurin (DLMF 2.10.1)
+    with B_2 .. B_12.  Returns (values, remainder bounds); each bound is the
+    first omitted term, which bounds the remainder since every derivative of
+    n^-sig keeps one sign."""
+    direct = ((c / (a + _ZETA_DIRECT)) ** sig[:, None]).sum(axis=1)
+    b = a + len(_ZETA_DIRECT)
+    cb = (c / b) ** sig
+    poch = np.cumprod(sig[:, None] + np.arange(13.0), axis=1)   # (sig)_1..13
+    em = b / (sig - 1) + 0.5 + (poch[:, 0:12:2] * _EM_B * b ** _EM_POW).sum(axis=1)
+    return direct + cb * em, cb * _EM_NEXT * poch[:, 12] * b ** -13.0
+
+
+_KS = np.arange(1.0, 41.0)
+_S_RATIO = (2 * _KS - 1) / (2 * _KS)                   # C(2k,k) / (4 C(2k-2,k-1))
+
+
+def _series_terms(x):
+    """Terms of each series past the first: 12 hold to rounding for
+    |x| <= _SERIES_X, 40 past the turning point |x| < nu / 2."""
+    return 12 if abs(x) <= _SERIES_X else 40
+
+
+def _S(nu, s, terms, den=None):
+    """S_nu(s) = sum_k C(2k, k) (-s/4)^k / prod_{j<=k} (j^2 - nu^2), first
+    ``terms`` + 1 terms, at an array of orders (real or complex, none an
+    integer up to ``terms``); ``den`` may hold (k - nu)(k + nu), k = 1..terms."""
+    if den is None:
+        # (k - nu) is exact near k, so the pole terms keep their relative accuracy
+        den = (_KS[:terms] - nu[:, None]) * (_KS[:terms] + nu[:, None])
+    return 1.0 + np.cumprod((-s * _S_RATIO[:terms]) / den, axis=1).sum(axis=1)
+
+
+def _j2_part(nu, s, log_half, log_gamma, cot, terms):
+    """pi nu J_nu(x)^2 (i - cot nu pi) at an array of non-integer orders,
+    from x^2 = s, log(x/2) = log_half (principal branch),
+    log_gamma = log Gamma(1 + nu) and cot = cot nu pi; the ascending series
+    of J_nu (DLMF 10.2.2) has ``terms`` + 1 terms."""
+    k = _KS[:terms]
+    series = 1.0 + np.cumprod((-s / 4) / (k * (nu[:, None] + k)), axis=1).sum(axis=1)
+    return (np.pi * nu * np.exp(2 * nu * log_half - 2 * log_gamma)
+            * series ** 2 * (1j - cot))
+
+
+_DELTA = _CAUCHY_RADIUS * np.exp(2j * np.pi * np.arange(_CAUCHY_NODES)
+                                 / _CAUCHY_NODES)
+_COT_DELTA = np.cos(np.pi * _DELTA) / np.sin(np.pi * _DELTA)
+
+
+def _log_gamma_at_nodes():
+    """log Gamma(1 + delta) at the circle offsets ``_DELTA``, from
+    -gamma delta + sum_{k>=2} zeta(k) (-delta)^k / k (DLMF 5.7.3); 30 terms
+    at |delta| = 1/4."""
+    k = np.arange(2.0, 32.0)
+    zeta_k = _zeta_scaled(k, 1.0, 1.0)[0]
+    return -EULER_GAMMA * _DELTA \
+        + ((-_DELTA[:, None]) ** k * (zeta_k / k)).sum(axis=1)
+
+
+_LOG_GAMMA_NODES = _log_gamma_at_nodes()
+
+
+class _Orders:
+    """An array of orders nu > 0 with what ``_series_eps`` needs of them
+    alone: nearest integers m, |sin| and |cos| of pi (nu - m) and cot nu pi
+    (exact, nu - m being exact), the denominators of S_nu's term ratios,
+    log Gamma(1 + nu), and the pieces of the J^2 bound."""
+
+    def __init__(self, nu, terms):
+        self.nu, self.terms = nu, terms
+        self.m = np.rint(nu)
+        d = np.pi * (nu - self.m)
+        self.sin = np.abs(np.sin(d))
+        self.cos = np.abs(np.cos(d))
+        exact = self.sin == 0
+        self.cot = np.cos(d) / np.where(exact, 1.0, np.sin(d))
+        self.den = (_KS[:terms] - nu[:, None]) * (_KS[:terms] + nu[:, None])
+        self.log_gamma = np.array([math.lgamma(1 + v) for v in nu])
+        self.two_nu = 2 * nu
+        self.two_nu_log_nu = self.two_nu * np.log(nu)
+        self.inv = 1 / (2 * (nu + 1))
+        self.positive = self.m >= 1
+        # S meets its pole at an integer order up to ``terms``
+        self.pole = exact & self.positive & (self.m <= terms)
+        # J^2 threshold: 1e-18 |sin|, never met at an integer order
+        self.floor = np.where(exact, np.inf, 1e-18 * self.sin)
+        self.sin_cos = self.sin + self.cos
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+@lru_cache(maxsize=8)
+def _cone_orders(kR, N):
+    """``_Orders`` of nu_n = n / (k R), n = 1..N, for |x| <= _SERIES_X: the
+    same for every such lambda of a cone (arrays read-only, being shared)."""
+    orders = _Orders(np.arange(1, N + 1) / kR, _series_terms(0.0))
+    _read_only(*(a for a in vars(orders).values() if isinstance(a, np.ndarray)))
+    return orders
+
+
+def _series_eps(orders, x, pure_imag):
+    """eps_n = -log P_n at the ``_Orders`` given, with no Bessel-function
+    call, where P = pi nu J_nu(x) H_nu(x) / (-i) (= 2 nu I_nu K_nu at
+    x = i t R) is split as
+
+      P = S_nu(x^2) + pi nu J_nu(x)^2 (i - cot nu pi)
+
+    (DLMF 10.8.3 with Y_nu through J_{+-nu}; on the imaginary axis it reads
+    2 nu I K = S_nu(-t^2 R^2) - pi nu I_nu^2 / sin nu pi).  Near an integer
+    m the two parts share a pole that cancels in P, so where
+    |pi nu J_nu^2 cot nu pi| may exceed 1 (bounded above through Stirling's
+    lower bound on Gamma(1 + nu)) P is the Cauchy integral over the circle
+    |zeta - m| = _CAUCHY_RADIUS, on which the split is well conditioned (P is
+    entire in nu), by the trapezoid rule on _CAUCHY_NODES nodes; so is it
+    where S meets its pole at an integer order.  An integer order past the
+    series' terms whose J^2 bound is below 1e-30 keeps S alone, and the J^2
+    part is skipped where it, and the pole it cancels, are below 1e-18.
+    Returns (eps, certificate): the largest change of such an eps when
+    every other node is dropped (0 if no order took the circle).
     """
-    s = complex(lam_R_sq)
-    z2 = -s / nu ** 2
-    out = np.empty(len(nu), dtype=complex)
-    small = np.abs(z2) < 1e-6
-    out[small] = np.log1p(-s / (2 * (nu[small] ** 2 - 1.0)))
-    zz2 = z2[~small]
-    t2 = 1.0 / (1.0 + zz2)
-    corr = (t2 - 6 * t2 ** 2 + 5 * t2 ** 3) / (8 * nu[~small] ** 2)
-    out[~small] = 0.5 * np.log1p(zz2) - np.log1p(corr)
-    return out
+    o = orders
+    x = complex(x)
+    s = x * x
+    log_half = cmath.log(x / 2)
+    # bound on |pi nu J_nu(x)^2| from Gamma(1 + nu) >= sqrt(2 pi nu) (nu/e)^nu
+    j2_bound = 0.5 * np.exp(o.two_nu * math.log(np.e * abs(x) / 2)
+                            - o.two_nu_log_nu + abs(s) * o.inv)
+    near = o.positive & (j2_bound * o.cos > o.sin) & (j2_bound > 1e-30) | o.pole
+    cert = 0.0
+    if not near.any():
+        P = _S(o.nu, s, o.terms, o.den)
+    else:
+        P = np.empty(o.nu.shape, dtype=complex)
+        P[~near] = _S(o.nu[~near], s, o.terms, o.den[~near])
+        centre = o.m[near]
+        zeta = centre[:, None] + _DELTA
+        # log Gamma(1 + m + delta) = log Gamma(1 + delta) + sum_{i<=m} log(i + delta)
+        steps = np.cumsum(np.log(np.arange(1.0, centre.max() + 1)[:, None] + _DELTA),
+                          axis=0)
+        log_gamma = _LOG_GAMMA_NODES + steps[centre.astype(int) - 1]
+        flat = zeta.ravel()
+        Pz = (_S(flat, s, o.terms)
+              + _j2_part(flat, s, log_half, log_gamma.ravel(),
+                         np.tile(_COT_DELTA, len(centre)), o.terms)) \
+            .reshape(zeta.shape) * _DELTA / (zeta - o.nu[near][:, None])
+        P[near] = Pz.mean(axis=1)
+        cert = float(np.max(np.abs(np.log(Pz[:, ::2].mean(axis=1) / P[near]))))
+    with_j2 = np.flatnonzero(~near & (j2_bound * o.sin_cos > o.floor))
+    if with_j2.size:
+        P[with_j2] += _j2_part(o.nu[with_j2], s, log_half, o.log_gamma[with_j2],
+                               o.cot[with_j2], o.terms)
+    # P = 2 nu I K > 0 on the imaginary axis
+    return (-np.log(P.real) if pure_imag else -np.log(P)), cert
 
 
-@lru_cache(maxsize=32)
-def _trigamma(n):
-    """psi'(n) = sum_{m >= n} 1/m^2, the tail model's mode sum; one SciPy
-    call per mode count."""
-    import scipy.special as sps
+def _mode_eps(nu, x, pure_imag):
+    """``_series_eps`` at an array of orders nu."""
+    return _series_eps(_Orders(nu, _series_terms(x)), x, pure_imag)
 
-    return float(sps.polygamma(1, n))
+
+def _tail_start(kR, x_abs, scanned=0):
+    """N, the number of modes summed term by term: at least the ``scanned``
+    modes, and every order past nu_{N+1} = (N + 1) / (k R) is at least
+    _NU_TAIL, 4 |x|^2 + 2 and e |x| + 2, where the tail bound of ``_tail``
+    holds.  Past _MAX_MODES it raises TruncationFailure."""
+    nu_t = max(_NU_TAIL, 4 * x_abs ** 2 + 2, np.e * x_abs + 2)
+    N = max(math.ceil(nu_t * kR), scanned)
+    if N > _MAX_MODES:
+        raise TruncationFailure(
+            f"the tail at |lambda R| = {x_abs} starts past {_MAX_MODES} modes")
+    return N
+
+
+@lru_cache(maxsize=1)
+def _tail_coefficients():
+    """E with -log S_{<K}(u) = sum_{q=1..Q} u^q sum_{p=1..Q} E[q-1, p-1] s^p
+    + O(u^{Q+1}),
+    where S_{<K}(u) = sum_{k<K} C(2k, k) (s u / 4)^k / prod_{j<=k} (1 - j^2 u)
+    is S_nu(s) cut at K = _TAIL_TERMS terms, written in u = 1/nu^2, and
+    Q = _TAIL_ORDER: power-series arithmetic in u with polynomial
+    coefficients in s."""
+    K, Q = _TAIL_TERMS, _TAIL_ORDER
+    S = np.zeros((Q + 1, Q + 1))     # S[q, p]: coefficient of u^q s^p
+    S[0, 0] = 1.0
+    g = np.zeros(Q + 1)              # u^k / prod_{j<=k} (1 - j^2 u)
+    g[0] = 1.0
+    c = 1.0                          # C(2k, k) / 4^k
+    for k in range(1, K):
+        g = np.concatenate(([0.0], g[:-1]))
+        for q in range(1, Q + 1):
+            g[q] += k * k * g[q - 1]
+        c *= (2 * k - 1) / (2 * k)
+        S[:, k] += c * g
+    L = np.zeros_like(S)             # log S, from S L' = S'
+    for q in range(1, Q + 1):
+        acc = q * S[q]
+        for i in range(1, q):
+            acc = acc - i * np.convolve(L[i], S[q - i])[:Q + 1]
+        L[q] = acc / q
+    E = -L[1:, 1:]                   # no u^q s^0 term: S = 1 at s = 0
+    _read_only(E)
+    return E
+
+
+def _zeta_upper(sig, b, c):
+    """Upper bound c^sig (b^-sig + b^(1-sig) / (sig - 1)) of
+    sum_{n>=b} (c / n)^sig, b > 0."""
+    return (c / b) ** sig * (1 + b / (sig - 1))
+
+
+@lru_cache(maxsize=16)
+def _tail_zeta(N, kR):
+    """``_zeta_scaled`` at sig = 2, 4, .., 2Q, a = N + 1, c = k R: the
+    same for every lambda of a cone whose tail starts at N."""
+    zeta, rem = _zeta_scaled(2.0 * np.arange(1, _TAIL_ORDER + 1), N + 1.0, kR)
+    _read_only(zeta, rem)
+    return zeta, rem
+
+
+_J2_MAJORANT = (1 + 1.1) * math.exp(math.pi) * math.cosh(math.pi / 2)
+
+
+def _tail(s, kR, N):
+    """(sum_{n>N} eps_n, bound on the error of that value) at s = (lambda R)^2.
+
+    With u_n = 1/nu_n^2 = (k R / n)^2, the sum is
+
+      sum_{q=1..Q} e_q(s) (k R)^{2q} zeta(2q, N + 1),
+
+    e_q the coefficients of -log S_{<K} (``_tail_coefficients``) and zeta
+    by ``_zeta_scaled``.  The bound adds, over every n > N:
+
+    * R_n = P_n - S_{<K}(nu_n), by the maximum modulus on the circle
+      |nu - m| = 1/2 around the nearest integer m, where P is split as in
+      ``_series_eps`` and no order is within 1/2 of an integer: there
+      |sum_{k>=K} T_k| <= C(2K, K) (|s|/4)^K / prod_{j<=K} (a^2 - j^2)
+      / (1 - 2|s| / (a + K + 1)), a = nu_n - 1 (each later term is at most
+      2|s| / (k + 1 + a) times the one before), and
+      |pi nu J_nu^2 (i - cot nu pi)| <= 2.1 e^pi cosh(pi/2)
+      max(1, |x|/2)^4 e^{|s| / (2(a+1))} (a + 2) / (2a) (e|x| / (2a))^{2a}
+      (a <= Re nu <= a + 2 and |Im nu| <= 1/2 on the circle, DLMF 5.6.7 for
+      1/|Gamma|, |cot| <= coth(pi/2) < 1.1 there, Stirling's lower bound on
+      Gamma(1 + a)); this part falls at least 4-fold per unit of a, since
+      a >= e|x|;
+    * log P_n - log S_{<K} <= 2 |R_n| / (1 - sigma), sigma bounding
+      |S_{<K} - 1| <= (1 - |s| / (nu^2 - K^2))^{-1/2} - 1;
+    * the powers of u past Q, by Cauchy's estimate on |u| = rho =
+      min(1 / (2 (K-1)^2), 1 / (4 |s|)), where |log S_{<K}| <=
+      -log(2 - (1 - 2 |s| rho)^{-1/2});
+    * the Euler-Maclaurin remainders of the zeta values.
+    """
+    K = _TAIL_TERMS
+    sa = abs(s)
+    e = _tail_coefficients() @ np.cumprod(np.full(_TAIL_ORDER, s))
+    zeta, zeta_rem = _tail_zeta(N, kR)
+    tail = e @ zeta
+    nu1 = (N + 1) / kR
+    a1 = nu1 - 1
+    x_abs = math.sqrt(sa)
+    coef_S = math.comb(2 * K, K) * (sa / 4) ** K / (1 - 2 * sa / (a1 + K + 1))
+    first_S = coef_S / (a1 - K) ** (2 * K)
+    sum_S = coef_S * _zeta_upper(2 * K, N + 1 - kR * (1 + K), kR)
+    first_J = _J2_MAJORANT * max(1.0, x_abs / 2) ** 4 \
+        * math.exp(sa / (2 * (a1 + 1))) * (a1 + 2) / (2 * a1) \
+        * (np.e * x_abs / (2 * a1)) ** (2 * a1)
+    sum_J = first_J / (1 - 4.0 ** (-1 / kR))
+    sigma = (1 - sa / (nu1 ** 2 - K ** 2)) ** -0.5 - 1
+    if (first_S + first_J) / (1 - sigma) > 0.5:
+        return tail, math.inf
+    rho = 1 / max(2 * (K - 1) ** 2, 4 * sa)
+    log_max = -math.log(2 - (1 - 2 * sa * rho) ** -0.5)
+    cauchy = log_max / (1 - 1 / (nu1 ** 2 * rho)) \
+        * _zeta_upper(2 * _TAIL_ORDER + 2, N + 1, kR / math.sqrt(rho))
+    bound = 2 * (sum_S + sum_J) / (1 - sigma) + cauchy \
+        + float(np.abs(e) @ zeta_rem)
+    return tail, bound
 
 
 def _where_nonzero(second, first, nb, x):
@@ -197,7 +534,69 @@ def _where_nonzero(second, first, nb, x):
     return out
 
 
-def detzeta_N_model(cone: ConeCircle, lam, n_max=4000):
+def _block_scan(cone: ConeCircle, lam):
+    """SciPy's Bessel product (J H; I K on the imaginary axis) in blocks of
+    ``_BLOCK`` modes of rising nu, up to the first block with no
+    representable product that starts past the turning point
+    nu > 2 |lambda R| + 2: beyond it |J| and I fall, |H| and K rise
+    monotonically in nu, so no later product is representable.  Within a
+    block the second factor (H, or K) is evaluated only where the first (J,
+    or I) is nonzero and taken as 0 elsewhere: there the full product is 0
+    or NaN, and both are rejected as unrepresentable.  Returns (good, eps)
+    over the scanned modes, eps set where good."""
+    import scipy.special as sps
+
+    x = lam * cone.R
+    kR = cone.k * cone.R
+    goods, epss = [], []
+    with np.errstate(all="ignore"):
+        for lo in range(0, _MAX_MODES, _BLOCK):
+            nb = np.arange(lo + 1, lo + _BLOCK + 1) / kR
+            eps = np.empty(_BLOCK, dtype=complex)
+            if _on_imag_axis(lam):
+                tR = lam.imag * cone.R
+                first = sps.ive(nb, tR)
+                prod = first * _where_nonzero(sps.kve, first, nb, tR)
+                good = np.isfinite(prod) & (prod > 0)
+                eps[good] = -np.log(2 * nb[good] * prod[good])
+            else:
+                first = sps.jv(nb, x)
+                prod = first * _where_nonzero(sps.hankel1, first, nb, x)
+                good = np.isfinite(prod) & (np.abs(prod) > 1e-280)
+                # mu_n = -2i/(pi R J H): eps_n = -log(pi nu J H / (-i))
+                eps[good] = -np.log(np.pi * nb[good] * prod[good] / (-1j))
+            goods.append(good)
+            epss.append(eps)
+            if not good.any() and nb[0] > 2 * abs(x) + 2:
+                return np.concatenate(goods), np.concatenate(epss)
+    raise TruncationFailure(
+        f"no end to the representable Bessel products within {_MAX_MODES} "
+        f"modes at lambda R = {x}")
+
+
+def _scanned_eps(cone: ConeCircle, lam, x):
+    """(eps, certificate, scanned) of modes 1..N past |x| > _SERIES_X:
+    SciPy's product where ``_block_scan`` represents it, the split of
+    ``_series_eps`` at the other modes of the scan, all of them past the
+    turning point, and at the modes between the scan and the tail."""
+    pure_imag = _on_imag_axis(lam)
+    kR = cone.k * cone.R
+    good, scan_eps = _block_scan(cone, lam)
+    scanned = len(good)
+    nu = np.arange(1, _tail_start(kR, abs(x), scanned) + 1) / kR
+    if np.any(nu[:scanned][~good] <= 2 * abs(x) + 2):
+        raise LossOfPrecision(
+            f"Bessel product not representable before the turning point "
+            f"at lambda R = {x}")
+    eps = np.empty(len(nu), dtype=float if pure_imag else complex)
+    rest = np.ones(len(nu), dtype=bool)
+    rest[:scanned] = ~good
+    eps[:scanned][good] = scan_eps[good].real if pure_imag else scan_eps[good]
+    eps[rest], cert = _mode_eps(nu[rest], x, pure_imag)
+    return eps, cert, scanned
+
+
+def detzeta_N_model(cone: ConeCircle, lam):
     """log of the zeta-regularized determinant of the Neumann jump operator
     on the model cone at spectral parameter lambda (Im lambda > 0 for real
     values; real lambda gives the analytically continued complex log-det).
@@ -207,86 +606,49 @@ def detzeta_N_model(cone: ConeCircle, lam, n_max=4000):
     zeta_R(0) = -1/2, zeta_R'(0) = -(1/2) log(2 pi):
 
       log det N(lambda) = log mu_0 + log(pi k R^2) + 2 sum_{n>=1} eps_n,
-      eps_n = log(mu_n k R^2 / (2 n)),
+      eps_n = log(mu_n k R^2 / (2 n)) = -log P_n.
 
-    with the residual tail beyond n_max restored through its 1/n^2 model,
-    whose certificate must stay below ``_TAIL_TOL``.  The Bessel product
-    (J H; I K on the imaginary axis) is evaluated in blocks of ``_BLOCK``
-    modes of rising nu, up to the first block with no representable product
-    that starts past the turning point nu > 2 |lambda R| + 2: beyond it |J|
-    and I fall, |H| and K rise monotonically in nu, so no later product is
-    representable.  Within a block the second factor (H, or K) is evaluated
-    only where the first (J, or I) is nonzero and taken as 0 elsewhere:
-    there the full product is 0 or NaN, and both are rejected as
-    unrepresentable, so the sum is exactly the one over every product.  All
-    other modes take the expansion of ``_log_eps_tail``.
-    Returns (log_det, diagnostics); diagnostics["direct_modes"] counts the
-    modes scanned, that is, the modes of the blocks evaluated.
+    The first N modes (``_tail_start``) are summed term by term: where
+    |lambda R| <= _SERIES_X every P_n is the product split of
+    ``_series_eps`` and mu_0 the series of ``jump_eigenvalue``, so no SciPy
+    call is made; past it SciPy's product comes from ``_block_scan``, and
+    the split fills the modes it cannot represent and those past the scan.
+    The modes n > N are summed in closed form by ``_tail``, whose error
+    bound must stay below ``_TAIL_TOL`` (TruncationFailure otherwise).
+    Returns (log_det, diagnostics): "modes" is N, "direct_modes" the modes
+    SciPy scanned (0 where |lambda R| <= _SERIES_X), "tail_bound" the
+    bound, "series_x" the threshold _SERIES_X, and
+    "near_integer_certificate" that of ``_series_eps``.
     """
-    import scipy.special as sps
-
     lam = complex(lam)
     if lam == 0:
         raise DomainError("lambda must be nonzero")
-    kR2 = cone.k * cone.R ** 2
     pure_imag = _on_imag_axis(lam)
+    kR = cone.k * cone.R
+    # x on the imaginary axis is exactly i t R, so that s = -(t R)^2
+    x = 1j * lam.imag * cone.R if pure_imag else lam * cone.R
     mu0 = jump_eigenvalue(0, cone, lam)
-    nu = np.arange(1, n_max + 1) / (cone.k * cone.R)
-    x = lam * cone.R
-
-    def direct(nb):
-        # the product is formed on the whole block, so each representable
-        # one is bitwise the product of the two unmasked factor arrays
-        if pure_imag:
-            tR = lam.imag * cone.R
-            first = sps.ive(nb, tR)
-            prod = first * _where_nonzero(sps.kve, first, nb, tR)
-            good = np.isfinite(prod) & (prod > 0)
-            return good, -np.log(2 * nb[good] * prod[good])
-        first = sps.jv(nb, x)
-        prod = first * _where_nonzero(sps.hankel1, first, nb, x)
-        good = np.isfinite(prod) & (np.abs(prod) > 1e-280)
-        # mu_n = -2i/(pi R J H): eps_n = -log(pi nu J H / (-i))
-        return good, -np.log(np.pi * nb[good] * prod[good] / (-1j))
-
-    eps = np.empty(n_max, dtype=complex)
-    good = np.zeros(n_max, dtype=bool)
-    direct_modes = 0
-    with np.errstate(all="ignore"):
-        for lo in range(0, n_max, _BLOCK):
-            blk = slice(lo, lo + _BLOCK)
-            good[blk], eps_good = direct(nu[blk])
-            eps[blk][good[blk]] = eps_good
-            direct_modes += good[blk].size
-            if not good[blk].any() and nu[lo] > 2 * abs(x) + 2:
-                break
-        eps[~good] = _log_eps_tail(nu[~good], x ** 2)
-    # analytic 1/n^2 tail model: eps_n ~ -lambda^2 (k R^2)^2 / (2 n^2)
-    c2 = -(lam * kR2) ** 2 / 2.0
-    tail = c2 * _trigamma(n_max + 1)
-    model_last = c2 / n_max ** 2
-    resid_last = abs(eps[-1] - model_last)
-    if abs(eps[-1]) > 1e-12 and abs(model_last) > 1e-300:
-        mism = resid_last / max(abs(eps[-1]), abs(model_last))
-        if mism > 0.2 and abs(eps[-1]) > _TAIL_TOL:
-            raise TailModelMismatch(
-                f"last mode deviates from the 1/n^2 tail model by {mism:.1%}"
-            )
-    # unmodeled remainder decays one power faster than the restored tail:
-    # bound it by the last-mode model residual times the tail mode count
-    cert = float(2 * resid_last * n_max)
-    if cert > _TAIL_TOL:
-        raise TailModelMismatch(
-            f"mode-sum truncation certificate {cert:.2e} > {_TAIL_TOL}; "
-            "increase n_max"
-        )
-    log_det = np.log(mu0) + np.log(np.pi * kR2) + 2 * (np.sum(eps) + tail)
+    if abs(x) <= _SERIES_X:
+        scanned = 0
+        eps, cert = _series_eps(_cone_orders(kR, _tail_start(kR, abs(x))), x,
+                                pure_imag)
+    else:
+        eps, cert, scanned = _scanned_eps(cone, lam, x)
+    N = len(eps)
+    tail, bound = _tail((x * x).real if pure_imag else x * x, kR, N)
+    if not bound <= _TAIL_TOL:
+        raise TruncationFailure(
+            f"mode-sum tail bound {bound:.2e} > {_TAIL_TOL}")
+    log_det = np.log(mu0) + np.log(np.pi * cone.k * cone.R ** 2) \
+        + 2 * (np.sum(eps) + tail)
     diag = {
         "mu0": complex(mu0),
-        "tail_estimate": complex(tail),
-        "modes": n_max,
-        "direct_modes": direct_modes,
-        "truncation_certificate": cert,
+        "tail": complex(tail),
+        "modes": N,
+        "direct_modes": scanned,
+        "tail_bound": bound,
+        "series_x": _SERIES_X,
+        "near_integer_certificate": cert,
     }
     return complex(log_det), diag
 
@@ -354,8 +716,7 @@ def mu0_asymptotic_fit(cone: ConeCircle, exponents=range(2, 9)):
 
 def spectral_shift_asymptotic(circles, exponents=range(2, 8)):
     """Spectral-shift leading law: xi(lambda) = pi^{-1} Arg det N(lambda + i0)
-    fitted against 1 / log(lambda^2) along lambda = 10^-j (2000 modes per
-    determinant).
+    fitted against 1 / log(lambda^2) along lambda = 10^-j.
 
     ``circles`` is one ConeCircle or a sequence of them: the determinant of
     independent model cones is the product of theirs, so the phases add and
@@ -374,7 +735,7 @@ def _shift_fit(circles, exponents):
     lams = np.array([10.0 ** (-j) for j in exponents])
     xi, log_dets = [], []
     for lm in lams:
-        per_cone = [detzeta_N_model(c, complex(lm), n_max=2000)[0]
+        per_cone = [detzeta_N_model(c, complex(lm))[0]
                     for c in circles]
         for log_det in per_cone:
             if abs(log_det.imag) > np.pi:

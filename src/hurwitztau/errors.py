@@ -121,10 +121,6 @@ class HankelZero(HurwitzTauError):
     """Hankel-function denominator vanishes within tolerance."""
 
 
-class TailModelMismatch(HurwitzTauError):
-    """Fitted large-n tail deviates from the analytic form."""
-
-
 class FitUnstable(HurwitzTauError):
     """Asymptotic regression did not converge to a stable fit."""
 

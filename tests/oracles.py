@@ -5,8 +5,9 @@ arithmetic-geometric means, q-series, Eisenstein series, ascending Bessel
 series, and product-over-roots resultants.  The exceptions use package
 primitives:
 
-* ``detzeta_full_scan``, the earlier full-scan mode sum of
-  ``cones.detzeta_N_model``, ``lift_signs_per_candidate``, the earlier
+* ``detzeta_full_scan``, the mode sum of ``cones.detzeta_N_model`` with
+  every Bessel product of the scan formed in full (its series split and
+  tail are the package's), ``lift_signs_per_candidate``, the earlier
   one-candidate-at-a-time lift-sign search of the period construction,
   ``theta_full_box``, the earlier full-box sum of
   ``specfun.riemann_theta_bundle``, and ``abel_paths_per_leg``, the earlier
@@ -23,10 +24,15 @@ import numpy as np
 import scipy.special as sps
 
 from hurwitztau.cones import (
+    _BLOCK,
+    _MAX_MODES,
+    _SERIES_X,
     _TAIL_TOL,
     ConeCircle,
-    _log_eps_tail,
     _on_imag_axis,
+    _mode_eps,
+    _tail,
+    _tail_start,
     jump_eigenvalue,
 )
 from hurwitztau.curves import CurvePoint, _PANEL_DIV, _leggauss, _tracked_sqrt
@@ -35,8 +41,8 @@ from hurwitztau.errors import (
     DiagonalTooClose,
     DomainError,
     IllConditionedPeriods,
+    LossOfPrecision,
     SheetTrackingLoss,
-    TailModelMismatch,
     TruncationFailure,
 )
 from hurwitztau.specfun import (
@@ -250,62 +256,80 @@ def theta_full_box(t, B, char=None, derivs_list=((),)):
 # full-scan model-cone determinant (reference for the block scan)
 # ---------------------------------------------------------------------------
 
-def detzeta_full_scan(cone: ConeCircle, lam, n_max=4000):
-    """Full-scan mode sum of ``cones.detzeta_N_model``: the Bessel product
-    is evaluated for every mode 1..n_max, and ``_log_eps_tail`` overwrites
-    the modes where it is not representable.  Bitwise reference for the
-    block scan of the package."""
+def mode_eps_scipy(cone: ConeCircle, lam, first, last):
+    """(eps, good) for the modes first..last from SciPy's Bessel product,
+    formed in full at every mode: eps_n = -log(2 nu I K) on the imaginary
+    axis, -log(pi nu J H / (-i)) off it; ``good`` marks the representable
+    products (eps is NaN elsewhere)."""
+    lam = complex(lam)
+    nu = np.arange(first, last + 1) / (cone.k * cone.R)
+    eps = np.full(nu.shape, np.nan, dtype=complex)
+    with np.errstate(all="ignore"):
+        if _on_imag_axis(lam):
+            tR = lam.imag * cone.R
+            prod = sps.ive(nu, tR) * sps.kve(nu, tR)
+            good = np.isfinite(prod) & (prod > 0)
+            eps[good] = -np.log(2 * nu[good] * prod[good])
+        else:
+            prod = sps.jv(nu, lam * cone.R) * sps.hankel1(nu, lam * cone.R)
+            good = np.isfinite(prod) & (np.abs(prod) > 1e-280)
+            eps[good] = -np.log(np.pi * nu[good] * prod[good] / (-1j))
+    return eps, good
+
+
+def detzeta_full_scan(cone: ConeCircle, lam):
+    """``cones.detzeta_N_model`` with every Bessel product of the scanned
+    range formed in full (``mode_eps_scipy``, chunks of 4096 modes) and the
+    scan's stop rule read off the complete mask, which must show no
+    representable product past the stop block.  The modes SciPy cannot
+    represent, and the tail, come from the package's series split and
+    closed-form tail.  Bitwise reference for the block scan past
+    |lambda R| > _SERIES_X; at or below it no mode is scanned and every mode
+    takes the split."""
     lam = complex(lam)
     if lam == 0:
         raise DomainError("lambda must be nonzero")
-    kR2 = cone.k * cone.R ** 2
     pure_imag = _on_imag_axis(lam)
+    kR = cone.k * cone.R
+    x = 1j * lam.imag * cone.R if pure_imag else lam * cone.R
     mu0 = jump_eigenvalue(0, cone, lam)
-    n = np.arange(1, n_max + 1)
-    nu = n / (cone.k * cone.R)
-    x = lam * cone.R
-    with np.errstate(all="ignore"):
-        if pure_imag:
-            t = lam.imag
-            prod = sps.ive(nu, t * cone.R) * sps.kve(nu, t * cone.R)
-            good = np.isfinite(prod) & (prod > 0)
-            eps = np.empty(n_max, dtype=complex)
-            eps[good] = -np.log(2 * nu[good] * prod[good])
-            eps[~good] = _log_eps_tail(nu[~good], (lam * cone.R) ** 2)
+    scan_eps, good = np.zeros(0, dtype=complex), np.zeros(0, dtype=bool)
+    if abs(x) > _SERIES_X:
+        for lo in range(0, _MAX_MODES, 4096):
+            e, g = mode_eps_scipy(cone, lam, lo + 1, lo + 4096)
+            scan_eps = np.concatenate((scan_eps, e))
+            good = np.concatenate((good, g))
+            starts = np.arange(1, len(good) + 1, _BLOCK) / kR
+            stop = [b for b, blk in enumerate(good.reshape(-1, _BLOCK))
+                    if not blk.any() and starts[b] > 2 * abs(x) + 2]
+            if stop:
+                break
         else:
-            J = sps.jv(nu, x)
-            H = sps.hankel1(nu, x)
-            prod = J * H
-            good = np.isfinite(prod) & (np.abs(prod) > 1e-280)
-            eps = np.empty(n_max, dtype=complex)
-            # mu_n = -2i/(pi R J H): eps_n = -log(pi nu J H / (-i))
-            eps[good] = -np.log(np.pi * nu[good] * prod[good] / (-1j))
-            eps[~good] = _log_eps_tail(nu[~good], (lam * cone.R) ** 2)
-    # analytic 1/n^2 tail model: eps_n ~ -lambda^2 (k R^2)^2 / (2 n^2)
-    c2 = -(lam * kR2) ** 2 / 2.0
-    tail = c2 * float(sps.polygamma(1, n_max + 1))
-    model_last = c2 / n_max ** 2
-    resid_last = abs(eps[-1] - model_last)
-    if abs(eps[-1]) > 1e-12 and abs(model_last) > 1e-300:
-        mism = resid_last / max(abs(eps[-1]), abs(model_last))
-        if mism > 0.2 and abs(eps[-1]) > _TAIL_TOL:
-            raise TailModelMismatch(
-                f"last mode deviates from the 1/n^2 tail model by {mism:.1%}"
-            )
-    # unmodeled remainder decays one power faster than the restored tail:
-    # bound it by the last-mode model residual times the tail mode count
-    cert = float(2 * resid_last * n_max)
-    if cert > _TAIL_TOL:
-        raise TailModelMismatch(
-            f"mode-sum truncation certificate {cert:.2e} > {_TAIL_TOL}; "
-            "increase n_max"
-        )
-    log_det = np.log(mu0) + np.log(np.pi * kR2) + 2 * (np.sum(eps) + tail)
+            raise TruncationFailure("no end to the representable products")
+        scanned = _BLOCK * (stop[0] + 1)
+        assert not good[scanned:].any(), "a product past the stop block"
+        scan_eps, good = scan_eps[:scanned], good[:scanned]
+    N = _tail_start(kR, abs(x), len(good))
+    nu = np.arange(1, N + 1) / kR
+    eps = np.empty(N, dtype=float if pure_imag else complex)
+    rest = np.ones(N, dtype=bool)
+    rest[:len(good)] = ~good
+    eps[:len(good)][good] = scan_eps[good].real if pure_imag else scan_eps[good]
+    if np.any(nu[:len(good)][~good] <= 2 * abs(x) + 2):
+        raise LossOfPrecision("product not representable before the turning point")
+    eps[rest], cert = _mode_eps(nu[rest], x, pure_imag)
+    tail, bound = _tail((x * x).real if pure_imag else x * x, kR, N)
+    if not bound <= _TAIL_TOL:
+        raise TruncationFailure("tail bound over tolerance")
+    log_det = np.log(mu0) + np.log(np.pi * cone.k * cone.R ** 2) \
+        + 2 * (np.sum(eps) + tail)
     diag = {
         "mu0": complex(mu0),
-        "tail_estimate": complex(tail),
-        "modes": n_max,
-        "truncation_certificate": cert,
+        "tail": complex(tail),
+        "modes": N,
+        "tail_bound": bound,
+        "series_x": _SERIES_X,
+        "near_integer_certificate": cert,
     }
     return complex(log_det), diag
 

@@ -352,11 +352,11 @@ def test_cone_shift_fit_csv_rows_are_the_fit_samples(tmp_path, monkeypatch):
     # the CSV holds the determinants the fit sampled: no second mode sum
     from hurwitztau import cones
 
-    n_max = []
+    calls = []
     model = cones.detzeta_N_model
 
     def counting(*args, **kw):
-        n_max.append(kw.get("n_max"))
+        calls.append(args)
         return model(*args, **kw)
 
     monkeypatch.setattr(cones, "detzeta_N_model", counting)
@@ -367,7 +367,7 @@ def test_cone_shift_fit_csv_rows_are_the_fit_samples(tmp_path, monkeypatch):
             (tmp_path / "report.csv").read_text().splitlines()[1:]]
     assert {float(r[0]): float(r[2]) / np.pi for r in rows} \
         == {float(lam): xi for lam, xi in samples.items()}
-    assert n_max == [2000] * len(samples)
+    assert len(calls) == len(samples)
 
 
 def test_cone_dtn_csv(tmp_path):
@@ -389,6 +389,25 @@ def test_cone_dtn_nodes_is_the_mode_count(tmp_path):
     # four spectral parameters times the modes n = 0, 1, 2
     assert len(rows) == 4 * 3
     assert {int(r.split(",")[0]) for r in rows} == {0, 1, 2}
+
+
+def test_cone_dtn_past_the_overflow_of_k_nu(tmp_path):
+    # K_nu(0.1) overflows from nu = 106 on; the ratio recurrence does not
+    code, rep = run_cli(["--k", "1", "--R", "1.0", "--nodes", "300",
+                         "cone-dtn"], tmp_path)
+    assert code == 0
+    rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 * 300
+    mu = [float(r.split(",")[3]) for r in rows]
+    assert all(np.isfinite(mu)) and min(mu) > 0
+
+
+def test_cone_tail_bound_over_tolerance_exits_1(tmp_path, monkeypatch):
+    from hurwitztau import cones
+
+    monkeypatch.setattr(cones, "_TAIL_TOL", 0.0)
+    code, _ = run_cli(["cone-shift-fit"], tmp_path)
+    assert code == 1
 
 
 def test_default_output_dir_env(tmp_path, monkeypatch):

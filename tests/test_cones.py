@@ -12,20 +12,21 @@ from hurwitztau.errors import (
     HurwitzTauError,
     LossOfPrecision,
     PhaseUnwrappingFailure,
+    TruncationFailure,
 )
-from oracles import detzeta_full_scan, hankel1_0_series
+from oracles import detzeta_full_scan, hankel1_0_series, mode_eps_scipy
 
 
 def test_dtn_zero_spectrum_plane():
     cone = ConeCircle(k=1, R=1.0)
-    n, mu, mult = cones.dtn_zero_spectrum(cone, n_max=3)
+    n, mu, mult = cones.dtn_zero_spectrum(cone, n_last=3)
     assert list(mu) == [0.0, 1.0, 2.0, 3.0]
     assert list(mult) == [1, 2, 2, 2]
 
 
 def test_dtn_zero_spectrum_halved_spacing():
     cone = ConeCircle(k=2, R=1.0)
-    _, mu, _ = cones.dtn_zero_spectrum(cone, n_max=2)
+    _, mu, _ = cones.dtn_zero_spectrum(cone, n_last=2)
     assert np.allclose(mu, [0.0, 0.5, 1.0])
 
 
@@ -104,6 +105,34 @@ def test_dtn_hankel_overflow_is_loss_of_precision():
                                       1e-8 * (1 + 1j))
 
 
+@pytest.mark.parametrize("n", [106, 299])
+def test_dtn_ratio_recurrence_matches_mpmath(n):
+    # K_106(0.1) overflows a double; the ratio recurrence forms none
+    import mpmath as mp
+
+    t, cone = 0.1, ConeCircle(k=1, R=1.0)
+    mu = cones.dtn_exterior_eigenvalue(n, cone, 1j * t)
+    with mp.workdps(30):
+        x = mp.mpf(t * cone.R)
+        K = mp.besselk(n, x)
+        dK = -(mp.besselk(n - 1, x) + mp.besselk(n + 1, x)) / 2
+        want = float(-t * dK / K)
+    assert mu.imag == 0
+    assert abs(mu.real - want) <= 1e-14 * want
+
+
+def test_dtn_fractional_order_recurrence_matches_mpmath():
+    import mpmath as mp
+
+    cone = ConeCircle(k=3, R=0.77)
+    for n, t in ((1, 0.1), (7, 1e-3), (250, 0.05), (40, 3.0)):
+        mu = cones.dtn_exterior_eigenvalue(n, cone, 1j * t)
+        with mp.workdps(30):
+            nu, x = mp.mpf(cone.nu(n)), mp.mpf(t * cone.R)
+            want = float(t * (mp.besselk(nu - 1, x) / mp.besselk(nu, x) + nu / x))
+        assert abs(mu.real - want) <= 1e-14 * want
+
+
 def test_detstar_closed_forms():
     assert abs(cones.detstar_N0_model(ConeCircle(1, 1.0)) - 2 * np.pi) < 1e-12
     assert abs(cones.detstar_N0_model(ConeCircle(2, 1.0)) - 4 * np.pi) < 1e-12
@@ -160,44 +189,80 @@ def test_detzeta_flat_plane_structure():
         assert abs(closed - (interior + exterior)) < 1e-10 * abs(closed)
 
 
-def _detzeta_outcome(fn, cone, lam, n_max):
+def _detzeta_outcome(fn, cone, lam):
     try:
-        log_det, diag = fn(cone, lam, n_max=n_max)
+        log_det, diag = fn(cone, lam)
     except HurwitzTauError as exc:
-        return type(exc), str(exc)
+        return type(exc)
     diag = dict(diag)
     diag.pop("direct_modes", None)
     return log_det, diag
+
+
+# per-mode agreement of the series split with SciPy's product; no looser
+# than the mp oracle check of test_cone_modes_match_mp_oracle
+SERIES_TOL = 1e-13
+
+
+def _assert_is_the_full_scan(cone, lam):
+    """Past |lambda R| > _SERIES_X the block scan is bitwise the full scan
+    (value, diagnostics or error type).  At or below it, each mode of the
+    split agrees with SciPy's full product wherever that is representable,
+    and so does log det."""
+    got = _detzeta_outcome(cones.detzeta_N_model, cone, lam)
+    want = _detzeta_outcome(detzeta_full_scan, cone, lam)
+    lam = complex(lam)
+    if abs(lam) * cone.R > cones._SERIES_X:
+        assert got == want
+        return
+    log_det, diag = got
+    axis = cones._on_imag_axis(lam)
+    x = 1j * lam.imag * cone.R if axis else lam * cone.R
+    N = diag["modes"]
+    series, _ = cones._mode_eps(np.arange(1, N + 1) / (cone.k * cone.R), x,
+                                axis)
+    scipy_eps, good = mode_eps_scipy(cone, lam, 1, N)
+    assert good.any()
+    assert np.max(np.abs(series[good] - scipy_eps[good])) <= SERIES_TOL
+    assert abs(log_det - want[0]) <= 2 * good.sum() * SERIES_TOL
 
 
 @pytest.mark.parametrize("R", [0.5, 0.8, 1.3, 2.0])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_detzeta_block_scan_is_bitwise_the_full_scan(k, R):
     # the block scan skips only products that cannot be represented, so
-    # log_det, diag and any raised error equal the full scan's exactly
+    # log_det, diag and any raised error equal the full scan's exactly;
+    # below _SERIES_X no mode is scanned and the split is checked per mode
     cone = ConeCircle(k, R)
     for a in (10.0, 1.0, 1e-1, 1e-3, 1e-7):
         for lam in (a, 1j * a, a * (1 + 0.3j)):
-            for n_max in (2000, 4000):
-                assert _detzeta_outcome(cones.detzeta_N_model, cone, lam,
-                                        n_max) \
-                    == _detzeta_outcome(detzeta_full_scan, cone, lam, n_max)
+            _assert_is_the_full_scan(cone, lam)
 
 
 # the ends of each k's R band in the cone benchmark
 BAND_CONES = [(1, 1.12), (1, 1.47), (2, 0.92), (2, 1.06),
               (3, 0.75), (3, 0.83), (4, 0.63), (4, 0.69)]
+# spectral parameters with |lambda R| <= _SERIES_X on every band cone, and
+# past it
+SERIES_LAMS = [10.0 ** -j for j in range(1, 8)] \
+    + [1j * 10.0 ** -j for j in range(1, 5)]
+SCAN_LAMS = [1.0, 1j, 0.9 + 0.27j]
 
 
 @pytest.mark.parametrize("k,R", BAND_CONES)
 def test_detzeta_direct_modes_stay_within_four_blocks(k, R):
+    # SciPy scans no mode where the split holds, at most four blocks past it
     cone = ConeCircle(k, R)
-    lams = [10.0 ** -j for j in range(1, 8)] \
-        + [1j * 10.0 ** -j for j in range(1, 5)]
-    for lam in lams:
+    for lam in SERIES_LAMS:
         _, diag = cones.detzeta_N_model(cone, lam)
-        assert diag["modes"] == 4000
+        assert diag["direct_modes"] == 0
+        assert diag["modes"] == cones._tail_start(k * R, abs(lam) * R)
+        assert diag["series_x"] == cones._SERIES_X
+        assert 0 <= diag["tail_bound"] < 1e-15
+    for lam in SCAN_LAMS:
+        _, diag = cones.detzeta_N_model(cone, lam)
         assert 0 < diag["direct_modes"] <= 4 * cones._BLOCK
+        assert diag["modes"] >= diag["direct_modes"]
 
 
 def test_second_factor_only_where_the_first_is_nonzero(monkeypatch):
@@ -215,10 +280,8 @@ def test_second_factor_only_where_the_first_is_nonzero(monkeypatch):
 
     monkeypatch.setattr(sps, "hankel1", wrap(sps.hankel1, sps.jv))
     monkeypatch.setattr(sps, "kve", wrap(sps.kve, sps.ive))
-    lams = [10.0 ** -j for j in range(1, 8)] \
-        + [1j * 10.0 ** -j for j in range(1, 5)]
     for k, R in BAND_CONES:
-        for lam in lams:
+        for lam in SCAN_LAMS:
             seen.clear()
             _, diag = cones.detzeta_N_model(ConeCircle(k, R), lam)
             # seen[0] is the mode n = 0 of mu_0
@@ -235,10 +298,58 @@ def _lam_on_ray(a, ray):
        log_a=st.floats(-8.0, float(np.log10(20.0))),
        ray=st.sampled_from(["real", "imag", "tilted"]))
 def test_detzeta_is_the_full_scan_on_random_cones(k, R, log_a, ray):
+    _assert_is_the_full_scan(ConeCircle(k, R), _lam_on_ray(10.0 ** log_a, ray))
+
+
+# cones of the mp oracle check: band ends, integer orders (k R = 2), and
+# nu_1 = 1 + delta on both sides of an integer
+MP_CONES = [(1, 1.12), (1, 1.47), (4, 0.63), (4, 0.69), (2, 1.0)] \
+    + [(1, 1.0 / (1.0 + d)) for d in (1e-12, -1e-12, 1e-9, -1e-9,
+                                      1e-6, -1e-6, 1e-3, -1e-3)]
+MP_LAMS = [0.1j, 1e-4j, 1e-2, 1e-7, 1e-3 * cmath.exp(0.3j)]
+MP_MODES = 64
+
+
+@pytest.fixture(scope="module")
+def mp_cone_eps():
+    """30-digit eps_n, n <= MP_MODES, per (k, R, lambda) of the check."""
+    from mp_oracles import cone_eps_mp
+
+    return {(k, R, lam): cone_eps_mp(k, R, lam, MP_MODES)
+            for k, R in MP_CONES for lam in MP_LAMS}
+
+
+@pytest.mark.parametrize("k,R", MP_CONES)
+def test_cone_modes_match_mp_oracle(k, R, mp_cone_eps):
+    # every mode summed term by term, the near-integer circle route included
     cone = ConeCircle(k, R)
-    lam = _lam_on_ray(10.0 ** log_a, ray)
-    assert _detzeta_outcome(cones.detzeta_N_model, cone, lam, 4000) \
-        == _detzeta_outcome(detzeta_full_scan, cone, lam, 4000)
+    for lam in MP_LAMS:
+        axis = cones._on_imag_axis(complex(lam))
+        x = 1j * lam.imag * R if axis else lam * R
+        N = min(cones.detzeta_N_model(cone, lam)[1]["modes"], MP_MODES)
+        eps, cert = cones._mode_eps(np.arange(1, N + 1) / (k * R), x, axis)
+        want = np.array(mp_cone_eps[(k, R, lam)][:N])
+        assert np.max(np.abs(eps - want)) <= 1e-13
+        assert cert <= 1e-13
+
+
+@pytest.mark.parametrize("k,R", MP_CONES)
+def test_cone_log_det_within_tail_bound_of_mp_oracle(k, R, mp_cone_eps):
+    from mp_oracles import cone_log_det_mp
+
+    for lam in MP_LAMS:
+        log_det, diag = cones.detzeta_N_model(ConeCircle(k, R), lam)
+        want = cone_log_det_mp(k, R, lam, mp_cone_eps[(k, R, lam)])
+        assert abs(log_det - want) <= diag["tail_bound"] + 1e-13
+
+
+def test_tail_bound_over_tolerance_is_typed(monkeypatch):
+    cone = ConeCircle(k=1, R=1.3)
+    _, diag = cones.detzeta_N_model(cone, 0.1)
+    assert 0 < diag["tail_bound"] < 1e-20
+    monkeypatch.setattr(cones, "_TAIL_TOL", diag["tail_bound"] / 2)
+    with pytest.raises(TruncationFailure):
+        cones.detzeta_N_model(cone, 0.1)
 
 
 def test_mu0_fit_adjudicates_subleading():
@@ -288,7 +399,7 @@ def test_spectral_shift_cone_additivity():
     fit = cones.spectral_shift_asymptotic(circles)
     assert fit["expected"] == 3.0
     for lam, xi in fit["samples"].items():
-        phases = sum(cones.detzeta_N_model(c, complex(lam), n_max=2000)[0].imag
+        phases = sum(cones.detzeta_N_model(c, complex(lam))[0].imag
                      for c in circles)
         assert abs(xi - phases / np.pi) < 1e-14
     assert abs(fit["leading"] - 3.0) < 0.3
@@ -302,7 +413,7 @@ def test_shift_fit_unwraps_each_cone_phase(monkeypatch, phases, raises):
     circles = [ConeCircle(1, 1.0 + i) for i in range(len(phases))]
     by_cone = dict(zip(circles, phases))
     monkeypatch.setattr(cones, "detzeta_N_model",
-                        lambda c, lam, n_max: (complex(0.0, by_cone[c]), {}))
+                        lambda c, lam: (complex(0.0, by_cone[c]), {}))
     if raises:
         with pytest.raises(PhaseUnwrappingFailure):
             cones.spectral_shift_asymptotic(circles)
@@ -317,7 +428,7 @@ def test_spectral_shift_additivity_over_distinct_cones():
     # summed, not one phase multiplied by 3
     circles = [ConeCircle(1, 1.3), ConeCircle(2, 1.0), ConeCircle(3, 0.8)]
     lams = np.array([10.0 ** (-j) for j in range(2, 8)])
-    xi = [sum(cones.detzeta_N_model(c, complex(lm), n_max=2000)[0].imag
+    xi = [sum(cones.detzeta_N_model(c, complex(lm))[0].imag
               for c in circles) / np.pi for lm in lams]
     V = np.vander(1.0 / np.log(lams ** 2), 2, increasing=True)
     sol, *_ = np.linalg.lstsq(V, np.array(xi), rcond=None)
@@ -333,6 +444,8 @@ def test_cone_validation():
         cones.dtn_exterior_eigenvalue(0, ConeCircle(1, 1.0), 0.0)
     with pytest.raises(DomainError):
         cones.dtn_exterior_eigenvalue(1, ConeCircle(1, 2.0), 0.5 - 0.5j)
+    with pytest.raises(DomainError):
+        cones.jump_eigenvalue(0, ConeCircle(1, 1.0), 0.0)
 
 
 def test_dtn_table_rows():

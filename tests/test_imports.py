@@ -88,10 +88,37 @@ def test_tau_commands_load_no_scipy_special(command, name):
 
 
 def test_cone_command_loads_scipy_special():
-    # sanity check: the probe does see a deferred import (cone dtn
-    # evaluates K_nu)
+    # cone dtn at k = 2 starts its K_nu ratio at the order 1/2 from SciPy
     loaded = loaded_after(cli_run("cone", "dtn", "--k", "2"))
     assert loaded["scipy.special"]
+
+
+def test_scanned_determinant_loads_scipy_special():
+    # sanity check: the probe does see a deferred import (past
+    # |lambda R| > _SERIES_X the mode sum scans SciPy's Bessel products)
+    loaded = loaded_after("from hurwitztau import cones\n"
+                          "cones.detzeta_N_model(cones.ConeCircle(1, 1.0), 2j)")
+    assert loaded["scipy.special"]
+
+
+BAND_CONE_OP = (
+    "import sys\n"
+    "sys.path.insert(0, 'benchmarks')\n"
+    "import ops\n"
+    "assert all(c.ratio < 1 for c in\n"
+    "           ops.cone_op({'k': 4, 'R': 0.69, 't': 0.1}))\n")
+
+
+@pytest.mark.parametrize("code", [
+    cli_run("cone", "mu0-fit"),
+    cli_run("cone", "shift-fit"),
+    BAND_CONE_OP,
+], ids=["mu0-fit", "shift-fit", "cone_op"])
+def test_cone_fits_load_no_scipy_special(code):
+    # |lambda R| <= _SERIES_X throughout: series and closed-form tail only
+    loaded = loaded_after(code)
+    assert loaded["numpy"]
+    assert not loaded["scipy.special"]
 
 
 def test_cone_closed_form_loads_no_scipy_special():
