@@ -91,6 +91,19 @@ def _finite_point(data, key, default):
     return z
 
 
+def _write_csv(args, header, rows):
+    """Writes a CSV table next to the --out report; returns its path (None
+    without --out)."""
+    if not args.out:
+        return None
+    path = os.path.splitext(args.out)[0] + ".csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
 def _tols(args):
     tols = dict(DEFAULT_TOLS)
     for item in args.tol or []:
@@ -392,14 +405,9 @@ def cmd_cone_dtn(args):
     lam_values = [complex(0, 10.0 ** (-j)) for j in range(1, 5)]
     n_values = list(range(0, args.nodes or 8))
     rows = cones.dtn_table(cone, lam_values, n_values)
-    out_csv = None
-    if args.out:
-        out_csv = os.path.splitext(args.out)[0] + ".csv"
-        with open(out_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "lam_re", "lam_im", "mu_re", "mu_im"])
-            for n, lm, mu in rows:
-                w.writerow([n, lm.real, lm.imag, mu.real, mu.imag])
+    out_csv = _write_csv(args, ["n", "lam_re", "lam_im", "mu_re", "mu_im"],
+                         ([n, lm.real, lm.imag, mu.real, mu.imag]
+                          for n, lm, mu in rows))
     zero = cones.dtn_zero_spectrum(cone, n_last=8)
     return {
         "inputs": {"k": args.k, "R": args.R},
@@ -431,14 +439,29 @@ def cmd_cone_det_n0(args):
     }, d < _tols(args)["detstar"]
 
 
+def _exponents(args, jmax, unknowns, least=None):
+    """The exponents j of a fit's lambda = 10^-j, --jmin to --jmax (``jmax``
+    by default): a usage error where they are fewer than the fit's
+    ``unknowns`` or start below ``least``."""
+    jmax = jmax if args.jmax is None else args.jmax
+    exponents = range(args.jmin, jmax + 1)
+    if len(exponents) < unknowns:
+        raise ValueError(
+            f"--jmin {args.jmin} to --jmax {jmax} gives {len(exponents)} "
+            f"samples, fewer than the {unknowns} unknowns of the fit")
+    if least is not None and args.jmin < least:
+        raise ValueError(f"--jmin must be at least {least} for "
+                         f"{args.command} (lambda = 10^-j < 1), got {args.jmin}")
+    return exponents
+
+
 def cmd_cone_mu0_fit(args):
     import numpy as np
 
     from . import cones
 
     cone = cones.ConeCircle(k=args.k, R=args.R)
-    jmax = 8 if args.jmax is None else args.jmax
-    fit = cones.mu0_asymptotic_fit(cone, exponents=range(args.jmin, jmax + 1))
+    fit = cones.mu0_asymptotic_fit(cone, exponents=_exponents(args, 8, 3))
     lam_min = abs(fit["lambda_min"])
     ok = abs(fit["leading"] - 1.0) < 1.0 / abs(np.log(lam_min))
     return {
@@ -452,23 +475,17 @@ def cmd_cone_shift_fit(args):
     from . import cones
 
     cone = cones.ConeCircle(k=args.k, R=args.R)
-    jmax = 7 if args.jmax is None else args.jmax
-    exponents = range(args.jmin, jmax + 1)
+    exponents = _exponents(args, 7, 2, least=1)
     # the CSV rows are the determinants the fit sampled
     fit, log_dets = cones._shift_fit(cone, exponents)
-    out_csv = None
-    if args.out:
-        out_csv = os.path.splitext(args.out)[0] + ".csv"
-        with open(out_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lam", "logdet_re", "phase"])
-            for lam, log_det in zip(fit["samples"], log_dets):
-                w.writerow([lam, log_det.real, log_det.imag])
+    out_csv = _write_csv(args, ["lam", "logdet_re", "phase"],
+                         ([lam, log_det.real, log_det.imag]
+                          for lam, log_det in zip(fit["samples"], log_dets)))
     ok = abs(fit["leading"] - fit["expected"]) < _tols(args)["shift_leading"] \
         * fit["expected"]
     return {
         "inputs": {"k": args.k, "R": args.R,
-                   "exponents": [args.jmin, jmax]},
+                   "exponents": [exponents[0], exponents[-1]]},
         "outputs": {**fit, "csv": out_csv},
         "discrepancies": {
             "leading_rel": abs(fit["leading"] - fit["expected"]) / fit["expected"]

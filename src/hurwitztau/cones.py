@@ -42,8 +42,8 @@ __all__ = [
 
 EULER_GAMMA = float(np.euler_gamma)
 _TAIL_TOL = 1e-8    # largest tail remainder bound detzeta_N_model accepts
-_BLOCK = 128        # modes per direct Bessel-product block of detzeta_N_model
-_SERIES_X = 0.5     # |lambda R| up to which the mode sum makes no SciPy call
+_SERIES_X = 0.5     # largest |lambda R| of the mode sum
+_SERIES_TERMS = 12  # terms past the first of each series at |x| <= _SERIES_X
 _NU_TAIL = 24.0     # lowest order at which the closed-form tail may start
 _TAIL_TERMS = 5     # K: terms of S_nu that the tail expands
 _TAIL_ORDER = 14    # Q: powers of 1/nu^2 that the tail sums in closed form
@@ -213,20 +213,20 @@ def jump_eigenvalue(n, cone: ConeCircle, lam):
     axis = _on_imag_axis(lam)
     if axis and lam.imag <= 0:
         raise DomainError("t must be positive for negative energy")
-    if nu == 0 and abs(lam) * cone.R <= _SERIES_X:
+    x = lam.imag * cone.R if axis else lam * cone.R
+    if nu == 0 and abs(x) <= _SERIES_X:
         if axis:
-            i0, k0, _ = _k01(lam.imag * cone.R)
+            i0, k0, _ = _k01(x)
             return 1.0 / (cone.R * i0 * k0)
-        J, H = _j0_h0(lam * cone.R)
+        J, H = _j0_h0(x)
         return -2j / (np.pi * cone.R * J * H)
     import scipy.special as sps
 
     if axis:
-        x = lam.imag * cone.R
         prod = sps.ive(nu, x) * sps.kve(nu, x)   # I K with exact exponent cancel
         return 1.0 / (cone.R * prod)
-    J = sps.jv(nu, lam * cone.R)
-    H = sps.hankel1(nu, lam * cone.R)
+    J = sps.jv(nu, x)
+    H = sps.hankel1(nu, x)
     denom = J * H
     if abs(denom) < 1e-290:
         raise HankelZero("Bessel product vanished in the jump eigenvalue")
@@ -258,33 +258,27 @@ def _zeta_scaled(sig, a, c):
     return direct + cb * em, cb * _EM_NEXT * poch[:, 12] * b ** -13.0
 
 
-_KS = np.arange(1.0, 41.0)
+_KS = np.arange(1.0, _SERIES_TERMS + 1)
 _S_RATIO = (2 * _KS - 1) / (2 * _KS)                   # C(2k,k) / (4 C(2k-2,k-1))
 
 
-def _series_terms(x):
-    """Terms of each series past the first: 12 hold to rounding for
-    |x| <= _SERIES_X, 40 past the turning point |x| < nu / 2."""
-    return 12 if abs(x) <= _SERIES_X else 40
-
-
-def _S(nu, s, terms, den=None):
+def _S(nu, s, den=None):
     """S_nu(s) = sum_k C(2k, k) (-s/4)^k / prod_{j<=k} (j^2 - nu^2), first
-    ``terms`` + 1 terms, at an array of orders (real or complex, none an
-    integer up to ``terms``); ``den`` may hold (k - nu)(k + nu), k = 1..terms."""
+    _SERIES_TERMS + 1 terms, at an array of orders (real or complex, none an
+    integer up to _SERIES_TERMS); ``den`` may hold (k - nu)(k + nu),
+    k = 1.._SERIES_TERMS."""
     if den is None:
         # (k - nu) is exact near k, so the pole terms keep their relative accuracy
-        den = (_KS[:terms] - nu[:, None]) * (_KS[:terms] + nu[:, None])
-    return 1.0 + np.cumprod((-s * _S_RATIO[:terms]) / den, axis=1).sum(axis=1)
+        den = (_KS - nu[:, None]) * (_KS + nu[:, None])
+    return 1.0 + np.cumprod((-s * _S_RATIO) / den, axis=1).sum(axis=1)
 
 
-def _j2_part(nu, s, log_half, log_gamma, cot, terms):
+def _j2_part(nu, s, log_half, log_gamma, cot):
     """pi nu J_nu(x)^2 (i - cot nu pi) at an array of non-integer orders,
     from x^2 = s, log(x/2) = log_half (principal branch),
     log_gamma = log Gamma(1 + nu) and cot = cot nu pi; the ascending series
-    of J_nu (DLMF 10.2.2) has ``terms`` + 1 terms."""
-    k = _KS[:terms]
-    series = 1.0 + np.cumprod((-s / 4) / (k * (nu[:, None] + k)), axis=1).sum(axis=1)
+    of J_nu (DLMF 10.2.2) has _SERIES_TERMS + 1 terms."""
+    series = 1.0 + np.cumprod((-s / 4) / (_KS * (nu[:, None] + _KS)), axis=1).sum(axis=1)
     return (np.pi * nu * np.exp(2 * nu * log_half - 2 * log_gamma)
             * series ** 2 * (1j - cot))
 
@@ -307,45 +301,42 @@ def _log_gamma_at_nodes():
 _LOG_GAMMA_NODES = _log_gamma_at_nodes()
 
 
-class _Orders:
-    """An array of orders nu > 0 with what ``_series_eps`` needs of them
-    alone: nearest integers m, |sin| and |cos| of pi (nu - m) and cot nu pi
-    (exact, nu - m being exact), the denominators of S_nu's term ratios,
-    log Gamma(1 + nu), and the pieces of the J^2 bound."""
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
 
-    def __init__(self, nu, terms):
-        self.nu, self.terms = nu, terms
+
+class _Orders:
+    """The orders nu_n = n / (k R), n = 1..N, of a cone with what
+    ``_series_eps`` needs of them alone: nearest integers m, |sin| and |cos|
+    of pi (nu - m) and cot nu pi (exact, nu - m being exact), the
+    denominators of S_nu's term ratios, log Gamma(1 + nu), and the pieces
+    of the J^2 bound.  They are the same for every lambda of the cone, so
+    ``_cone_orders`` shares them (arrays read-only)."""
+
+    def __init__(self, kR, N):
+        nu = self.nu = np.arange(1, N + 1) / kR
         self.m = np.rint(nu)
         d = np.pi * (nu - self.m)
         self.sin = np.abs(np.sin(d))
         self.cos = np.abs(np.cos(d))
         exact = self.sin == 0
         self.cot = np.cos(d) / np.where(exact, 1.0, np.sin(d))
-        self.den = (_KS[:terms] - nu[:, None]) * (_KS[:terms] + nu[:, None])
+        self.den = (_KS - nu[:, None]) * (_KS + nu[:, None])
         self.log_gamma = np.array([math.lgamma(1 + v) for v in nu])
         self.two_nu = 2 * nu
         self.two_nu_log_nu = self.two_nu * np.log(nu)
         self.inv = 1 / (2 * (nu + 1))
         self.positive = self.m >= 1
-        # S meets its pole at an integer order up to ``terms``
-        self.pole = exact & self.positive & (self.m <= terms)
+        # S meets its pole at an integer order up to _SERIES_TERMS
+        self.pole = exact & self.positive & (self.m <= _SERIES_TERMS)
         # J^2 threshold: 1e-18 |sin|, never met at an integer order
         self.floor = np.where(exact, np.inf, 1e-18 * self.sin)
         self.sin_cos = self.sin + self.cos
+        _read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-
-
-@lru_cache(maxsize=8)
-def _cone_orders(kR, N):
-    """``_Orders`` of nu_n = n / (k R), n = 1..N, for |x| <= _SERIES_X: the
-    same for every such lambda of a cone (arrays read-only, being shared)."""
-    orders = _Orders(np.arange(1, N + 1) / kR, _series_terms(0.0))
-    _read_only(*(a for a in vars(orders).values() if isinstance(a, np.ndarray)))
-    return orders
+_cone_orders = lru_cache(maxsize=8)(_Orders)
 
 
 def _series_eps(orders, x, pure_imag):
@@ -378,10 +369,10 @@ def _series_eps(orders, x, pure_imag):
     near = o.positive & (j2_bound * o.cos > o.sin) & (j2_bound > 1e-30) | o.pole
     cert = 0.0
     if not near.any():
-        P = _S(o.nu, s, o.terms, o.den)
+        P = _S(o.nu, s, o.den)
     else:
         P = np.empty(o.nu.shape, dtype=complex)
-        P[~near] = _S(o.nu[~near], s, o.terms, o.den[~near])
+        P[~near] = _S(o.nu[~near], s, o.den[~near])
         centre = o.m[near]
         zeta = centre[:, None] + _DELTA
         # log Gamma(1 + m + delta) = log Gamma(1 + delta) + sum_{i<=m} log(i + delta)
@@ -389,35 +380,29 @@ def _series_eps(orders, x, pure_imag):
                           axis=0)
         log_gamma = _LOG_GAMMA_NODES + steps[centre.astype(int) - 1]
         flat = zeta.ravel()
-        Pz = (_S(flat, s, o.terms)
+        Pz = (_S(flat, s)
               + _j2_part(flat, s, log_half, log_gamma.ravel(),
-                         np.tile(_COT_DELTA, len(centre)), o.terms)) \
+                         np.tile(_COT_DELTA, len(centre)))) \
             .reshape(zeta.shape) * _DELTA / (zeta - o.nu[near][:, None])
         P[near] = Pz.mean(axis=1)
         cert = float(np.max(np.abs(np.log(Pz[:, ::2].mean(axis=1) / P[near]))))
     with_j2 = np.flatnonzero(~near & (j2_bound * o.sin_cos > o.floor))
     if with_j2.size:
         P[with_j2] += _j2_part(o.nu[with_j2], s, log_half, o.log_gamma[with_j2],
-                               o.cot[with_j2], o.terms)
+                               o.cot[with_j2])
     # P = 2 nu I K > 0 on the imaginary axis
     return (-np.log(P.real) if pure_imag else -np.log(P)), cert
 
 
-def _mode_eps(nu, x, pure_imag):
-    """``_series_eps`` at an array of orders nu."""
-    return _series_eps(_Orders(nu, _series_terms(x)), x, pure_imag)
-
-
-def _tail_start(kR, x_abs, scanned=0):
-    """N, the number of modes summed term by term: at least the ``scanned``
-    modes, and every order past nu_{N+1} = (N + 1) / (k R) is at least
-    _NU_TAIL, 4 |x|^2 + 2 and e |x| + 2, where the tail bound of ``_tail``
-    holds.  Past _MAX_MODES it raises TruncationFailure."""
-    nu_t = max(_NU_TAIL, 4 * x_abs ** 2 + 2, np.e * x_abs + 2)
-    N = max(math.ceil(nu_t * kR), scanned)
+def _tail_start(kR):
+    """N, the number of modes summed term by term: every order past
+    nu_{N+1} = (N + 1) / (k R) is at least _NU_TAIL, where the tail bound of
+    ``_tail`` holds for |x| <= _SERIES_X (it asks nu >= 4 |x|^2 + 2 and
+    e |x| + 2).  Past _MAX_MODES it raises TruncationFailure."""
+    N = math.ceil(_NU_TAIL * kR)
     if N > _MAX_MODES:
         raise TruncationFailure(
-            f"the tail at |lambda R| = {x_abs} starts past {_MAX_MODES} modes")
+            f"the tail at k R = {kR} starts past {_MAX_MODES} modes")
     return N
 
 
@@ -526,76 +511,6 @@ def _tail(s, kR, N):
     return tail, bound
 
 
-def _where_nonzero(second, first, nb, x):
-    """second(nb, x) at the orders where ``first`` is nonzero, 0 elsewhere."""
-    out = np.zeros_like(first)
-    keep = first != 0
-    out[keep] = second(nb[keep], x)
-    return out
-
-
-def _block_scan(cone: ConeCircle, lam):
-    """SciPy's Bessel product (J H; I K on the imaginary axis) in blocks of
-    ``_BLOCK`` modes of rising nu, up to the first block with no
-    representable product that starts past the turning point
-    nu > 2 |lambda R| + 2: beyond it |J| and I fall, |H| and K rise
-    monotonically in nu, so no later product is representable.  Within a
-    block the second factor (H, or K) is evaluated only where the first (J,
-    or I) is nonzero and taken as 0 elsewhere: there the full product is 0
-    or NaN, and both are rejected as unrepresentable.  Returns (good, eps)
-    over the scanned modes, eps set where good."""
-    import scipy.special as sps
-
-    x = lam * cone.R
-    kR = cone.k * cone.R
-    goods, epss = [], []
-    with np.errstate(all="ignore"):
-        for lo in range(0, _MAX_MODES, _BLOCK):
-            nb = np.arange(lo + 1, lo + _BLOCK + 1) / kR
-            eps = np.empty(_BLOCK, dtype=complex)
-            if _on_imag_axis(lam):
-                tR = lam.imag * cone.R
-                first = sps.ive(nb, tR)
-                prod = first * _where_nonzero(sps.kve, first, nb, tR)
-                good = np.isfinite(prod) & (prod > 0)
-                eps[good] = -np.log(2 * nb[good] * prod[good])
-            else:
-                first = sps.jv(nb, x)
-                prod = first * _where_nonzero(sps.hankel1, first, nb, x)
-                good = np.isfinite(prod) & (np.abs(prod) > 1e-280)
-                # mu_n = -2i/(pi R J H): eps_n = -log(pi nu J H / (-i))
-                eps[good] = -np.log(np.pi * nb[good] * prod[good] / (-1j))
-            goods.append(good)
-            epss.append(eps)
-            if not good.any() and nb[0] > 2 * abs(x) + 2:
-                return np.concatenate(goods), np.concatenate(epss)
-    raise TruncationFailure(
-        f"no end to the representable Bessel products within {_MAX_MODES} "
-        f"modes at lambda R = {x}")
-
-
-def _scanned_eps(cone: ConeCircle, lam, x):
-    """(eps, certificate, scanned) of modes 1..N past |x| > _SERIES_X:
-    SciPy's product where ``_block_scan`` represents it, the split of
-    ``_series_eps`` at the other modes of the scan, all of them past the
-    turning point, and at the modes between the scan and the tail."""
-    pure_imag = _on_imag_axis(lam)
-    kR = cone.k * cone.R
-    good, scan_eps = _block_scan(cone, lam)
-    scanned = len(good)
-    nu = np.arange(1, _tail_start(kR, abs(x), scanned) + 1) / kR
-    if np.any(nu[:scanned][~good] <= 2 * abs(x) + 2):
-        raise LossOfPrecision(
-            f"Bessel product not representable before the turning point "
-            f"at lambda R = {x}")
-    eps = np.empty(len(nu), dtype=float if pure_imag else complex)
-    rest = np.ones(len(nu), dtype=bool)
-    rest[:scanned] = ~good
-    eps[:scanned][good] = scan_eps[good].real if pure_imag else scan_eps[good]
-    eps[rest], cert = _mode_eps(nu[rest], x, pure_imag)
-    return eps, cert, scanned
-
-
 def detzeta_N_model(cone: ConeCircle, lam):
     """log of the zeta-regularized determinant of the Neumann jump operator
     on the model cone at spectral parameter lambda (Im lambda > 0 for real
@@ -608,16 +523,14 @@ def detzeta_N_model(cone: ConeCircle, lam):
       log det N(lambda) = log mu_0 + log(pi k R^2) + 2 sum_{n>=1} eps_n,
       eps_n = log(mu_n k R^2 / (2 n)) = -log P_n.
 
-    The first N modes (``_tail_start``) are summed term by term: where
-    |lambda R| <= _SERIES_X every P_n is the product split of
-    ``_series_eps`` and mu_0 the series of ``jump_eigenvalue``, so no SciPy
-    call is made; past it SciPy's product comes from ``_block_scan``, and
-    the split fills the modes it cannot represent and those past the scan.
-    The modes n > N are summed in closed form by ``_tail``, whose error
-    bound must stay below ``_TAIL_TOL`` (TruncationFailure otherwise).
-    Returns (log_det, diagnostics): "modes" is N, "direct_modes" the modes
-    SciPy scanned (0 where |lambda R| <= _SERIES_X), "tail_bound" the
-    bound, "series_x" the threshold _SERIES_X, and
+    Defined for 0 < |lambda R| <= _SERIES_X (DomainError otherwise), the
+    small-lambda range the gluing constants are read from.  The first N
+    modes (``_tail_start``) are summed term by term, each P_n by the product
+    split of ``_series_eps`` and mu_0 by the series of ``jump_eigenvalue``,
+    so no SciPy call is made.  The modes n > N are summed in closed form by
+    ``_tail``, whose error bound must stay below ``_TAIL_TOL``
+    (TruncationFailure otherwise).  Returns (log_det, diagnostics): "modes"
+    is N, "tail_bound" the bound, "series_x" the range _SERIES_X, and
     "near_integer_certificate" that of ``_series_eps``.
     """
     lam = complex(lam)
@@ -627,14 +540,12 @@ def detzeta_N_model(cone: ConeCircle, lam):
     kR = cone.k * cone.R
     # x on the imaginary axis is exactly i t R, so that s = -(t R)^2
     x = 1j * lam.imag * cone.R if pure_imag else lam * cone.R
+    if not abs(x) <= _SERIES_X:
+        raise DomainError(
+            f"the mode sum needs |lambda R| <= {_SERIES_X}, got {abs(x):.6g}")
     mu0 = jump_eigenvalue(0, cone, lam)
-    if abs(x) <= _SERIES_X:
-        scanned = 0
-        eps, cert = _series_eps(_cone_orders(kR, _tail_start(kR, abs(x))), x,
-                                pure_imag)
-    else:
-        eps, cert, scanned = _scanned_eps(cone, lam, x)
-    N = len(eps)
+    N = _tail_start(kR)
+    eps, cert = _series_eps(_cone_orders(kR, N), x, pure_imag)
     tail, bound = _tail((x * x).real if pure_imag else x * x, kR, N)
     if not bound <= _TAIL_TOL:
         raise TruncationFailure(
@@ -645,7 +556,6 @@ def detzeta_N_model(cone: ConeCircle, lam):
         "mu0": complex(mu0),
         "tail": complex(tail),
         "modes": N,
-        "direct_modes": scanned,
         "tail_bound": bound,
         "series_x": _SERIES_X,
         "near_integer_certificate": cert,
@@ -676,35 +586,27 @@ def mu0_asymptotic_fit(cone: ConeCircle, exponents=range(2, 9)):
     constant far below the fit noise).
     """
     ts = np.array([10.0 ** (-j) for j in exponents])
-    lam = 1j * ts
-    y = []
-    x = []
-    sharp = []
-    for lm in lam:
+    y, x, sharp = [], [], []
+    for lm in 1j * ts:
         mu0 = dtn_exterior_eigenvalue(0, cone, lm)
         L = np.log(lm)
         y.append(mu0 * (-cone.R * L))
         x.append(1.0 / L)
         sharp.append(-1.0 / (cone.R * mu0) - L)
     y = np.array(y)
-    x = np.array(x)
-    V = np.vander(x, 3, increasing=True)
-    sol, res, rank, sv = np.linalg.lstsq(V, y, rcond=None)
+    V = np.vander(np.array(x), 3, increasing=True)
+    sol, _, rank, _ = np.linalg.lstsq(V, y, rcond=None)
     if rank < 3:
         raise FitUnstable("mu0 regression is rank deficient")
-    pred = V @ sol
-    resid = float(np.max(np.abs(pred - y)))
-    leading = complex(sol[0])
-    subleading_fit = complex(-sol[1])
     subleading_sharp = complex(sharp[-1])
     pi_gamma_half, gamma_cand = _mu0_candidates(cone.R)
     d_pgh = abs(subleading_sharp - pi_gamma_half)
     d_gamma = abs(subleading_sharp - gamma_cand)
     return {
-        "leading": leading,
-        "subleading": subleading_fit,
+        "leading": complex(sol[0]),
+        "subleading": complex(-sol[1]),
         "subleading_sharp": subleading_sharp,
-        "residual": resid,
+        "residual": float(np.max(np.abs(V @ sol - y))),
         "candidate_pi_gamma_half": complex(pi_gamma_half),
         "candidate_gamma": complex(gamma_cand),
         "dist_pi_gamma_half": float(d_pgh),
@@ -732,26 +634,26 @@ def _shift_fit(circles, exponents):
     the sampled ln det N (summed over the cones), in sample order."""
     if isinstance(circles, ConeCircle):
         circles = [circles]
+    if min(exponents, default=1) < 1:
+        raise DomainError("the shift fit samples lambda = 10^-j < 1: j >= 1")
     lams = np.array([10.0 ** (-j) for j in exponents])
     xi, log_dets = [], []
     for lm in lams:
-        per_cone = [detzeta_N_model(c, complex(lm))[0]
-                    for c in circles]
+        per_cone = [detzeta_N_model(c, complex(lm))[0] for c in circles]
         for log_det in per_cone:
             if abs(log_det.imag) > np.pi:
                 raise PhaseUnwrappingFailure(
-                    f"unexpectedly large determinant phase {log_det.imag:.3f}"
-                )
+                    f"unexpectedly large determinant phase {log_det.imag:.3f}")
         log_det = sum(per_cone[1:], per_cone[0])
         log_dets.append(log_det)
         xi.append(log_det.imag / np.pi)
     xi = np.array(xi)
-    x = 1.0 / np.log(lams ** 2)
-    V = np.vander(x, 2, increasing=True)
-    sol, *_ = np.linalg.lstsq(V, xi, rcond=None)
-    leading = float(sol[1])
+    V = np.vander(1.0 / np.log(lams ** 2), 2, increasing=True)
+    sol, _, rank, _ = np.linalg.lstsq(V, xi, rcond=None)
+    if rank < 2:
+        raise FitUnstable("spectral-shift regression is rank deficient")
     return {
-        "leading": leading,
+        "leading": float(sol[1]),
         "expected": float(len(circles)),
         "samples": {float(l): float(v) for l, v in zip(lams, xi)},
         "residual": float(np.max(np.abs(V @ sol - xi))),
@@ -760,9 +662,5 @@ def _shift_fit(circles, exponents):
 
 def dtn_table(cone: ConeCircle, lam_values, n_values):
     """(n, lambda, mu_n) rows for CSV emission."""
-    rows = []
-    for lm in lam_values:
-        for n in n_values:
-            mu = dtn_exterior_eigenvalue(n, cone, lm)
-            rows.append((int(n), complex(lm), complex(mu)))
-    return rows
+    return [(int(n), complex(lm), complex(dtn_exterior_eigenvalue(n, cone, lm)))
+            for lm in lam_values for n in n_values]

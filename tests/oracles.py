@@ -5,11 +5,8 @@ arithmetic-geometric means, q-series, Eisenstein series, ascending Bessel
 series, and product-over-roots resultants.  The exceptions use package
 primitives:
 
-* ``detzeta_full_scan``, the mode sum of ``cones.detzeta_N_model`` with
-  every Bessel product of the scan formed in full (its series split and
-  tail are the package's), ``lift_signs_per_candidate``, the earlier
-  one-candidate-at-a-time lift-sign search of the period construction,
-  ``theta_full_box``, the earlier full-box sum of
+* ``lift_signs_per_candidate``, the earlier one-candidate-at-a-time
+  lift-sign search of the period construction, ``theta_full_box``, the earlier full-box sum of
   ``specfun.riemann_theta_bundle``, and ``abel_paths_per_leg``, the earlier
   one-path-per-leg Abel data of the divisor of df, each kept as the bitwise
   reference of its replacement;
@@ -23,25 +20,13 @@ primitives:
 import numpy as np
 import scipy.special as sps
 
-from hurwitztau.cones import (
-    _BLOCK,
-    _MAX_MODES,
-    _SERIES_X,
-    _TAIL_TOL,
-    ConeCircle,
-    _on_imag_axis,
-    _mode_eps,
-    _tail,
-    _tail_start,
-    jump_eigenvalue,
-)
+from hurwitztau.cones import ConeCircle, _on_imag_axis
 from hurwitztau.curves import CurvePoint, _PANEL_DIV, _leggauss, _tracked_sqrt
 from hurwitztau.errors import (
     CurveGeometryError,
     DiagonalTooClose,
     DomainError,
     IllConditionedPeriods,
-    LossOfPrecision,
     SheetTrackingLoss,
     TruncationFailure,
 )
@@ -253,7 +238,7 @@ def theta_full_box(t, B, char=None, derivs_list=((),)):
 
 
 # ---------------------------------------------------------------------------
-# full-scan model-cone determinant (reference for the block scan)
+# model-cone modes from SciPy's Bessel products (reference for the split)
 # ---------------------------------------------------------------------------
 
 def mode_eps_scipy(cone: ConeCircle, lam, first, last):
@@ -277,61 +262,15 @@ def mode_eps_scipy(cone: ConeCircle, lam, first, last):
     return eps, good
 
 
-def detzeta_full_scan(cone: ConeCircle, lam):
-    """``cones.detzeta_N_model`` with every Bessel product of the scanned
-    range formed in full (``mode_eps_scipy``, chunks of 4096 modes) and the
-    scan's stop rule read off the complete mask, which must show no
-    representable product past the stop block.  The modes SciPy cannot
-    represent, and the tail, come from the package's series split and
-    closed-form tail.  Bitwise reference for the block scan past
-    |lambda R| > _SERIES_X; at or below it no mode is scanned and every mode
-    takes the split."""
+def jump_mu0_scipy(cone: ConeCircle, lam):
+    """mu_0(lambda) of the jump operator from SciPy's Bessel product:
+    1 / (R I_0 K_0) on the imaginary axis, -2i / (pi R J_0 H_0) off it."""
     lam = complex(lam)
-    if lam == 0:
-        raise DomainError("lambda must be nonzero")
-    pure_imag = _on_imag_axis(lam)
-    kR = cone.k * cone.R
-    x = 1j * lam.imag * cone.R if pure_imag else lam * cone.R
-    mu0 = jump_eigenvalue(0, cone, lam)
-    scan_eps, good = np.zeros(0, dtype=complex), np.zeros(0, dtype=bool)
-    if abs(x) > _SERIES_X:
-        for lo in range(0, _MAX_MODES, 4096):
-            e, g = mode_eps_scipy(cone, lam, lo + 1, lo + 4096)
-            scan_eps = np.concatenate((scan_eps, e))
-            good = np.concatenate((good, g))
-            starts = np.arange(1, len(good) + 1, _BLOCK) / kR
-            stop = [b for b, blk in enumerate(good.reshape(-1, _BLOCK))
-                    if not blk.any() and starts[b] > 2 * abs(x) + 2]
-            if stop:
-                break
-        else:
-            raise TruncationFailure("no end to the representable products")
-        scanned = _BLOCK * (stop[0] + 1)
-        assert not good[scanned:].any(), "a product past the stop block"
-        scan_eps, good = scan_eps[:scanned], good[:scanned]
-    N = _tail_start(kR, abs(x), len(good))
-    nu = np.arange(1, N + 1) / kR
-    eps = np.empty(N, dtype=float if pure_imag else complex)
-    rest = np.ones(N, dtype=bool)
-    rest[:len(good)] = ~good
-    eps[:len(good)][good] = scan_eps[good].real if pure_imag else scan_eps[good]
-    if np.any(nu[:len(good)][~good] <= 2 * abs(x) + 2):
-        raise LossOfPrecision("product not representable before the turning point")
-    eps[rest], cert = _mode_eps(nu[rest], x, pure_imag)
-    tail, bound = _tail((x * x).real if pure_imag else x * x, kR, N)
-    if not bound <= _TAIL_TOL:
-        raise TruncationFailure("tail bound over tolerance")
-    log_det = np.log(mu0) + np.log(np.pi * cone.k * cone.R ** 2) \
-        + 2 * (np.sum(eps) + tail)
-    diag = {
-        "mu0": complex(mu0),
-        "tail": complex(tail),
-        "modes": N,
-        "tail_bound": bound,
-        "series_x": _SERIES_X,
-        "near_integer_certificate": cert,
-    }
-    return complex(log_det), diag
+    if _on_imag_axis(lam):
+        tR = lam.imag * cone.R
+        return 1.0 / (cone.R * sps.ive(0, tR) * sps.kve(0, tR))
+    x = lam * cone.R
+    return -2j / (np.pi * cone.R * sps.jv(0, x) * sps.hankel1(0, x))
 
 
 # ---------------------------------------------------------------------------

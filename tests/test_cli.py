@@ -370,6 +370,33 @@ def test_cone_shift_fit_csv_rows_are_the_fit_samples(tmp_path, monkeypatch):
     assert len(calls) == len(samples)
 
 
+_UNKNOWNS = "samples, fewer than the {} unknowns of the fit"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["shift-fit", "--jmin", "0"],
+     "--jmin must be at least 1 for cone-shift-fit (lambda = 10^-j < 1), got 0"),
+    (["shift-fit", "--jmin", "5", "--jmax", "3"],
+     "--jmin 5 to --jmax 3 gives 0 " + _UNKNOWNS.format(2)),
+    (["shift-fit", "--jmin", "3", "--jmax", "3"],
+     "--jmin 3 to --jmax 3 gives 1 " + _UNKNOWNS.format(2)),
+    (["mu0-fit", "--jmin", "3", "--jmax", "4"],
+     "--jmin 3 to --jmax 4 gives 2 " + _UNKNOWNS.format(3)),
+], ids=["shift-lambda-1", "shift-empty", "shift-one", "mu0-two"])
+def test_cone_fit_exponents_are_a_usage_error(argv, message, tmp_path, capfd):
+    # capfd: LAPACK writes its complaints to the file descriptor itself
+    code, rep = run_cli(["cone", *argv], tmp_path)
+    assert code == 2 and rep is None
+    assert capfd.readouterr().err == f"usage error: {message}\n"
+
+
+def test_cone_shift_fit_past_the_mode_sum_range_exits_1(tmp_path):
+    # R = 60 puts lambda R = 0.6 at lambda = 10^-2
+    code, rep = run_cli(["cone", "shift-fit", "--R", "60"], tmp_path)
+    assert code == 1
+    assert rep["error"] == "DomainError"
+
+
 def test_cone_dtn_csv(tmp_path):
     out = tmp_path / "dtn.json"
     # with --out the CSV table lands next to the report

@@ -2,19 +2,18 @@ import cmath
 
 import numpy as np
 import pytest
-import scipy.special as sps
 from hypothesis import given, settings, strategies as st
 
 from hurwitztau import cones
 from hurwitztau.cones import ConeCircle
 from hurwitztau.errors import (
     DomainError,
-    HurwitzTauError,
+    FitUnstable,
     LossOfPrecision,
     PhaseUnwrappingFailure,
     TruncationFailure,
 )
-from oracles import detzeta_full_scan, hankel1_0_series, mode_eps_scipy
+from oracles import hankel1_0_series, jump_mu0_scipy, mode_eps_scipy
 
 
 def test_dtn_zero_spectrum_plane():
@@ -161,7 +160,7 @@ def test_detzeta_consistency_with_detstar():
 
 def test_detzeta_monotone_negative_axis():
     cone = ConeCircle(k=1, R=1.0)
-    ts = [0.3, 0.6, 1.2, 2.4]
+    ts = [0.0625, 0.125, 0.25, 0.5]
     vals = [cones.detzeta_N_model(cone, 1j * t)[0].real for t in ts]
     diffs = np.diff(vals)
     assert np.all(diffs > 0)
@@ -189,50 +188,43 @@ def test_detzeta_flat_plane_structure():
         assert abs(closed - (interior + exterior)) < 1e-10 * abs(closed)
 
 
-def _detzeta_outcome(fn, cone, lam):
-    try:
-        log_det, diag = fn(cone, lam)
-    except HurwitzTauError as exc:
-        return type(exc)
-    diag = dict(diag)
-    diag.pop("direct_modes", None)
-    return log_det, diag
-
-
 # per-mode agreement of the series split with SciPy's product; no looser
 # than the mp oracle check of test_cone_modes_match_mp_oracle
 SERIES_TOL = 1e-13
 
 
 def _assert_is_the_full_scan(cone, lam):
-    """Past |lambda R| > _SERIES_X the block scan is bitwise the full scan
-    (value, diagnostics or error type).  At or below it, each mode of the
-    split agrees with SciPy's full product wherever that is representable,
-    and so does log det."""
-    got = _detzeta_outcome(cones.detzeta_N_model, cone, lam)
-    want = _detzeta_outcome(detzeta_full_scan, cone, lam)
+    """At or below |lambda R| = _SERIES_X each mode of the split agrees with
+    SciPy's product formed in full at every mode (``mode_eps_scipy``)
+    wherever that is representable, log det is the sum of SciPy's modes
+    there and of the split elsewhere, and mu_0 is SciPy's; past it the mode
+    sum raises DomainError."""
     lam = complex(lam)
-    if abs(lam) * cone.R > cones._SERIES_X:
-        assert got == want
-        return
-    log_det, diag = got
     axis = cones._on_imag_axis(lam)
     x = 1j * lam.imag * cone.R if axis else lam * cone.R
+    if abs(x) > cones._SERIES_X:
+        with pytest.raises(DomainError):
+            cones.detzeta_N_model(cone, lam)
+        return
+    log_det, diag = cones.detzeta_N_model(cone, lam)
     N = diag["modes"]
-    series, _ = cones._mode_eps(np.arange(1, N + 1) / (cone.k * cone.R), x,
-                                axis)
+    series, _ = cones._series_eps(cones._cone_orders(cone.k * cone.R, N), x,
+                                  axis)
     scipy_eps, good = mode_eps_scipy(cone, lam, 1, N)
     assert good.any()
     assert np.max(np.abs(series[good] - scipy_eps[good])) <= SERIES_TOL
-    assert abs(log_det - want[0]) <= 2 * good.sum() * SERIES_TOL
+    mu0 = jump_mu0_scipy(cone, lam)
+    assert abs(diag["mu0"] - mu0) <= 1e-14 * abs(mu0)
+    want = np.log(diag["mu0"]) + np.log(np.pi * cone.k * cone.R ** 2) \
+        + 2 * (np.sum(np.where(good, scipy_eps, series)) + diag["tail"])
+    assert abs(log_det - want) <= 2 * good.sum() * SERIES_TOL
 
 
 @pytest.mark.parametrize("R", [0.5, 0.8, 1.3, 2.0])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_detzeta_block_scan_is_bitwise_the_full_scan(k, R):
-    # the block scan skips only products that cannot be represented, so
-    # log_det, diag and any raised error equal the full scan's exactly;
-    # below _SERIES_X no mode is scanned and the split is checked per mode
+    # the split per mode against SciPy's product at |lambda R| <= _SERIES_X,
+    # DomainError past it
     cone = ConeCircle(k, R)
     for a in (10.0, 1.0, 1e-1, 1e-3, 1e-7):
         for lam in (a, 1j * a, a * (1 + 0.3j)):
@@ -246,47 +238,23 @@ BAND_CONES = [(1, 1.12), (1, 1.47), (2, 0.92), (2, 1.06),
 # past it
 SERIES_LAMS = [10.0 ** -j for j in range(1, 8)] \
     + [1j * 10.0 ** -j for j in range(1, 5)]
-SCAN_LAMS = [1.0, 1j, 0.9 + 0.27j]
+PAST_LAMS = [1.0, 1j, 0.9 + 0.27j]
 
 
 @pytest.mark.parametrize("k,R", BAND_CONES)
 def test_detzeta_direct_modes_stay_within_four_blocks(k, R):
-    # SciPy scans no mode where the split holds, at most four blocks past it
+    # on the band cones every mode takes the split, with a tail bound far
+    # below rounding; past _SERIES_X the mode sum is not defined
     cone = ConeCircle(k, R)
     for lam in SERIES_LAMS:
+        _assert_is_the_full_scan(cone, lam)
         _, diag = cones.detzeta_N_model(cone, lam)
-        assert diag["direct_modes"] == 0
-        assert diag["modes"] == cones._tail_start(k * R, abs(lam) * R)
+        assert "direct_modes" not in diag
+        assert diag["modes"] == cones._tail_start(k * R)
         assert diag["series_x"] == cones._SERIES_X
         assert 0 <= diag["tail_bound"] < 1e-15
-    for lam in SCAN_LAMS:
-        _, diag = cones.detzeta_N_model(cone, lam)
-        assert 0 < diag["direct_modes"] <= 4 * cones._BLOCK
-        assert diag["modes"] >= diag["direct_modes"]
-
-
-def test_second_factor_only_where_the_first_is_nonzero(monkeypatch):
-    # H (or K) is asked for only at orders whose J (or I) is nonzero, and
-    # some orders of every scan are skipped
-    seen = []
-
-    def wrap(second, first):
-        def checked(nu, x):
-            orders = np.atleast_1d(nu)
-            assert np.all(first(orders, x) != 0)
-            seen.append(orders.size)
-            return second(nu, x)
-        return checked
-
-    monkeypatch.setattr(sps, "hankel1", wrap(sps.hankel1, sps.jv))
-    monkeypatch.setattr(sps, "kve", wrap(sps.kve, sps.ive))
-    for k, R in BAND_CONES:
-        for lam in SCAN_LAMS:
-            seen.clear()
-            _, diag = cones.detzeta_N_model(ConeCircle(k, R), lam)
-            # seen[0] is the mode n = 0 of mu_0
-            assert seen[0] == 1
-            assert 0 < sum(seen[1:]) < diag["direct_modes"]
+    for lam in PAST_LAMS:
+        _assert_is_the_full_scan(cone, lam)
 
 
 def _lam_on_ray(a, ray):
@@ -299,6 +267,19 @@ def _lam_on_ray(a, ray):
        ray=st.sampled_from(["real", "imag", "tilted"]))
 def test_detzeta_is_the_full_scan_on_random_cones(k, R, log_a, ray):
     _assert_is_the_full_scan(ConeCircle(k, R), _lam_on_ray(10.0 ** log_a, ray))
+
+
+@pytest.mark.parametrize("ray", ["real", "imag", "tilted"])
+def test_detzeta_range_ends_at_series_x(ray):
+    # |lambda R| = 1/2 is the last value of the range, on every ray
+    for k in (1, 3):
+        for R in (0.5, 1.0, 2.0):
+            cone = ConeCircle(k, R)
+            lam = _lam_on_ray(cones._SERIES_X / R, ray)
+            _, diag = cones.detzeta_N_model(cone, lam)
+            assert diag["series_x"] == cones._SERIES_X
+            with pytest.raises(DomainError):
+                cones.detzeta_N_model(cone, lam * (1 + 1e-12))
 
 
 # cones of the mp oracle check: band ends, integer orders (k R = 2), and
@@ -327,7 +308,7 @@ def test_cone_modes_match_mp_oracle(k, R, mp_cone_eps):
         axis = cones._on_imag_axis(complex(lam))
         x = 1j * lam.imag * R if axis else lam * R
         N = min(cones.detzeta_N_model(cone, lam)[1]["modes"], MP_MODES)
-        eps, cert = cones._mode_eps(np.arange(1, N + 1) / (k * R), x, axis)
+        eps, cert = cones._series_eps(cones._cone_orders(k * R, N), x, axis)
         want = np.array(mp_cone_eps[(k, R, lam)][:N])
         assert np.max(np.abs(eps - want)) <= 1e-13
         assert cert <= 1e-13
@@ -420,6 +401,17 @@ def test_shift_fit_unwraps_each_cone_phase(monkeypatch, phases, raises):
     else:
         fit = cones.spectral_shift_asymptotic(circles)
         assert set(fit["samples"].values()) == {sum(phases) / np.pi}
+
+
+def test_shift_fit_rejects_degenerate_exponents():
+    cone = ConeCircle(1, 1.0)
+    with pytest.raises(FitUnstable):
+        cones.spectral_shift_asymptotic(cone, exponents=[3])
+    with pytest.raises(FitUnstable):
+        cones.spectral_shift_asymptotic(cone, exponents=[])
+    # lambda = 1 would put 1 / log lambda^2 at infinity
+    with pytest.raises(DomainError):
+        cones.spectral_shift_asymptotic(ConeCircle(1, 0.5), exponents=range(0, 4))
 
 
 def test_spectral_shift_additivity_over_distinct_cones():

@@ -93,14 +93,6 @@ def test_cone_command_loads_scipy_special():
     assert loaded["scipy.special"]
 
 
-def test_scanned_determinant_loads_scipy_special():
-    # sanity check: the probe does see a deferred import (past
-    # |lambda R| > _SERIES_X the mode sum scans SciPy's Bessel products)
-    loaded = loaded_after("from hurwitztau import cones\n"
-                          "cones.detzeta_N_model(cones.ConeCircle(1, 1.0), 2j)")
-    assert loaded["scipy.special"]
-
-
 BAND_CONE_OP = (
     "import sys\n"
     "sys.path.insert(0, 'benchmarks')\n"
@@ -109,11 +101,20 @@ BAND_CONE_OP = (
     "           ops.cone_op({'k': 4, 'R': 0.69, 't': 0.1}))\n")
 
 
+# the mode sum at the end of its range, |lambda R| = 1/2, on three rays
+RANGE_END = (
+    "import cmath\n"
+    "from hurwitztau import cones\n"
+    "for lam in (0.5, 0.5j, cmath.rect(0.5, 0.3)):\n"
+    "    cones.detzeta_N_model(cones.ConeCircle(1, 1.0), lam)\n")
+
+
 @pytest.mark.parametrize("code", [
     cli_run("cone", "mu0-fit"),
     cli_run("cone", "shift-fit"),
     BAND_CONE_OP,
-], ids=["mu0-fit", "shift-fit", "cone_op"])
+    RANGE_END,
+], ids=["mu0-fit", "shift-fit", "cone_op", "detzeta-range-end"])
 def test_cone_fits_load_no_scipy_special(code):
     # |lambda R| <= _SERIES_X throughout: series and closed-form tail only
     loaded = loaded_after(code)
