@@ -365,7 +365,8 @@ def cmd_verify_varodin(args):
             "chain": chain,
         },
         "discrepancies": {"chain": d},
-        "certificates": {"contour": vd.certificate},
+        "certificates": {"contour": vd.certificate,
+                         "h_taylor": vr["h_taylor_certificate"]},
     }, d < tols["varodin"]
 
 

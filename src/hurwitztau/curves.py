@@ -45,6 +45,7 @@ from .specfun import (
     RiemannMatrix,
     ThetaCharacteristic,
     riemann_theta_bundle,
+    riemann_theta_grid,
 )
 
 __all__ = [
@@ -607,18 +608,9 @@ class HyperellipticCurve:
     def _log_deriv_matrix(self, t, char):
         """L_ij = theta_ij/theta - theta_i theta_j / theta^2 at each row of
         t (shape (n, g)); returns shape (n, g, g)."""
-        g = self.g
-        basis = [tuple(np.eye(g)[i]) for i in range(g)]
-        specs = [()]
-        specs += [(b,) for b in basis]
-        specs += [(basis[i], basis[j]) for i in range(g) for j in range(g)]
-        vals = self.theta_bundle(t, char=char, derivs_list=specs)
-        th = vals[:, 0, None, None]
-        if np.any(th == 0):
-            raise DiagonalTooClose("theta vanished in the bidifferential kernel")
-        grad = vals[:, 1 : 1 + g]
-        hess = vals[:, 1 + g :].reshape(-1, g, g)
-        return hess / th - grad[:, :, None] * grad[:, None, :] / th ** 2
+        return _log_deriv(self.theta_bundle(t, char=char,
+                                            derivs_list=_w_specs(self.g)),
+                          self.g)
 
     def _w_char(self):
         """Fixed odd characteristic for the bidifferential kernel."""
@@ -647,17 +639,35 @@ class HyperellipticCurve:
         v2 = self.chart_nodes(m, x2s, "v").reshape(-1, self.g)
         return -np.einsum("nij,nj,ni->n", L, v1, v2).reshape(x1s.shape)
 
+    def w_hat_branch_chart_grid(self, m, xs, ys):
+        """Distinguished-chart W at every pair (xs_i, ys_j) of chart points
+        near branch m, shape (len(xs), len(ys)): node data from
+        :meth:`chart_nodes`, one separable theta pass
+        (:func:`riemann_theta_grid`) over the chart Abel rows, one
+        contraction."""
+        xs = np.asarray(xs, dtype=complex)
+        ys = np.asarray(ys, dtype=complex)
+        X, Y = xs[:, None], ys[None, :]
+        near = np.maximum(np.maximum(np.abs(X), np.abs(Y)), 1e-30)
+        if np.any(np.abs(X - Y) < 1e-10 * near):
+            raise DiagonalTooClose("bidifferential requested on the diagonal")
+        L = _log_deriv(riemann_theta_grid(
+            self.chart_nodes(m, xs, "abel"), self.chart_nodes(m, ys, "abel"),
+            self.B, self._w_char(), _w_specs(self.g)), self.g)
+        return -np.einsum("xyij,xj,yi->xy", L, self.chart_nodes(m, xs, "v"),
+                          self.chart_nodes(m, ys, "v"))
+
     @staticmethod
     def _richardson_even(h, tol):
         """Limit of an even-in-delta quantity h(delta) -> L + c d^2 + e d^4
         from the samples h = (h(delta), h(delta/2), h(delta/4)), each an
         array over nodes (two Richardson levels); every node's certificate
-        must meet ``tol``."""
+        must meet ``tol`` (a NaN certificate does not)."""
         e1 = (4 * h[1] - h[0]) / 3
         e2 = (4 * h[2] - h[1]) / 3
         extrap = (16 * e2 - e1) / 15
         cert = np.abs(e2 - e1)
-        bad = cert > tol * np.maximum(1.0, np.abs(extrap))
+        bad = ~(cert <= tol * np.maximum(1.0, np.abs(extrap)))
         if np.any(bad):
             raise ExtrapolationUnstable(
                 f"H-limit Richardson certificate {np.max(cert[bad]):.2e} "
@@ -694,7 +704,7 @@ class HyperellipticCurve:
         r0 = np.sqrt(0.1 * float(np.min(np.abs(np.delete(self.e, m)
                                                - self.e[m]))))
         return h_taylor_torus(
-            lambda x, y: self.w_hat_branch_chart_pairs(m, x, y),
+            lambda x, y: self.w_hat_branch_chart_grid(m, x, y),
             0.33 * r0, 0.21 * r0, order, n_fft)
 
     def h_branch_origin(self, m):
@@ -729,9 +739,12 @@ class HyperellipticCurve:
         return 6.0 * np.pi * complex(v_values @ Yi @ v_values)
 
     def schiffer_branch_origin(self, m):
-        """Schiffer connection at x = 0 in the distinguished chart at branch m."""
+        """Schiffer connection at x = 0 in the distinguished chart at branch
+        m, with the grid certificate of its H(0, 0) (:meth:`h_taylor_branch`):
+        returns (value, certificate)."""
+        H, cert = self.h_taylor_branch(m, order=1)
         vlead = self.branch_data(m).v_lead
-        return 6.0 * self.h_branch_origin(m) - self.schiffer_sb_term(vlead)
+        return 6.0 * complex(H[0, 0]) - self.schiffer_sb_term(vlead), cert
 
     def bergman_kernel(self, v_values):
         """B(x, xbar) = sum (Im B)^{-1}_{ij} v_i conj(v_j) for chart values."""
@@ -854,17 +867,38 @@ class HyperellipticCurve:
 
     def lattice_fit(self, vec, tol=1e-6):
         """Nearest lattice vector B Z + Z' to vec; raises when the residual
-        exceeds tolerance."""
+        exceeds tolerance or is NaN."""
         B = self.B.B
         Zr = np.linalg.solve(B.imag, np.asarray(vec).imag)
         Z = np.round(Zr)
         Zp = np.round((np.asarray(vec) - B @ Z).real)
         resid = float(np.max(np.abs(vec - B @ Z - Zp)))
-        if resid > tol:
+        if not resid <= tol:
             raise LatticeResolutionFailure(
                 f"lattice identification residual {resid:.2e} > {tol}"
             )
         return Z.astype(int), Zp.astype(int), resid
+
+
+@lru_cache(maxsize=8)
+def _w_specs(g):
+    """Theta specs of the bidifferential kernel: value, gradient, Hessian
+    along the coordinate axes."""
+    basis = [tuple(np.eye(g)[i]) for i in range(g)]
+    return tuple([()] + [(b,) for b in basis]
+                 + [(basis[i], basis[j]) for i in range(g) for j in range(g)])
+
+
+def _log_deriv(vals, g):
+    """L_ij = theta_ij/theta - theta_i theta_j / theta^2 from theta values
+    in the spec order of :func:`_w_specs` along the last axis; returns the
+    leading shape + (g, g)."""
+    th = vals[..., 0, None, None]
+    if np.any(th == 0):
+        raise DiagonalTooClose("theta vanished in the bidifferential kernel")
+    grad = vals[..., 1 : 1 + g]
+    hess = vals[..., 1 + g :].reshape(vals.shape[:-1] + (g, g))
+    return hess / th - grad[..., :, None] * grad[..., None, :] / th ** 2
 
 
 def _trapezoid_doubling(fun, nodes=32, max_doublings=5, target=1e-10):
@@ -895,22 +929,24 @@ def _trapezoid_doubling(fun, nodes=32, max_doublings=5, target=1e-10):
     return cur, N, cert
 
 
-def h_taylor_torus(w_pairs, rho1, rho2, order, n_fft=16):
+def h_taylor_torus(w_grid, rho1, rho2, order, n_fft=16):
     """Taylor coefficients H_{pq} (p, q < order) of the regular part
     H(x, y) = W(x, y) - (x - y)^{-2} of a bidifferential by 2-D Fourier
-    extraction on the torus |x| = rho1, |y| = rho2; ``w_pairs(X, Y)`` gives W
-    on two equal-shape arrays of chart points.
+    extraction on the torus |x| = rho1, |y| = rho2; ``w_grid(xs, ys)`` gives
+    W at every pair of the chart points xs (N,) and ys (N,), shape (N, N)
+    (for the hyperelliptic kernel one separable theta pass,
+    :meth:`HyperellipticCurve.w_hat_branch_chart_grid`).
 
     Distinct radii keep the diagonal away from the sampling torus, so no
     small-separation amplification occurs.  The 2N grid is sampled once, its
     even-index subgrid is the N grid (same nodes), and the grid-doubling
-    certificate must stay below 1e-7.  Returns (coefficients, certificate).
+    certificate must stay at or below 1e-7 (a NaN certificate fails it).
+    Returns (coefficients, certificate).
     """
     N = 2 * n_fft
     th = np.arange(N) * 2 * np.pi / N
-    X, Y = np.meshgrid(rho1 * np.exp(1j * th), rho2 * np.exp(1j * th),
-                       indexing="ij")
-    vals = w_pairs(X, Y) - 1.0 / (X - Y) ** 2
+    xs, ys = rho1 * np.exp(1j * th), rho2 * np.exp(1j * th)
+    vals = w_grid(xs, ys) - 1.0 / (xs[:, None] - ys[None, :]) ** 2
 
     def taylor(v):
         n = v.shape[0]
@@ -922,7 +958,7 @@ def h_taylor_torus(w_pairs, rho1, rho2, order, n_fft=16):
     out = taylor(vals)
     coarse = taylor(vals[::2, ::2])
     cert = float(np.max(np.abs(coarse - out)) / max(1.0, np.max(np.abs(out))))
-    if cert > 1e-7:
+    if not cert <= 1e-7:
         raise ExtrapolationUnstable(
             f"H Taylor grid-doubling certificate {cert:.2e}")
     return out, cert

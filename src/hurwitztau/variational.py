@@ -250,11 +250,12 @@ def varodin_rhs_curve(curve, m):
 
     The chain identity that ``verify varodin`` gates (the contour form plus
     the det Im B variation) fixes the sign used in ``value``; the
-    opposite-sign convention is reported alongside as ``sign_flipped``.
+    opposite-sign convention is reported alongside as ``sign_flipped``, and
+    the grid certificate of the H-Taylor torus as ``h_taylor_certificate``.
     """
-    s = curve.schiffer_branch_origin(m)
+    s, cert = curve.schiffer_branch_origin(m)
     return {"value": -s / 12.0, "sign_flipped": s / 12.0,
-            "schiffer_at_origin": s}
+            "schiffer_at_origin": s, "h_taylor_certificate": cert}
 
 
 # ---------------------------------------------------------------------------

@@ -241,24 +241,40 @@ def theta_full_box(t, B, char=None, derivs_list=((),)):
 # model-cone modes from SciPy's Bessel products (reference for the split)
 # ---------------------------------------------------------------------------
 
+# a mode is left out when one of its Bessel factors lies outside this range.
+# Against mpmath, SciPy's products lose digits as the factors move towards
+# the ends of the double range: at k = 2, R = 0.3, lambda = 10^-7.1235,
+# nu = 25 (J = 1e-224) J_nu H_nu is off by 1.2e-13 and I_nu K_nu by
+# 1.0e-13, and I_nu K_nu reaches 1.0e-13 with factors near 1e-135.  Within
+# 1e100 the worst of 6,000 random cones of the property test was 5.7e-14.
+_SCIPY_FACTOR_RANGE = 1e100
+
+
 def mode_eps_scipy(cone: ConeCircle, lam, first, last):
     """(eps, good) for the modes first..last from SciPy's Bessel product,
     formed in full at every mode: eps_n = -log(2 nu I K) on the imaginary
-    axis, -log(pi nu J H / (-i)) off it; ``good`` marks the representable
-    products (eps is NaN elsewhere)."""
+    axis, -log(pi nu J H / (-i)) off it; ``good`` marks the products whose
+    two factors lie within ``_SCIPY_FACTOR_RANGE`` of 1 in both directions
+    (eps is NaN elsewhere)."""
     lam = complex(lam)
     nu = np.arange(first, last + 1) / (cone.k * cone.R)
     eps = np.full(nu.shape, np.nan, dtype=complex)
+    axis = _on_imag_axis(lam)
     with np.errstate(all="ignore"):
-        if _on_imag_axis(lam):
+        if axis:
             tR = lam.imag * cone.R
-            prod = sps.ive(nu, tR) * sps.kve(nu, tR)
-            good = np.isfinite(prod) & (prod > 0)
-            eps[good] = -np.log(2 * nu[good] * prod[good])
+            f1, f2 = sps.ive(nu, tR), sps.kve(nu, tR)
         else:
-            prod = sps.jv(nu, lam * cone.R) * sps.hankel1(nu, lam * cone.R)
-            good = np.isfinite(prod) & (np.abs(prod) > 1e-280)
-            eps[good] = -np.log(np.pi * nu[good] * prod[good] / (-1j))
+            f1, f2 = sps.jv(nu, lam * cone.R), sps.hankel1(nu, lam * cone.R)
+        good = np.ones(nu.shape, dtype=bool)
+        for f in (f1, f2):
+            good &= (np.abs(f) > 1 / _SCIPY_FACTOR_RANGE) \
+                & (np.abs(f) < _SCIPY_FACTOR_RANGE)
+        prod = f1[good] * f2[good]
+        if axis:
+            eps[good] = -np.log(2 * nu[good] * prod)
+        else:
+            eps[good] = -np.log(np.pi * nu[good] * prod / (-1j))
     return eps, good
 
 

@@ -245,6 +245,8 @@ def test_verify_varodin_command(tmp_path):
     assert rep["discrepancies"]["chain"] < 1e-5
     # the opposite-sign companion value is reported alongside
     assert "varodin_sign_flipped" in rep["outputs"]
+    # the H-Taylor torus behind the Schiffer side reports its certificate
+    assert 0.0 <= rep["certificates"]["h_taylor"] <= 1e-7
 
 
 _G2_INPUT = {"branch_points": [[-2.1, 0.0], [-1.0, 0.0], [-0.2, 0.3], [0.7, 0.0],

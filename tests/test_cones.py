@@ -2,7 +2,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hurwitztau import cones
 from hurwitztau.cones import ConeCircle
@@ -265,6 +265,11 @@ def _lam_on_ray(a, ray):
 @given(k=st.integers(1, 4), R=st.floats(0.3, 3.0),
        log_a=st.floats(-8.0, float(np.log10(20.0))),
        ray=st.sampled_from(["real", "imag", "tilted"]))
+# a draw where SciPy's reference, not the split, is off by 1e-13 at its
+# highest modes (every ray): those modes are left out by mode_eps_scipy
+@example(k=2, R=0.3, log_a=-7.1235, ray="real")
+@example(k=2, R=0.3, log_a=-7.1235, ray="imag")
+@example(k=2, R=0.3, log_a=-7.1235, ray="tilted")
 def test_detzeta_is_the_full_scan_on_random_cones(k, R, log_a, ray):
     _assert_is_the_full_scan(ConeCircle(k, R), _lam_on_ray(10.0 ** log_a, ray))
 

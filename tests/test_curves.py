@@ -6,6 +6,8 @@ from hurwitztau.curves import _tracked_sqrt
 from hurwitztau.errors import (
     CurveGeometryError,
     DiagonalTooClose,
+    ExtrapolationUnstable,
+    LatticeResolutionFailure,
     PeriodQuadratureFailure,
     SheetTrackingLoss,
 )
@@ -277,19 +279,59 @@ def test_schiffer_marking_independence(genus2_curve):
     cur = genus2_curve
     sw = cur.swap_marking()
     for m in (0, 3):
-        s1 = cur.schiffer_branch_origin(m)
-        s2 = sw.schiffer_branch_origin(m)
+        s1, _ = cur.schiffer_branch_origin(m)
+        s2, _ = sw.schiffer_branch_origin(m)
         assert abs(s1 - s2) < 1e-8 * max(1.0, abs(s1))
 
 
 def test_schiffer_genus1_specialization(genus1_curve):
     cur = genus1_curve
     m = 1
-    s = cur.schiffer_branch_origin(m)
+    s, cert = cur.schiffer_branch_origin(m)
+    assert cert < 1e-7
     sb = 6.0 * cur.h_branch_origin(m)
     v = cur.branch_data(m).v_lead[0]
     expected = sb - 6 * np.pi * v * v / cur.B.B.imag[0, 0]
     assert abs(s - expected) < 1e-10 * max(1.0, abs(s))
+
+
+def test_h_origin_genus1_weierstrass_closed_form():
+    # on C / (Z + tau Z), W = (wp(u - u') + 2 eta_1) du du', so in the
+    # distinguished chart at e_m (u = a x + O(x^3), a the leading
+    # differential coefficient) H(0, 0) = -(1/6) sum_{i != m} 1/(e_m - e_i)
+    # + 2 eta_1 a^2: no theta function and no torus FFT
+    data = load_fixture("curve_genus1")
+    cur = HyperellipticCurve([complex(*p) for p in data["branch_points"]])
+    eta1 = weierstrass_eta1(cur.B.B[0, 0])
+    for m in range(4):
+        a = cur.branch_data(m).v_lead[0]
+        want = -np.sum(1.0 / (cur.e[m] - np.delete(cur.e, m))) / 6.0 \
+            + 2.0 * eta1 * a * a
+        assert abs(cur.h_branch_origin(m) - want) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# a NaN certificate is a failed certificate
+# ---------------------------------------------------------------------------
+
+def test_richardson_nan_certificate_raises(genus1_curve, monkeypatch):
+    monkeypatch.setattr(genus1_curve, "w_hat_branch_chart_pairs",
+                        lambda m, u, v: np.full(np.shape(u), np.nan + 0j))
+    with pytest.raises(ExtrapolationUnstable):
+        genus1_curve.bergman_sb_branch(1, 0.05)
+
+
+def test_h_taylor_nan_certificate_raises(genus1_curve, monkeypatch):
+    monkeypatch.setattr(genus1_curve, "w_hat_branch_chart_grid",
+                        lambda m, xs, ys: np.full((len(xs), len(ys)),
+                                                  np.nan + 0j))
+    with pytest.raises(ExtrapolationUnstable, match="grid-doubling"):
+        genus1_curve.h_taylor_branch(1, order=2)
+
+
+def test_lattice_fit_nan_residual_raises(genus1_curve):
+    with pytest.raises(LatticeResolutionFailure):
+        genus1_curve.lattice_fit(np.array([complex(np.nan, 0.3)]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hurwitztau.errors import (
     CriticalPointSingularity,
     DegenerateInput,
     DomainError,
+    LossOfPrecision,
     TruncationFailure,
 )
 from mp_oracles import theta_mp
@@ -291,6 +292,157 @@ def test_theta_characteristic_per_row_count_must_match():
     odd = specfun.ThetaCharacteristic.odd_characteristics(2)
     with pytest.raises(DomainError, match="6 characteristics for 3 arguments"):
         specfun.riemann_theta_bundle(np.zeros((3, 2)), B, char=odd)
+
+
+# ---------------------------------------------------------------------------
+# Riemann theta on the grid of differences ay_j - ax_i
+# ---------------------------------------------------------------------------
+
+def _grid_chars(g):
+    """The bidifferential kernel's characteristic (``_w_char``: the first
+    odd one) and the last characteristic of the list."""
+    return [specfun.ThetaCharacteristic.odd_characteristics(g)[0],
+            specfun.ThetaCharacteristic.all_characteristics(g)[-1]]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_theta_grid_matches_mp_oracle(g):
+    # every spec up to order 2 at each difference, to the rounding of the
+    # double sum (a 2 x 1 grid at g = 3, where each oracle call is slow)
+    rng = np.random.default_rng(1500 + g)
+    B = _random_B(rng, g, 1.5 if g < 3 else 3.0)
+    specs = _theta_specs(g)
+    nx, ny = (2, 2) if g < 3 else (2, 1)
+    ax = rng.normal(size=(nx, g)) * 0.3 + 1j * rng.normal(size=(nx, g)) * 0.3
+    ay = rng.normal(size=(ny, g)) * 0.3 + 1j * rng.normal(size=(ny, g)) * 0.3
+    for char in _grid_chars(g):
+        got = specfun.riemann_theta_grid(ax, ay, B, char, specs)
+        assert got.shape == (nx, ny, len(specs))
+        for i in range(nx):
+            for j in range(ny):
+                want, scale = theta_mp(ay[j] - ax[i], B, char.a, char.b, specs)
+                err = np.abs(got[i, j] - want) / np.array(scale)
+                assert err.max() < 1e-14, (i, j, err.max())
+
+
+def _fixture_torus(m):
+    """The chart Abel rows of the H-Taylor torus at branch point m of
+    ``fixtures/curve_genus2.json`` (the 32 x 32 grid of h_taylor_branch)."""
+    from curve_inputs import load_fixture
+    from hurwitztau.curves import HyperellipticCurve
+
+    data = load_fixture("curve_genus2")
+    cur = HyperellipticCurve([complex(*p) for p in data["branch_points"]])
+    r0 = np.sqrt(0.1 * float(np.min(np.abs(np.delete(cur.e, m) - cur.e[m]))))
+    circle = np.exp(2j * np.pi * np.arange(32) / 32)
+    return (cur, cur.chart_nodes(m, 0.33 * r0 * circle, "abel"),
+            cur.chart_nodes(m, 0.21 * r0 * circle, "abel"))
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_theta_grid_is_the_pairs_kernel_on_the_fixture_torus(m, monkeypatch):
+    # the grid against riemann_theta_bundle on the flattened pairs, relative
+    # to each pair's largest spec (m = 3 is the branch point whose odd theta
+    # comes nearest to zero on the torus); then the skip rule against a
+    # brute-force scan of the box, and the kept points against the whole box
+    cur, ax, ay = _fixture_torus(m)
+    specs, char = _theta_specs(2), cur._w_char()
+    t = (ay[None] - ax[:, None]).reshape(-1, 2)
+    pairs = specfun.riemann_theta_bundle(t, cur.B, char, specs)
+    pairs = pairs.reshape(32, 32, -1)
+    kept = []
+    sums = specfun._grid_sums
+
+    def recording(left, right, F):
+        kept.append((F[:, 1:3] / (2j * np.pi)).real)   # q from its gradient
+        return sums(left, right, F)
+
+    monkeypatch.setattr(specfun, "_grid_sums", recording)
+    grid = specfun.riemann_theta_grid(ax, ay, cur.B, char, specs)
+    scale = np.abs(pairs).max(axis=2, keepdims=True)
+    assert np.max(np.abs(grid - pairs) / scale) < 1e-13
+    # every box point whose term, largest derivative factor included, comes
+    # within exp(-_THETA_SKIP) of some pair's largest term is summed
+    B = cur.B.B
+    a = np.asarray(char.a)
+    R = int(np.ceil(specfun._theta_radius(*specfun._theta_spread(B),
+                                          t.imag, a).max()))
+    q = specfun._theta_lattice(2, R) + a
+    E = -np.pi * np.einsum("mi,ij,mj->m", q, B.imag, q)[:, None] \
+        - 2 * np.pi * q @ t.imag.T
+    with np.errstate(divide="ignore"):
+        logf = np.log(np.abs(2 * np.pi * q))
+    top = np.maximum(0.0, np.maximum(logf.max(axis=1), 2 * logf.max(axis=1)))
+    need = q[(E - E.max(axis=0)).max(axis=1) + top >= -specfun._THETA_SKIP]
+    assert len(kept) == 1 and len(kept[0]) < 0.3 * len(q)
+    assert {tuple(p) for p in need} <= {tuple(p) for p in np.round(kept[0], 6)}
+    # the skipped points, summed too, move no value past rounding (with
+    # every sum part counted as cancelled, the kernel sums the whole box)
+    monkeypatch.setattr(specfun, "_THETA_CANCEL", np.inf)
+    whole = specfun.riemann_theta_grid(ax, ay, cur.B, char, specs)
+    assert len(kept[-1]) == len(q)
+    assert np.max(np.abs(grid - whole) / scale) < 1e-14
+
+
+def test_theta_grid_sums_the_whole_box_when_a_part_cancels(monkeypatch):
+    # real theta (Re B = 0, real differences): the imaginary parts cancel to
+    # rounding noise, which the skipped terms could move, so the grid sums
+    # the whole box again; its values match the pairs kernel's
+    rng = np.random.default_rng(1600)
+    B = 1j * _random_B(rng, 2, 0.8).imag
+    ax, ay = rng.normal(size=(3, 2)) + 0j, rng.normal(size=(4, 2)) + 0j
+    kept = []
+    sums = specfun._grid_sums
+
+    def recording(left, right, F):
+        kept.append(len(left))
+        return sums(left, right, F)
+
+    monkeypatch.setattr(specfun, "_grid_sums", recording)
+    char = specfun.ThetaCharacteristic((0.5, 0.0), (0.0, 0.0))
+    grid = specfun.riemann_theta_grid(ax, ay, B, char, _theta_specs(2))
+    assert len(kept) == 2 and kept[0] < kept[1]
+    pairs = specfun.riemann_theta_bundle(
+        (ay[None] - ax[:, None]).reshape(-1, 2), B, char, _theta_specs(2))
+    scale = np.abs(pairs).max(axis=1)[:, None]
+    assert np.max(np.abs(grid.reshape(12, -1) - pairs) / scale) < 1e-14
+
+
+def test_theta_grid_recentres_a_far_common_offset():
+    # both sets far out along Im: the differences are small, and so are
+    # the one-sided factors once both sets sit on their common mean
+    rng = np.random.default_rng(1700)
+    B = _random_B(rng, 2, 0.8)
+    ax = rng.normal(size=(5, 2)) * 0.3 + 40j
+    ay = rng.normal(size=(6, 2)) * 0.3 + 40j
+    grid = specfun.riemann_theta_grid(ax, ay, B, None, _theta_specs(2))
+    pairs = specfun.riemann_theta_bundle(
+        (ay[None] - ax[:, None]).reshape(-1, 2), B, None, _theta_specs(2))
+    scale = np.abs(pairs).max(axis=1)[:, None]
+    assert np.max(np.abs(grid.reshape(30, -1) - pairs) / scale) < 1e-13
+
+
+def test_theta_grid_guards():
+    B = np.array([[0.02j, 0.1], [0.1, 1.0j]])
+    ax = np.array([[0.3 - 1.7j, 0.2 + 0.1j]])
+    ay = np.zeros((2, 2), dtype=complex)
+    # a centre 85 steps out along Im B's eigenvalue 0.02 needs radius ~113;
+    # 10% further out exceeds the cap, as in the pairs kernel
+    assert specfun.riemann_theta_grid(ax, ay, B).shape == (1, 2, 1)
+    with pytest.raises(TruncationFailure):
+        specfun.riemann_theta_grid(1.1 * ax, ay, B)
+    # two points of one set 24 apart along Im: within the cap, but the
+    # split's row scales differ from its terms by more than the double range
+    B = np.array([[1.0j, 0.0], [0.0, 1.0j]])
+    ax = np.array([[0.0, 0.0], [24.0j, 0.0]])
+    with pytest.raises(LossOfPrecision):
+        specfun.riemann_theta_grid(ax, ay, B)
+    for bad in (float("nan"), float("inf"), complex(0.0, float("nan"))):
+        for k in range(3):
+            args = [ax.copy(), ay.copy(), B.copy()]
+            args[k][-1, -1] = bad
+            with pytest.raises(DomainError, match="finite"):
+                specfun.riemann_theta_grid(*args)
 
 
 def test_riemann_matrix_validation():

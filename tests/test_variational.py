@@ -196,7 +196,7 @@ def test_smatrix_hh_l2_equals_schiffer(g1):
     pts, hub, fac = g1
     cur = fac(pts)
     block = V.smatrix_hh_zero(cur, 1, ell=2)
-    s = cur.schiffer_branch_origin(1)
+    s, _ = cur.schiffer_branch_origin(1)
     assert abs(block.hh[0, 0] - (-s / 6.0)) < 1e-9
     assert block.symmetry_defect < 1e-12
     ha = block.ha_diag[0]
