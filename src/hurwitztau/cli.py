@@ -353,7 +353,10 @@ def cmd_verify_varodin(args):
     vr = variational.varodin_rhs_curve(curve, m)
     vd = variational.vardwa_rhs_curve(curve, m)
     dd = variational.det_imB_derivative(factory, pts, m)
-    chain = vd.value + dd["trace_route"]
+    # the FD route: with vardwa read as -H(0, 0)/2, the trace route equals
+    # the Schiffer term of varodin by the same residue argument, so a chain
+    # through it would compare a value with itself
+    chain = vd.value + dd["fd_route"]
     d = abs(vr["value"] - chain)
     return {
         "inputs": data,
@@ -361,7 +364,7 @@ def cmd_verify_varodin(args):
             "varodin": vr["value"],
             "varodin_sign_flipped": vr["sign_flipped"],
             "vardwa": vd.value,
-            "dln_det_imB": dd["trace_route"],
+            "dln_det_imB": dd["fd_route"],
             "chain": chain,
         },
         "discrepancies": {"chain": d},
@@ -402,9 +405,12 @@ def cmd_verify_clue(args):
 def cmd_cone_dtn(args):
     from . import cones
 
+    nodes = 8 if args.nodes is None else args.nodes
+    if nodes < 1:
+        raise ValueError(f"--nodes must be at least 1, got {nodes}")
     cone = cones.ConeCircle(k=args.k, R=args.R)
     lam_values = [complex(0, 10.0 ** (-j)) for j in range(1, 5)]
-    n_values = list(range(0, args.nodes or 8))
+    n_values = list(range(nodes))
     rows = cones.dtn_table(cone, lam_values, n_values)
     out_csv = _write_csv(args, ["n", "lam_re", "lam_im", "mu_re", "mu_im"],
                          ([n, lm.real, lm.imag, mu.real, mu.imag]
@@ -505,8 +511,8 @@ def build_parser():
                         help="tolerance override (repeatable)")
     common.add_argument("--nodes", type=int, metavar="N",
                         help="cone dtn only: tabulate the angular modes "
-                             "n = 0..N-1 (default 8); no other command "
-                             "reads it")
+                             "n = 0..N-1, N >= 1 (default 8); no other "
+                             "command reads it")
     common.add_argument("--k", type=int, help="cone order")
     common.add_argument("--R", type=float, help="cone circle radius")
     common.add_argument("--jmin", type=int,

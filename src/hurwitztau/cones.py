@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     DomainError,
     FitUnstable,
-    HankelZero,
     LossOfPrecision,
     PhaseUnwrappingFailure,
     TruncationFailure,
@@ -71,6 +70,19 @@ class ConeCircle:
 
     def nu(self, n):
         return abs(n) / (self.k * self.R)
+
+
+def _spectral_parameter(lam):
+    """lambda as a complex number, checked against the convention
+    Im lambda >= 0 (up to rounding); lambda = 0 or Im lambda < 0 raises
+    DomainError."""
+    lam = complex(lam)
+    if lam == 0:
+        raise DomainError("lambda must be nonzero (dtn_zero_spectrum holds "
+                          "the zero-energy spectrum)")
+    if lam.imag < -1e-12 * abs(lam):
+        raise DomainError(f"require Im lambda >= 0, got lambda = {lam}")
+    return lam
 
 
 def _on_imag_axis(lam):
@@ -133,13 +145,9 @@ def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
     from SciPy's scaled K, or at f = 0 and x <= _SERIES_X from the series
     of K_0 and K_1.  Elsewhere H_nu' is the two-sided recurrence
     (H_{nu-1} - H_{nu+1}) / 2, and a non-finite H_nu or H_nu' (AMOS
-    overflow) raises LossOfPrecision.
+    overflow) or a vanishing H_nu raises LossOfPrecision.
     """
-    lam = complex(lam)
-    if lam == 0:
-        raise DomainError("use dtn_zero_spectrum for lambda = 0")
-    if lam.imag < -1e-12 * abs(lam):
-        raise DomainError("require Im lambda >= 0")
+    lam = _spectral_parameter(lam)
     nu = cone.nu(n)
     if _on_imag_axis(lam):
         t = lam.imag
@@ -168,7 +176,7 @@ def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
         raise LossOfPrecision(
             f"H_nu(lambda R) lost all significance at nu={nu}, lambda={lam}")
     if abs(denom) < 1e-290:
-        raise HankelZero(f"H_nu(lambda R) ~ 0 at nu={nu}, lambda={lam}")
+        raise LossOfPrecision(f"H_nu(lambda R) ~ 0 at nu={nu}, lambda={lam}")
     return -lam * deriv / denom
 
 
@@ -200,37 +208,27 @@ def detstar_N0_model(cone: ConeCircle, family="exterior"):
 
 
 def jump_eigenvalue(n, cone: ConeCircle, lam):
-    """Jump-operator eigenvalue mu_n(lambda) = -2i / (pi R J_nu(lambda R) H_nu(lambda R)),
-    valid for Im lambda >= 0, lambda != 0 (interior Bessel-J sector DtN plus
-    the exterior Hankel DtN, combined by the Wronskian).  At lambda = i t,
-    t > 0, it is the real closed form 1 / (R I_nu(t R) K_nu(t R)) > 0.
-    At n = 0 and |lambda R| <= _SERIES_X the Bessel values are the
-    ascending series of ``_k01`` and ``_j0_h0``, with no SciPy call."""
-    lam = complex(lam)
-    if lam == 0:
-        raise DomainError("lambda must be nonzero")
-    nu = cone.nu(n)
+    """Jump-operator eigenvalue of the mode n = 0,
+    mu_0(lambda) = -2i / (pi R J_0(lambda R) H_0(lambda R)) (interior
+    Bessel-J sector DtN plus the exterior Hankel DtN, combined by the
+    Wronskian), for Im lambda >= 0 and 0 < |lambda R| <= _SERIES_X, from the
+    ascending series of ``_j0_h0``; at lambda = i t it is the real closed
+    form 1 / (R I_0(t R) K_0(t R)) > 0 from ``_k01``.  No SciPy call.  The
+    modes n >= 1 enter the mode sum as P_n of ``_series_eps``
+    (mu_n = 2 nu / (R P_n)); any other n or lambda raises DomainError."""
+    lam = _spectral_parameter(lam)
+    if cone.nu(n) != 0:
+        raise DomainError(f"jump_eigenvalue holds the mode n = 0 only, got {n}")
     axis = _on_imag_axis(lam)
-    if axis and lam.imag <= 0:
-        raise DomainError("t must be positive for negative energy")
     x = lam.imag * cone.R if axis else lam * cone.R
-    if nu == 0 and abs(x) <= _SERIES_X:
-        if axis:
-            i0, k0, _ = _k01(x)
-            return 1.0 / (cone.R * i0 * k0)
-        J, H = _j0_h0(x)
-        return -2j / (np.pi * cone.R * J * H)
-    import scipy.special as sps
-
+    if not abs(x) <= _SERIES_X:
+        raise DomainError(
+            f"mu_0 needs |lambda R| <= {_SERIES_X}, got {abs(x):.6g}")
     if axis:
-        prod = sps.ive(nu, x) * sps.kve(nu, x)   # I K with exact exponent cancel
-        return 1.0 / (cone.R * prod)
-    J = sps.jv(nu, x)
-    H = sps.hankel1(nu, x)
-    denom = J * H
-    if abs(denom) < 1e-290:
-        raise HankelZero("Bessel product vanished in the jump eigenvalue")
-    return -2j / (np.pi * cone.R * denom)
+        i0, k0, _ = _k01(x)
+        return 1.0 / (cone.R * i0 * k0)
+    J, H = _j0_h0(x)
+    return -2j / (np.pi * cone.R * J * H)
 
 
 # ---------------------------------------------------------------------------
@@ -523,19 +521,17 @@ def detzeta_N_model(cone: ConeCircle, lam):
       log det N(lambda) = log mu_0 + log(pi k R^2) + 2 sum_{n>=1} eps_n,
       eps_n = log(mu_n k R^2 / (2 n)) = -log P_n.
 
-    Defined for 0 < |lambda R| <= _SERIES_X (DomainError otherwise), the
-    small-lambda range the gluing constants are read from.  The first N
-    modes (``_tail_start``) are summed term by term, each P_n by the product
-    split of ``_series_eps`` and mu_0 by the series of ``jump_eigenvalue``,
-    so no SciPy call is made.  The modes n > N are summed in closed form by
+    Defined for Im lambda >= 0 and 0 < |lambda R| <= _SERIES_X (DomainError
+    otherwise), the small-lambda range the gluing constants are read from.
+    The first N modes (``_tail_start``) are summed term by term, each P_n by
+    the product split of ``_series_eps`` and mu_0 by the series of
+    ``jump_eigenvalue``, so no SciPy call is made.  The modes n > N are summed in closed form by
     ``_tail``, whose error bound must stay below ``_TAIL_TOL``
     (TruncationFailure otherwise).  Returns (log_det, diagnostics): "modes"
     is N, "tail_bound" the bound, "series_x" the range _SERIES_X, and
     "near_integer_certificate" that of ``_series_eps``.
     """
-    lam = complex(lam)
-    if lam == 0:
-        raise DomainError("lambda must be nonzero")
+    lam = _spectral_parameter(lam)
     pure_imag = _on_imag_axis(lam)
     kR = cone.k * cone.R
     # x on the imaginary axis is exactly i t R, so that s = -(t R)^2

@@ -621,23 +621,18 @@ class HyperellipticCurve:
     # ------------------------------------------------------------------
 
     def w_hat_branch_chart(self, m, x1, x2):
-        """Distinguished-chart value of W at two chart points near branch m."""
-        return complex(self.w_hat_branch_chart_pairs(m, x1, x2))
-
-    def w_hat_branch_chart_pairs(self, m, x1s, x2s):
-        """Distinguished-chart W at the chart-point pairs (x1s, x2s) near
-        branch m (broadcast arrays): node data from :meth:`chart_nodes`,
-        one batched theta call, one contraction."""
-        x1s, x2s = np.broadcast_arrays(np.asarray(x1s, dtype=complex),
-                                       np.asarray(x2s, dtype=complex))
-        near = np.maximum(np.maximum(np.abs(x1s), np.abs(x2s)), 1e-30)
-        if np.any(np.abs(x1s - x2s) < 1e-10 * near):
+        """Distinguished-chart value of W at two chart points x1, x2 near
+        branch m: node data from :meth:`chart_nodes`, one theta call on one
+        row, one contraction."""
+        x1, x2 = complex(x1), complex(x2)
+        if abs(x1 - x2) < 1e-10 * max(abs(x1), abs(x2), 1e-30):
             raise DiagonalTooClose("bidifferential requested on the diagonal")
+        x1s, x2s = np.array([x1]), np.array([x2])
         t = self.chart_nodes(m, x2s, "abel") - self.chart_nodes(m, x1s, "abel")
-        L = self._log_deriv_matrix(t.reshape(-1, self.g), self._w_char())
-        v1 = self.chart_nodes(m, x1s, "v").reshape(-1, self.g)
-        v2 = self.chart_nodes(m, x2s, "v").reshape(-1, self.g)
-        return -np.einsum("nij,nj,ni->n", L, v1, v2).reshape(x1s.shape)
+        L = self._log_deriv_matrix(t, self._w_char())
+        return -complex(np.einsum("nij,nj,ni->n", L,
+                                  self.chart_nodes(m, x1s, "v"),
+                                  self.chart_nodes(m, x2s, "v"))[0])
 
     def w_hat_branch_chart_grid(self, m, xs, ys):
         """Distinguished-chart W at every pair (xs_i, ys_j) of chart points
@@ -660,39 +655,31 @@ class HyperellipticCurve:
     @staticmethod
     def _richardson_even(h, tol):
         """Limit of an even-in-delta quantity h(delta) -> L + c d^2 + e d^4
-        from the samples h = (h(delta), h(delta/2), h(delta/4)), each an
-        array over nodes (two Richardson levels); every node's certificate
-        must meet ``tol`` (a NaN certificate does not)."""
+        from the samples h = (h(delta), h(delta/2), h(delta/4)) (two
+        Richardson levels); the certificate must meet ``tol`` (a NaN
+        certificate does not)."""
         e1 = (4 * h[1] - h[0]) / 3
         e2 = (4 * h[2] - h[1]) / 3
         extrap = (16 * e2 - e1) / 15
-        cert = np.abs(e2 - e1)
-        bad = ~(cert <= tol * np.maximum(1.0, np.abs(extrap)))
-        if np.any(bad):
+        cert = abs(e2 - e1)
+        if not cert <= tol * max(1.0, abs(extrap)):
             raise ExtrapolationUnstable(
-                f"H-limit Richardson certificate {np.max(cert[bad]):.2e} "
-                "above tolerance"
-            )
+                f"H-limit Richardson certificate {cert:.2e} above tolerance")
         return extrap, cert
 
-    def _h_limit(self, w_of_pair, x0, delta, tol):
-        """H(x0, x0) by symmetric separation + two Richardson steps."""
-        def H(d):
-            u, v = x0 + d, x0 - d
-            return w_of_pair(u, v) - 1.0 / (u - v) ** 2
-
-        return self._richardson_even(
-            np.array([H(delta), H(delta / 2), H(delta / 4)]), tol)
-
-    def bergman_sb_branch(self, m, x0):
-        """S_B in the distinguished chart at branch point m, chart point x0
-        (a scalar, or an array of nodes sampled in one batched W call)."""
-        x0 = np.asarray(x0, dtype=complex)
-        delta = 2e-2 * np.maximum(np.abs(x0), np.sqrt(self.scale) * 1e-2)
-        d = np.stack([delta, delta / 2, delta / 4])
-        u, v = x0 + d, x0 - d
-        h = self.w_hat_branch_chart_pairs(m, u, v) - 1.0 / (u - v) ** 2
-        val, _ = self._richardson_even(h, 1e-4)
+    def bergman_sb_branch(self, m):
+        """S_B = 6 H(0, 0) at branch point m in its distinguished chart, by
+        the near-diagonal limit H(d, -d) = W(d, -d) - (2d)^-2 at d = delta,
+        delta/2, delta/4 (delta = 0.05 sqrt(distance to the nearest other
+        branch point)) and two Richardson steps: the clue identity's right
+        side, independent of the torus route of :meth:`h_taylor_branch`."""
+        delta = 0.05 * np.sqrt(np.min(np.abs(self._others[m] - self.e[m])))
+        # one W call, so one theta lattice, per separation: the terms that
+        # cancel in W at these pairs reach ~1e7 |W|, so a lattice shared by
+        # the three samples moves H(0,0) by up to ~3e-5 through rounding alone
+        h = [self.w_hat_branch_chart(m, d, -d) - 1.0 / (2 * d) ** 2
+             for d in (delta, delta / 2, delta / 4)]
+        val, _ = self._richardson_even(np.array(h), 1e-4)
         return 6.0 * val
 
     def h_taylor_branch(self, m, order=1, n_fft=16):
@@ -706,29 +693,6 @@ class HyperellipticCurve:
         return h_taylor_torus(
             lambda x, y: self.w_hat_branch_chart_grid(m, x, y),
             0.33 * r0, 0.21 * r0, order, n_fft)
-
-    def h_branch_origin(self, m):
-        """H(0, 0) in the distinguished chart at branch point m (spectral)."""
-        out, _cert = self.h_taylor_branch(m, order=1)
-        return complex(out[0, 0])
-
-    def h_branch_origin_richardson(self, m):
-        """H(0, 0) at branch point m through the near-diagonal symmetric
-        separation limit: an evaluation path independent of the Fourier
-        route, used by the identity cross-checks."""
-        delta = 0.05 * np.sqrt(
-            np.min(np.abs(np.delete(self.e, m) - self.e[m])))
-        # one W call, so one theta lattice, per separation: the terms that
-        # cancel in W at these pairs reach ~1e7 |W|, so a lattice shared by
-        # the three samples moves H(0,0) by up to ~3e-5 through rounding alone
-        val, _cert = self._h_limit(
-            lambda u, v: self.w_hat_branch_chart(m, u, v), 0.0, delta, 1e-4)
-        return val
-
-    def schiffer_branch_origin_richardson(self, m):
-        vlead = self.branch_data(m).v_lead
-        return 6.0 * self.h_branch_origin_richardson(m) \
-            - self.schiffer_sb_term(vlead)
 
     def imB_inv(self):
         return np.linalg.inv(self.B.B.imag)

@@ -117,10 +117,6 @@ class ChartBranchInconsistency(HurwitzTauError):
 
 # --- cone spectra ---
 
-class HankelZero(HurwitzTauError):
-    """Hankel-function denominator vanishes within tolerance."""
-
-
 class FitUnstable(HurwitzTauError):
     """Asymptotic regression did not converge to a stable fit."""
 

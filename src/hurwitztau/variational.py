@@ -1,14 +1,14 @@
 """Numerical verification of the variational identities.
 
 Rauch formulas for the period matrix, the det Im B variation, the governing
-system for ln tau (finite differences against distinguished-chart contour
-integrals of the projective-connection difference), the zero-energy
-S-matrix block at a conical point, and the chained Schiffer-connection
-identity.
+system for ln tau (finite differences against the residue of the
+projective-connection difference in the distinguished chart), the
+zero-energy S-matrix block at a conical point, and the chained
+Schiffer-connection identity.
 
 All identity checks return signed discrepancies; tolerance policy lives in
 the callers/tests.  Every contour integral carries a node-doubling
-convergence certificate.
+convergence certificate, every H-Taylor torus a grid-doubling one.
 """
 
 from __future__ import annotations
@@ -202,26 +202,20 @@ def det_imB_derivative(curve_factory, base_points, m):
 # governing-system right-hand sides
 # ---------------------------------------------------------------------------
 
-# c in S_f = {z, x} = c / x^2 in the distinguished chart z = z_m + x^2 of a
-# simple branch point: z' = 2x and z'' = 2 give -(3/2) (z''/z')^2
-_SCHWARZIAN_CHART = -1.5
-
-
 def vardwa_rhs_curve(curve, m):
-    """-(1/12 pi i) oint (S_B - S_f)/df around branch point m, in the
-    distinguished chart (simple branch points: ell = 1), on 24 nodes doubled
-    once."""
-    r = _branch_contour_radius(curve, m)
-
-    def fun(xs):
-        sb = curve.bergman_sb_branch(m, xs)
-        sf = _SCHWARZIAN_CHART / xs ** 2
-        return (sb - sf) / (2.0 * xs)
-
-    res = _circle_contour(fun, r, 24, max_doublings=1)
-    return ContourIntegralResult(
-        -res.value / (12j * np.pi), res.radius, res.nodes, res.certificate
-    )
+    """-(1/12 pi i) oint (S_B - S_f)/df around branch point m, read as its
+    residue.  In the distinguished chart x = (z - z_m)^(1/2), df = 2x dx and
+    S_f = {z, x} = -3/(2 x^2), so the integrand is
+    (S_B(x) + 3/(2 x^2)) / (2x) dx with S_B holomorphic inside the contour:
+    the only residue is S_B(0)/2, and the value is -S_B(0)/12 = -H(0, 0)/2.
+    H(0, 0) comes from the H-Taylor torus (:meth:`h_taylor_branch`, inside
+    the chart radius ``radius``); ``certificate`` is its grid-doubling
+    certificate and ``nodes`` its points per circle."""
+    n_fft = 16
+    H, cert = curve.h_taylor_branch(m, order=1, n_fft=n_fft)
+    return ContourIntegralResult(complex(-H[0, 0] / 2.0),
+                                 _branch_contour_radius(curve, m),
+                                 2 * n_fft, cert)
 
 
 def vardwa_rhs_genus0(cover: RationalCoverP1, m):
@@ -296,7 +290,8 @@ def clue_identity_check(curve, m, ell=2):
     lhs = 0.5 * block.hh[0, 0]
     # right side through the near-diagonal limit: numerically independent
     # of the Fourier extraction feeding the block
-    rhs = -curve.schiffer_branch_origin_richardson(m) / 12.0
+    rhs = -(curve.bergman_sb_branch(m)
+            - curve.schiffer_sb_term(curve.branch_data(m).v_lead)) / 12.0
     return {"lhs": complex(lhs), "rhs": complex(rhs),
             "discrepancy": complex(lhs - rhs), "block": block}
 

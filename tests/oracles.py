@@ -513,12 +513,23 @@ def w_hat(curve, P, Q):
     return -complex(np.einsum("ij,j,i->", L, curve.v_hat(P), curve.v_hat(Q)))
 
 
+def h_limit(curve, w_of_pair, x0, delta, tol):
+    """H(x0, x0) = lim W(x0 + d, x0 - d) - (2d)^-2 from d = delta, delta/2,
+    delta/4 by the curve's two Richardson steps; returns (value, certificate)."""
+    def h(d):
+        u, v = x0 + d, x0 - d
+        return w_of_pair(u, v) - 1.0 / (u - v) ** 2
+
+    return curve._richardson_even(
+        np.array([h(delta), h(delta / 2), h(delta / 4)]), tol)
+
+
 def bergman_sb_z(curve, P, delta_rel=1e-2):
     """Bergman projective connection S_B in the z chart at P."""
     def wpair(u, v):
         return w_hat(curve, curve.point(u), curve.point(v))
 
-    val, _ = curve._h_limit(wpair, P.z, delta_rel * curve.scale, 1e-4)
+    val, _ = h_limit(curve, wpair, P.z, delta_rel * curve.scale, 1e-4)
     return 6.0 * val
 
 

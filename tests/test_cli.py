@@ -420,6 +420,15 @@ def test_cone_dtn_nodes_is_the_mode_count(tmp_path):
     assert {int(r.split(",")[0]) for r in rows} == {0, 1, 2}
 
 
+@pytest.mark.parametrize("nodes", ["0", "-3"])
+def test_cone_dtn_nodes_below_one_is_a_usage_error(tmp_path, capsys, nodes):
+    out = tmp_path / "dtn.json"
+    assert cli.main(["--k", "2", "--nodes", nodes, "--out", str(out),
+                     "cone-dtn"]) == 2
+    assert "--nodes must be at least 1" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "dtn.csv").exists()
+
+
 def test_cone_dtn_past_the_overflow_of_k_nu(tmp_path):
     # K_nu(0.1) overflows from nu = 106 on; the ratio recurrence does not
     code, rep = run_cli(["--k", "1", "--R", "1.0", "--nodes", "300",

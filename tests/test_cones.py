@@ -174,13 +174,18 @@ def test_detzeta_real_for_negative_energy():
 
 def test_detzeta_flat_plane_structure():
     # k = 1: the jump operator splits into the disk and plane parts; the
-    # closed Bessel form must match an independent direct mode sum
+    # mode-sum eigenvalues (mu_0 of jump_eigenvalue, and mu_n = 2 nu / (R P_n)
+    # with P_n = exp(-eps_n) of _series_eps) must match an independent
+    # direct sum of the two DtN maps
     import scipy.special as sps
 
     cone = ConeCircle(k=1, R=1.0)
-    t = 0.8
+    t = 0.5
+    eps, _ = cones._series_eps(cones._cone_orders(cone.k * cone.R, 3),
+                               1j * t * cone.R, True)
     for n in (0, 1, 3):
-        closed = cones.jump_eigenvalue(n, cone, 1j * t)
+        closed = cones.jump_eigenvalue(0, cone, 1j * t) if n == 0 \
+            else 2 * cone.nu(n) / (cone.R * np.exp(-eps[n - 1]))
         iv = sps.iv(n, t)
         kv = sps.kv(n, t)
         interior = t * sps.ivp(n, t) / iv
@@ -443,6 +448,19 @@ def test_cone_validation():
         cones.dtn_exterior_eigenvalue(1, ConeCircle(1, 2.0), 0.5 - 0.5j)
     with pytest.raises(DomainError):
         cones.jump_eigenvalue(0, ConeCircle(1, 1.0), 0.0)
+    # Im lambda < 0 is outside the convention of every cone routine
+    for lam in (0.1 - 0.05j, -0.1j):
+        with pytest.raises(DomainError):
+            cones.jump_eigenvalue(0, ConeCircle(2, 1.0), lam)
+        with pytest.raises(DomainError):
+            cones.detzeta_N_model(ConeCircle(2, 1.0), lam)
+        with pytest.raises(DomainError):
+            cones.dtn_exterior_eigenvalue(1, ConeCircle(2, 1.0), lam)
+    # jump_eigenvalue holds mu_0 inside the series range only
+    with pytest.raises(DomainError):
+        cones.jump_eigenvalue(1, ConeCircle(2, 1.0), 0.1j)
+    with pytest.raises(DomainError):
+        cones.jump_eigenvalue(0, ConeCircle(2, 1.0), 0.6j)
 
 
 def test_dtn_table_rows():

@@ -19,6 +19,7 @@ from oracles import (
     bergman_sb_z,
     cycle_pairs,
     flip_vec,
+    h_limit,
     other_sheet,
     tau_agm,
     w_hat,
@@ -267,7 +268,7 @@ def test_sb_cocycle_under_chart_change(genus1_curve, rng):
             dz2 = 1.0 / np.sqrt(1.0 + 4.0 * c * u2)
             return w_hat(cur, P1, P2) * dz1 * dz2
 
-        sb_u, _ = cur._h_limit(w_u, u0, 2e-2 * max(1.0, abs(u0)), tol=1e-3)
+        sb_u, _ = h_limit(cur, w_u, u0, 2e-2 * max(1.0, abs(u0)), 1e-3)
         sb_u *= 6.0
         sb_z = bergman_sb_z(cur, cur.point(z0), delta_rel=2e-2)
         phi_p2 = 1.0 + 4.0 * c * u0            # phi'(z0)^2
@@ -289,7 +290,7 @@ def test_schiffer_genus1_specialization(genus1_curve):
     m = 1
     s, cert = cur.schiffer_branch_origin(m)
     assert cert < 1e-7
-    sb = 6.0 * cur.h_branch_origin(m)
+    sb = 6.0 * cur.h_taylor_branch(m, order=1)[0][0, 0]
     v = cur.branch_data(m).v_lead[0]
     expected = sb - 6 * np.pi * v * v / cur.B.B.imag[0, 0]
     assert abs(s - expected) < 1e-10 * max(1.0, abs(s))
@@ -307,7 +308,7 @@ def test_h_origin_genus1_weierstrass_closed_form():
         a = cur.branch_data(m).v_lead[0]
         want = -np.sum(1.0 / (cur.e[m] - np.delete(cur.e, m))) / 6.0 \
             + 2.0 * eta1 * a * a
-        assert abs(cur.h_branch_origin(m) - want) < 1e-10
+        assert abs(cur.h_taylor_branch(m, order=1)[0][0, 0] - want) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +316,10 @@ def test_h_origin_genus1_weierstrass_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_richardson_nan_certificate_raises(genus1_curve, monkeypatch):
-    monkeypatch.setattr(genus1_curve, "w_hat_branch_chart_pairs",
-                        lambda m, u, v: np.full(np.shape(u), np.nan + 0j))
+    monkeypatch.setattr(genus1_curve, "w_hat_branch_chart",
+                        lambda m, u, v: complex(np.nan, 0.0))
     with pytest.raises(ExtrapolationUnstable):
-        genus1_curve.bergman_sb_branch(1, 0.05)
+        genus1_curve.bergman_sb_branch(1)
 
 
 def test_h_taylor_nan_certificate_raises(genus1_curve, monkeypatch):
@@ -561,35 +562,30 @@ _GOLDEN_H_TAYLOR = {
         [-4.4065126450327106e-13 + 1.8368456757979504e-13j,
          -4.7596228331016495e-12 + 9.414668923223214e-12j]],
 }
-# re-recorded with the degenerate-loop periods: coef moved by <= 1.3e-16,
-# and the route's rounding amplifies that to ~1e-9 (its certificate is ~3e-9)
-_GOLDEN_VARDWA = {0: -0.22608935246295658 - 0.001859713920434162j,
-                  2: -0.24421751638469083 - 0.09084779824199324j}
 
 
 @pytest.mark.parametrize("m", [0, 2])
 def test_batched_kernel_golden_values(m):
-    from hurwitztau.variational import vardwa_rhs_curve
-
+    # vardwa_rhs_curve is -H(0, 0)/2 of this torus, so these values pin it
     cur = _fixture_genus2_curve()
     H, cert = cur.h_taylor_branch(m, order=2)
     assert cert < 1e-7
     assert np.max(np.abs(H - np.array(_GOLDEN_H_TAYLOR[m]))) < 1e-9
-    assert abs(vardwa_rhs_curve(cur, m).value - _GOLDEN_VARDWA[m]) < 1e-9
 
 
 def test_w_pairs_match_single_pairs(genus2_curve):
+    # the one-pair W against the separable grid W at the same pairs;
     # well-separated pairs: near the diagonal W cancels terms far larger
-    # than itself, and the shared chunk lattice changes their rounding
+    # than itself, and the two kernels round them differently
     cur = genus2_curve
     x1 = np.array([0.2, 0.3j, 0.1 - 0.25j])
     x2 = np.array([-0.25j, -0.3, -0.2 + 0.1j])
-    batch = cur.w_hat_branch_chart_pairs(3, x1, x2)
-    for w, a, b in zip(batch, x1, x2):
+    grid = np.diag(cur.w_hat_branch_chart_grid(3, x1, x2))
+    for w, a, b in zip(grid, x1, x2):
         single = cur.w_hat_branch_chart(3, a, b)
         assert abs(w - single) < 1e-12 * abs(single)
     with pytest.raises(DiagonalTooClose):
-        cur.w_hat_branch_chart_pairs(3, x1, np.array([x2[0], x1[1], x2[2]]))
+        cur.w_hat_branch_chart(3, x1[1], x1[1])
 
 
 def test_chart_node_data_computed_once_per_node():
