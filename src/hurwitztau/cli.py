@@ -411,7 +411,7 @@ def cmd_cone_dtn(args):
     cone = cones.ConeCircle(k=args.k, R=args.R)
     lam_values = [complex(0, 10.0 ** (-j)) for j in range(1, 5)]
     n_values = list(range(nodes))
-    rows = cones.dtn_table(cone, lam_values, n_values)
+    rows, k_ratio = cones.dtn_table(cone, lam_values, n_values)
     out_csv = _write_csv(args, ["n", "lam_re", "lam_im", "mu_re", "mu_im"],
                          ([n, lm.real, lm.imag, mu.real, mu.imag]
                           for n, lm, mu in rows))
@@ -426,6 +426,7 @@ def cmd_cone_dtn(args):
                 {"n": n, "lambda": lm, "mu": mu} for n, lm, mu in rows[:8]
             ],
         },
+        "certificates": {"k_ratio": k_ratio},
     }, True
 
 

@@ -25,6 +25,7 @@ from .errors import (
     PhaseUnwrappingFailure,
     TruncationFailure,
 )
+from .quadrature import trapezoid_doubling
 
 __all__ = [
     "ConeCircle",
@@ -49,6 +50,7 @@ _TAIL_ORDER = 14    # Q: powers of 1/nu^2 that the tail sums in closed form
 _CAUCHY_NODES = 64  # nodes of the circle integral at (near-)integer orders
 _CAUCHY_RADIUS = 0.25
 _MAX_MODES = 1 << 15
+_K_TARGET = 1e-12   # doubling certificate each K_nu integral of _k_ratio meets
 
 
 @dataclass(frozen=True)
@@ -134,19 +136,32 @@ def _j0_h0(z):
     return j0, j0 + 1j * y0
 
 
-def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
-    """Exterior DtN eigenvalue mu_n(lambda) = -d_r H_nu(lambda r)|_R / H_nu(lambda R).
+def _k_ratio(f, x):
+    """(K_{1-f}(x) / K_f(x), certificate), 0 <= f < 1, x > 0: K_nu(x) e^x =
+    int_0^inf e^{-x (cosh u - 1)} cosh(nu u) du (DLMF 10.32.9) by the doubling
+    trapezoid, one rule per order, on the even integrand over [-U, U]
+    (Trefethen & Weideman, SIAM Rev. 56, 2014), x (cosh U - 1) = 700: U ~
+    log(1400/x) at small x, sqrt(1400/x) at large x follows the peak width.
+    A miss, or a ratio not finite and positive, raises LossOfPrecision."""
+    U = 2 * math.asinh(math.sqrt(350 / x))    # 2 x sinh(U / 2)^2 = 700
 
-    Defined for Im lambda >= 0, lambda != 0; mu_n = mu_{-n}.  On the positive
-    imaginary axis, mu_n(i t) = -t K_nu'(x) / K_nu(x) = t (nu / x + r_nu),
-    x = t R, with the ratio r_nu = K_{nu-1}(x) / K_nu(x) carried up from the
-    fractional order f = nu - floor(nu) by r_{nu+1} = 1 / (r_nu + 2 nu / x)
-    (DLMF 10.29.1), so no K_nu is formed and nothing overflows; r_f comes
-    from SciPy's scaled K, or at f = 0 and x <= _SERIES_X from the series
-    of K_0 and K_1.  Elsewhere H_nu' is the two-sided recurrence
-    (H_{nu-1} - H_{nu+1}) / 2, and a non-finite H_nu or H_nu' (AMOS
-    overflow) or a vanishing H_nu raises LossOfPrecision.
-    """
+    def integral(nu):
+        def fun(th):
+            u = U * (th / np.pi - 1)
+            return np.exp(-2 * x * np.sinh(u / 2) ** 2) * np.cosh(nu * u)
+        return trapezoid_doubling(fun, target=_K_TARGET)
+
+    (a, _, ca), (b, _, cb) = integral(1.0 - f), integral(f)
+    r = float(a.real / b.real)
+    if not (ca < _K_TARGET and cb < _K_TARGET and math.isfinite(r) and r > 0):
+        raise LossOfPrecision(
+            f"K_nu ratio at nu={f}, x={x}: certificates {ca:.2e}, {cb:.2e} "
+            f"(target {_K_TARGET:.0e}), ratio {r}")
+    return r, max(ca, cb)
+
+
+def _dtn_exterior(n, cone, lam):
+    """(:func:`dtn_exterior_eigenvalue`, ``_k_ratio`` certificate or 0)."""
     lam = _spectral_parameter(lam)
     nu = cone.nu(n)
     if _on_imag_axis(lam):
@@ -155,19 +170,13 @@ def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
         frac = nu - math.floor(nu)
         if frac == 0.0 and x <= _SERIES_X:
             _, k0, k1 = _k01(x)
-            r = k1 / k0
+            r, cert = k1 / k0, 0.0
         else:
-            import scipy.special as sps   # deferred: only this path needs SciPy
-
-            r = sps.kve(1.0 - frac, x) / sps.kve(frac, x)
-            if not (np.isfinite(r) and r > 0):
-                raise LossOfPrecision(
-                    f"K_nu ratio unusable at nu={frac}, t={t}")
+            r, cert = _k_ratio(frac, x)
         for i in range(math.floor(nu)):
             r = 1.0 / (r + 2.0 * (frac + i) / x)
-        return complex(t * (nu / x + r))
-    import scipy.special as sps
-
+        return complex(t * (nu / x + r)), cert
+    import scipy.special as sps   # deferred: only off the imaginary axis
     z = lam * cone.R
     denom = complex(sps.hankel1(nu, z))
     deriv = complex((sps.hankel1(nu - 1.0, z)
@@ -177,7 +186,23 @@ def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
             f"H_nu(lambda R) lost all significance at nu={nu}, lambda={lam}")
     if abs(denom) < 1e-290:
         raise LossOfPrecision(f"H_nu(lambda R) ~ 0 at nu={nu}, lambda={lam}")
-    return -lam * deriv / denom
+    return -lam * deriv / denom, 0.0
+
+
+def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
+    """Exterior DtN eigenvalue mu_n(lambda) = -d_r H_nu(lambda r)|_R / H_nu(lambda R).
+
+    Defined for Im lambda >= 0, lambda != 0; mu_n = mu_{-n}.  On the positive
+    imaginary axis, mu_n(i t) = -t K_nu'(x) / K_nu(x) = t (nu / x + r_nu),
+    x = t R, with the ratio r_nu = K_{nu-1}(x) / K_nu(x) carried up from the
+    fractional order f = nu - floor(nu) by r_{nu+1} = 1 / (r_nu + 2 nu / x)
+    (DLMF 10.29.1), so no K_nu is formed and nothing overflows; r_f comes
+    from the series of K_0 and K_1 at f = 0 and x <= _SERIES_X, else from
+    the certified trapezoid of ``_k_ratio``: no SciPy call.  Off the axis
+    (no command goes there) H_nu' is SciPy's (H_{nu-1} - H_{nu+1}) / 2; a
+    non-finite H_nu or H_nu' or a vanishing H_nu raises LossOfPrecision.
+    """
+    return _dtn_exterior(n, cone, lam)[0]
 
 
 def dtn_zero_spectrum(cone: ConeCircle, n_last=20):
@@ -657,6 +682,8 @@ def _shift_fit(circles, exponents):
 
 
 def dtn_table(cone: ConeCircle, lam_values, n_values):
-    """(n, lambda, mu_n) rows for CSV emission."""
-    return [(int(n), complex(lm), complex(dtn_exterior_eigenvalue(n, cone, lm)))
+    """((n, lambda, mu_n) rows for CSV emission, the worst ``_k_ratio``
+    certificate over them: 0 where only the series was used)."""
+    rows = [(int(n), complex(lm), *_dtn_exterior(n, cone, lm))
             for lm in lam_values for n in n_values]
+    return [r[:3] for r in rows], max((r[3] for r in rows), default=0.0)

@@ -41,6 +41,7 @@ from .errors import (
     PeriodQuadratureFailure,
     SheetTrackingLoss,
 )
+from .quadrature import trapezoid_doubling as _trapezoid_doubling
 from .specfun import (
     RiemannMatrix,
     ThetaCharacteristic,
@@ -687,12 +688,18 @@ class HyperellipticCurve:
         H(x, y) = W(x, y) - (x - y)^{-2} in the distinguished chart at branch
         point m, by certified Fourier extraction on the torus |x| = 0.33 r0,
         |y| = 0.21 r0 with r0^2 a tenth of the distance to the nearest other
-        branch point (see :func:`h_taylor_torus`)."""
+        branch point (see :func:`h_taylor_torus`).  Every order is read from
+        one grid per (m, n_fft), kept in ``_lazy_cache``."""
         r0 = np.sqrt(0.1 * float(np.min(np.abs(np.delete(self.e, m)
                                                - self.e[m]))))
-        return h_taylor_torus(
-            lambda x, y: self.w_hat_branch_chart_grid(m, x, y),
-            0.33 * r0, 0.21 * r0, order, n_fft)
+        rho1, rho2 = 0.33 * r0, 0.21 * r0
+        key = ("h_grid", m, n_fft)
+        if key not in self._lazy_cache:
+            th = np.arange(2 * n_fft) * np.pi / n_fft
+            xs, ys = rho1 * np.exp(1j * th), rho2 * np.exp(1j * th)
+            self._lazy_cache[key] = self.w_hat_branch_chart_grid(m, xs, ys) \
+                - 1.0 / (xs[:, None] - ys[None, :]) ** 2
+        return h_taylor_torus(self._lazy_cache[key], rho1, rho2, order)
 
     def imB_inv(self):
         return np.linalg.inv(self.B.B.imag)
@@ -865,53 +872,20 @@ def _log_deriv(vals, g):
     return hess / th - grad[..., :, None] * grad[..., None, :] / th ** 2
 
 
-def _trapezoid_doubling(fun, nodes=32, max_doublings=5, target=1e-10):
-    """Trapezoid rule (2 pi / N) sum_k f(theta_k), theta_k = 2 pi k / N, for a
-    2 pi-periodic integrand, with node doubling.
-
-    ``fun`` maps an array of angles to integrand values, one row per angle
-    (scalars or g-vectors).  The 2N rule's even nodes are the N rule's nodes
-    (bit-identical), so each doubling evaluates ``fun`` only at the N new odd
-    nodes.  Doubling stops once the relative change between consecutive rules
-    (the certificate) is below ``target``, else after ``max_doublings`` (with
-    ``target=None`` always after ``max_doublings``).  The certificate uses the
-    builtin ``abs``, which rounds scalars as the circle callers always have.
-    Returns (value, node count, certificate)."""
-    N = nodes
-    vals = np.asarray(fun(np.arange(N) * 2 * np.pi / N), dtype=complex)
-    prev = np.mean(vals, axis=0) * 2 * np.pi
-    for _ in range(max_doublings):
-        N *= 2
-        odd = np.asarray(fun((np.arange(N) * 2 * np.pi / N)[1::2]),
-                         dtype=complex)
-        vals = np.stack([vals, odd], axis=1).reshape((N,) + vals.shape[1:])
-        cur = np.mean(vals, axis=0) * 2 * np.pi
-        cert = float(np.max(abs(cur - prev)) / max(np.max(abs(cur)), 1e-300))
-        prev = cur
-        if target is not None and cert < target:
-            break
-    return cur, N, cert
-
-
-def h_taylor_torus(w_grid, rho1, rho2, order, n_fft=16):
+def h_taylor_torus(vals, rho1, rho2, order):
     """Taylor coefficients H_{pq} (p, q < order) of the regular part
     H(x, y) = W(x, y) - (x - y)^{-2} of a bidifferential by 2-D Fourier
-    extraction on the torus |x| = rho1, |y| = rho2; ``w_grid(xs, ys)`` gives
-    W at every pair of the chart points xs (N,) and ys (N,), shape (N, N)
+    extraction on the torus |x| = rho1, |y| = rho2; ``vals`` holds H at
+    every pair (x_i, y_j) of the points at the angles 2 pi i / N, N even
     (for the hyperelliptic kernel one separable theta pass,
     :meth:`HyperellipticCurve.w_hat_branch_chart_grid`).
 
     Distinct radii keep the diagonal away from the sampling torus, so no
-    small-separation amplification occurs.  The 2N grid is sampled once, its
-    even-index subgrid is the N grid (same nodes), and the grid-doubling
-    certificate must stay at or below 1e-7 (a NaN certificate fails it).
+    small-separation amplification occurs.  The even-index subgrid is the
+    N / 2 grid (same nodes), and the grid-doubling certificate must stay at
+    or below 1e-7 (a NaN certificate fails it).
     Returns (coefficients, certificate).
     """
-    N = 2 * n_fft
-    th = np.arange(N) * 2 * np.pi / N
-    xs, ys = rho1 * np.exp(1j * th), rho2 * np.exp(1j * th)
-    vals = w_grid(xs, ys) - 1.0 / (xs[:, None] - ys[None, :]) ** 2
-
     def taylor(v):
         n = v.shape[0]
         idx = (-np.arange(order)) % n

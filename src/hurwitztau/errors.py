@@ -95,6 +95,10 @@ class LatticeResolutionFailure(CurveGeometryError):
     """A lattice vector could not be identified within tolerance."""
 
 
+class ChartBranchInconsistency(HurwitzTauError):
+    """Distinguished-chart branch could not be matched across a handoff."""
+
+
 # --- tau functions ---
 
 class NormalizationFailure(HurwitzTauError):
@@ -103,16 +107,6 @@ class NormalizationFailure(HurwitzTauError):
 
 class DegenerateCriticalPoint(HurwitzTauError):
     """Second derivative vanishes at a critical point where simplicity is required."""
-
-
-# --- variational checks ---
-
-class ContourTooLarge(HurwitzTauError):
-    """Contour would enclose a second critical value."""
-
-
-class ChartBranchInconsistency(HurwitzTauError):
-    """Distinguished-chart branch could not be matched across a handoff."""
 
 
 # --- cone spectra ---

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import HyperellipticCurve, _trapezoid_doubling
-from .errors import ContourTooLarge, WrongOrder
+from .curves import HyperellipticCurve
+from .errors import WrongOrder
+from .quadrature import trapezoid_doubling
 from .taufn import RationalCoverP1, tau_genus0, tau_genus1, tau_genus2
 
 __all__ = [
@@ -69,14 +70,14 @@ class SMatrixBlock:
 
 def _circle_contour(fun, radius, nodes, max_doublings=3, target=None):
     """Closed-contour integral of fun(x) dx over |x| = radius: the periodic
-    doubling trapezoid of :func:`curves._trapezoid_doubling` in the angle,
+    doubling trapezoid of :func:`quadrature.trapezoid_doubling` in the angle,
     x = radius e^{i theta}, dx = i x dtheta."""
     def integrand(th):
         xs = radius * np.exp(1j * th)
         return fun(xs) * 1j * xs
 
-    value, N, cert = _trapezoid_doubling(integrand, nodes, max_doublings,
-                                         target)
+    value, N, cert = trapezoid_doubling(integrand, nodes, max_doublings,
+                                        target)
     return ContourIntegralResult(value, radius, N, cert)
 
 
@@ -84,10 +85,7 @@ def _branch_contour_radius(curve, m):
     """Distinguished-chart radius pulled back from a base-plane radius equal
     to 0.1 times the distance to the nearest other critical value."""
     dmin = float(np.min(np.abs(np.delete(curve.e, m) - curve.e[m])))
-    r = np.sqrt(0.1 * dmin)
-    if r ** 2 >= dmin:
-        raise ContourTooLarge("contour would enclose a second critical value")
-    return r
+    return np.sqrt(0.1 * dmin)
 
 
 def _genus0_base_radius(cover: RationalCoverP1, m):

@@ -440,6 +440,26 @@ def test_cone_dtn_past_the_overflow_of_k_nu(tmp_path):
     assert all(np.isfinite(mu)) and min(mu) > 0
 
 
+def test_cone_dtn_reports_the_k_ratio_certificate(tmp_path):
+    # integer orders at x <= 1/2 (k R = 1) take the series: certificate 0;
+    # fractional orders take the doubling trapezoid, certified below 1e-12
+    code, rep = run_cli(["cone", "dtn", "--k", "1"], tmp_path)
+    assert code == 0 and rep["certificates"] == {"k_ratio": 0.0}
+    code, rep = run_cli(["cone", "dtn", "--k", "3", "--R", "0.77"], tmp_path)
+    assert code == 0 and 0.0 < rep["certificates"]["k_ratio"] < 1e-12
+
+
+def test_cone_dtn_missed_k_ratio_certificate_exits_1(tmp_path, monkeypatch):
+    from hurwitztau import cones
+
+    rule = cones.trapezoid_doubling
+    monkeypatch.setattr(cones, "trapezoid_doubling",
+                        lambda fun, **kw: rule(fun, max_doublings=1, **kw))
+    code, rep = run_cli(["cone", "dtn", "--k", "2"], tmp_path)
+    assert code == 1 and rep["error"] == "LossOfPrecision"
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_cone_tail_bound_over_tolerance_exits_1(tmp_path, monkeypatch):
     from hurwitztau import cones
 

@@ -132,6 +132,49 @@ def test_dtn_fractional_order_recurrence_matches_mpmath():
         assert abs(mu.real - want) <= 1e-14 * want
 
 
+@pytest.mark.parametrize("f", [0.0, 0.01, 0.37, 0.5, 0.99])
+def test_k_ratio_matches_mpmath(f):
+    # the fractional-order start K_{1-f}(x) / K_f(x) of the DtN recurrence;
+    # f = 0 past x = 1/2 is where the integer orders leave the series
+    import mpmath as mp
+
+    for x in (1e-20, 1e-8, 1e-4, 0.2, 0.7, 2.31, 50.0):
+        r, cert = cones._k_ratio(f, x)
+        with mp.workdps(30):
+            want = float(mp.besselk(1 - f, x) / mp.besselk(f, x))
+        assert abs(r - want) <= 1e-14 * want, (f, x)
+        assert 0.0 <= cert < cones._K_TARGET
+
+
+def test_dtn_integer_order_past_the_series_matches_mpmath():
+    # mu_0(i t) = t K_1(x) / K_0(x) and mu_1 = t (1/x + K_0(x) / K_1(x)) at
+    # x = t R > 1/2, both from the trapezoid start at f = 0
+    import mpmath as mp
+
+    cone, t = ConeCircle(k=1, R=1.0), 0.7
+    with mp.workdps(30):
+        k0, k1 = mp.besselk(0, t), mp.besselk(1, t)
+        want = [float(t * k1 / k0), float(t * (1 / mp.mpf(t) + k0 / k1))]
+    for n in (0, 1):
+        mu = cones.dtn_exterior_eigenvalue(n, cone, 1j * t)
+        assert mu.imag == 0 and abs(mu.real - want[n]) <= 1e-14 * want[n]
+
+
+def test_k_ratio_too_few_doublings_raises(monkeypatch):
+    # at x = 1e-8 the K_nu integrals need 512 nodes; one doubling from 32
+    # misses the certificate, and no ratio, eigenvalue or row comes back
+    rule = cones.trapezoid_doubling
+    monkeypatch.setattr(cones, "trapezoid_doubling",
+                        lambda fun, **kw: rule(fun, max_doublings=1, **kw))
+    with pytest.raises(LossOfPrecision, match="certificates"):
+        cones._k_ratio(0.37, 1e-8)
+    cone = ConeCircle(k=3, R=0.77)
+    with pytest.raises(LossOfPrecision):
+        cones.dtn_exterior_eigenvalue(1, cone, 1e-8j)
+    with pytest.raises(LossOfPrecision):
+        cones.dtn_table(cone, [1e-4j], range(3))
+
+
 def test_detstar_closed_forms():
     assert abs(cones.detstar_N0_model(ConeCircle(1, 1.0)) - 2 * np.pi) < 1e-12
     assert abs(cones.detstar_N0_model(ConeCircle(2, 1.0)) - 4 * np.pi) < 1e-12
@@ -465,7 +508,9 @@ def test_cone_validation():
 
 def test_dtn_table_rows():
     cone = ConeCircle(k=1, R=1.0)
-    rows = cones.dtn_table(cone, [1e-2j], range(3))
+    rows, cert = cones.dtn_table(cone, [1e-2j], range(3))
     assert len(rows) == 3
     n, lam, mu = rows[1]
     assert n == 1 and abs(mu - 1.0) < 1e-3
+    # integer orders at x <= 1/2 start from the series: no certificate
+    assert cert == 0.0

@@ -323,6 +323,8 @@ def test_richardson_nan_certificate_raises(genus1_curve, monkeypatch):
 
 
 def test_h_taylor_nan_certificate_raises(genus1_curve, monkeypatch):
+    # an empty grid memo, so the torus is sampled through the patched kernel
+    monkeypatch.setattr(genus1_curve, "_lazy_cache", {})
     monkeypatch.setattr(genus1_curve, "w_hat_branch_chart_grid",
                         lambda m, xs, ys: np.full((len(xs), len(ys)),
                                                   np.nan + 0j))
@@ -605,9 +607,33 @@ def test_chart_node_data_computed_once_per_node():
     # the 16 x 16 certificate grid: 16 nodes on each circle of the torus
     for calls in nodes.values():
         assert len(calls) == len(set(calls)) == 32
+    # resampled past the grid memo, the torus takes every node's chart data
+    # from the node memo
+    cur._lazy_cache.clear()
     cur.h_taylor_branch(1, order=2, n_fft=8)
     for calls in nodes.values():
         assert len(calls) == 32
+
+
+def test_h_taylor_grid_sampled_once_per_branch_and_size():
+    # every order, and its certificate, is read from one kept grid
+    cur = HyperellipticCurve([-1.9, -0.85, 0.6 + 0.25j, 1.7])
+    grids = []
+    kernel = cur.w_hat_branch_chart_grid
+
+    def counting(m, xs, ys):
+        grids.append((m, len(xs)))
+        return kernel(m, xs, ys)
+
+    cur.w_hat_branch_chart_grid = counting
+    H1, cert1 = cur.h_taylor_branch(1, order=1)
+    H2, cert2 = cur.h_taylor_branch(1, order=2)
+    assert cur.h_taylor_branch(1, order=1) == (H1, cert1)
+    assert grids == [(1, 32)]
+    assert H2[0, 0] == H1[0, 0] and cert2 >= cert1
+    cur.h_taylor_branch(1, order=1, n_fft=8)
+    cur.h_taylor_branch(2, order=1)
+    assert grids == [(1, 32), (1, 16), (2, 32)]
 
 
 @pytest.mark.parametrize("m", [0, 2])

@@ -87,10 +87,14 @@ def test_tau_commands_load_no_scipy_special(command, name):
     assert not loaded["scipy.special"]
 
 
-def test_cone_command_loads_scipy_special():
-    # cone dtn at k = 2 starts its K_nu ratio at the order 1/2 from SciPy
-    loaded = loaded_after(cli_run("cone", "dtn", "--k", "2"))
-    assert loaded["scipy.special"]
+@pytest.mark.parametrize("k, R", [("2", "1.0"), ("3", "0.77")])
+def test_cone_dtn_loads_no_scipy(k, R):
+    # fractional orders (1/2 at k = 2; up to nu ~ 130 at k = 3, --nodes 300)
+    # start their K_nu ratio from the doubling trapezoid, not from SciPy's K
+    loaded = loaded_after(cli_run("cone", "dtn", "--k", k, "--R", R,
+                                  "--nodes", "300"),
+                          ("numpy", "scipy", "scipy.special"))
+    assert loaded == {"numpy": True, "scipy": False, "scipy.special": False}
 
 
 BAND_CONE_OP = (
@@ -137,12 +141,18 @@ def test_cones_import_loads_no_scipy_special():
 @pytest.mark.parametrize("code", [
     "import hurwitztau.cones",
     cli_run("cone", "det-n0", "--k", "2"),
-], ids=["import", "det-n0"])
+    cli_run("cone", "dtn", "--k", "2"),
+    cli_run("cone", "mu0-fit"),
+    cli_run("cone", "shift-fit"),
+], ids=["import", "det-n0", "dtn", "mu0-fit", "shift-fit"])
 def test_cones_load_no_specfun_or_polynomial(code):
-    # the cone layer calls SciPy's Bessel functions itself: neither the
-    # theta/polynomial kernel nor numpy.polynomial comes with it
-    loaded = loaded_after(code, ("hurwitztau.specfun", "numpy.polynomial"))
-    assert loaded == {"hurwitztau.specfun": False, "numpy.polynomial": False}
+    # the cone layer shares only the trapezoid rule (hurwitztau.quadrature)
+    # with the curve layer: neither the curves, the theta/polynomial kernel,
+    # the tau functions nor numpy.polynomial come with it
+    modules = ("hurwitztau.curves", "hurwitztau.specfun", "hurwitztau.taufn",
+               "numpy.polynomial")
+    loaded = loaded_after(code, modules)
+    assert loaded == dict.fromkeys(modules, False)
 
 
 def test_all_is_the_exported_names():
