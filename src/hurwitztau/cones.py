@@ -165,6 +165,8 @@ def _dtn_exterior(n, cone, lam):
     lam = _spectral_parameter(lam)
     nu = cone.nu(n)
     if _on_imag_axis(lam):
+        if nu > _MAX_MODES:     # the recurrence below takes floor(nu) steps
+            raise DomainError(f"DtN order nu = {nu:.3g} past {_MAX_MODES}")
         t = lam.imag
         x = t * cone.R
         frac = nu - math.floor(nu)
@@ -198,7 +200,8 @@ def dtn_exterior_eigenvalue(n, cone: ConeCircle, lam):
     fractional order f = nu - floor(nu) by r_{nu+1} = 1 / (r_nu + 2 nu / x)
     (DLMF 10.29.1), so no K_nu is formed and nothing overflows; r_f comes
     from the series of K_0 and K_1 at f = 0 and x <= _SERIES_X, else from
-    the certified trapezoid of ``_k_ratio``: no SciPy call.  Off the axis
+    the certified trapezoid of ``_k_ratio``: no SciPy call.  An order nu
+    above ``_MAX_MODES`` raises DomainError before any step.  Off the axis
     (no command goes there) H_nu' is SciPy's (H_{nu-1} - H_{nu+1}) / 2; a
     non-finite H_nu or H_nu' or a vanishing H_nu raises LossOfPrecision.
     """

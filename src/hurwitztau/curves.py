@@ -2,10 +2,10 @@
 with the covering map f = z.
 
 Implements period matrices, normalized differentials, Abel maps with sheet
-tracking, the canonical bidifferential W (via second log-derivatives of odd
-theta functions) in the distinguished chart of each branch point, Bergman
-and Schiffer projective connections, the Bergman kernel and Riemann
-constants.
+tracking, the canonical bidifferential W in the distinguished chart of each
+branch point two ways (second log-derivatives of odd theta functions, and
+the algebraic Klein-Baker kernel), Bergman and Schiffer projective
+connections, the Bergman kernel and Riemann constants.
 
 Conventions (fixed, documented):
 
@@ -244,8 +244,8 @@ class HyperellipticCurve:
     # pair loops and periods
     # ------------------------------------------------------------------
 
-    def _pair_loop_integrals(self, i, j):
-        """Integrals of z^k dz / y over the (i, j) pair loop (cached).
+    def _pair_loop_integrals(self, i, j, n=None):
+        """Integrals of z^k dz / y, k < n (default g), over the (i, j) loop.
 
         The loop is shrunk onto the focal segment, z = c + d cos(theta), with
         y = i d sin(theta) s(z) and s(z) = sqrt(prod(c - e_l)) *
@@ -254,8 +254,8 @@ class HyperellipticCurve:
         segment), so dz / y = i dtheta / s(z) is smooth and periodic; no
         tracking is needed.  A certificate that misses ``_PERIOD_TARGET``
         raises."""
-        key = (i, j)
-        if key not in self._pair_cache:
+        n = n or self.g
+        if (i, j, n) not in self._pair_cache:
             c, d = (self.e[i] + self.e[j]) / 2, (self.e[j] - self.e[i]) / 2
             others = np.delete(self.e, [i, j])
             s_c = np.sqrt(np.prod(c - others))
@@ -264,7 +264,7 @@ class HyperellipticCurve:
                 z = c + d * np.cos(th)
                 s = s_c * np.prod(np.sqrt((z[:, None] - others)
                                           / (c - others)), axis=1)
-                return 1j * z[:, None] ** np.arange(self.g) / s[:, None]
+                return 1j * z[:, None] ** np.arange(n) / s[:, None]
 
             with np.errstate(divide="ignore", invalid="ignore"):
                 val, N, cert = _trapezoid_doubling(fun, target=_PERIOD_TARGET)
@@ -273,8 +273,8 @@ class HyperellipticCurve:
                     f"pair loop ({i}, {j}): period certificate {cert:.2e} "
                     f"misses {_PERIOD_TARGET:.0e} at {N} nodes: another branch "
                     f"point lies on or near the segment from e_{i} to e_{j}")
-            self._pair_cache[key] = (val, cert)
-        return self._pair_cache[key]
+            self._pair_cache[i, j, n] = (val, cert)
+        return self._pair_cache[i, j, n]
 
     def _build_periods(self):
         g = self.g
@@ -606,13 +606,6 @@ class HyperellipticCurve:
             self._lazy_cache["grad"] = out
         return self._lazy_cache["grad"]
 
-    def _log_deriv_matrix(self, t, char):
-        """L_ij = theta_ij/theta - theta_i theta_j / theta^2 at each row of
-        t (shape (n, g)); returns shape (n, g, g)."""
-        return _log_deriv(self.theta_bundle(t, char=char,
-                                            derivs_list=_w_specs(self.g)),
-                          self.g)
-
     def _w_char(self):
         """Fixed odd characteristic for the bidifferential kernel."""
         return _odd_characteristics(self.g)[0]
@@ -630,7 +623,8 @@ class HyperellipticCurve:
             raise DiagonalTooClose("bidifferential requested on the diagonal")
         x1s, x2s = np.array([x1]), np.array([x2])
         t = self.chart_nodes(m, x2s, "abel") - self.chart_nodes(m, x1s, "abel")
-        L = self._log_deriv_matrix(t, self._w_char())
+        L = _log_deriv(self.theta_bundle(t, self._w_char(), _w_specs(self.g)),
+                       self.g)
         return -complex(np.einsum("nij,nj,ni->n", L,
                                   self.chart_nodes(m, x1s, "v"),
                                   self.chart_nodes(m, x2s, "v"))[0])
@@ -641,8 +635,7 @@ class HyperellipticCurve:
         :meth:`chart_nodes`, one separable theta pass
         (:func:`riemann_theta_grid`) over the chart Abel rows, one
         contraction."""
-        xs = np.asarray(xs, dtype=complex)
-        ys = np.asarray(ys, dtype=complex)
+        xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
         X, Y = xs[:, None], ys[None, :]
         near = np.maximum(np.maximum(np.abs(X), np.abs(Y)), 1e-30)
         if np.any(np.abs(X - Y) < 1e-10 * near):
@@ -653,50 +646,72 @@ class HyperellipticCurve:
         return -np.einsum("xyij,xj,yi->xy", L, self.chart_nodes(m, xs, "v"),
                           self.chart_nodes(m, ys, "v"))
 
-    @staticmethod
-    def _richardson_even(h, tol):
-        """Limit of an even-in-delta quantity h(delta) -> L + c d^2 + e d^4
-        from the samples h = (h(delta), h(delta/2), h(delta/4)) (two
-        Richardson levels); the certificate must meet ``tol`` (a NaN
-        certificate does not)."""
-        e1 = (4 * h[1] - h[0]) / 3
-        e2 = (4 * h[2] - h[1]) / 3
-        extrap = (16 * e2 - e1) / 15
-        cert = abs(e2 - e1)
-        if not cert <= tol * max(1.0, abs(extrap)):
-            raise ExtrapolationUnstable(
-                f"H-limit Richardson certificate {cert:.2e} above tolerance")
-        return extrap, cert
+    def chart_radius(self, m):
+        """Distinguished-chart radius at branch point m, the pull-back of 0.1
+        times the distance to the nearest other branch point."""
+        return np.sqrt(0.1 * float(np.min(np.abs(self._others[m] - self.e[m]))))
+
+    def _torus(self, m, n_fft):
+        """(rho1, rho2, xs, ys) of the H-Taylor torus at branch point m: 2 n_fft
+        points on each of |x| = 0.33 r and |y| = 0.21 r, r = chart_radius."""
+        rho1, rho2 = np.array([0.33, 0.21]) * self.chart_radius(m)
+        th = np.arange(2 * n_fft) * np.pi / n_fft
+        return rho1, rho2, rho1 * np.exp(1j * th), rho2 * np.exp(1j * th)
+
+    def _klein_baker(self):
+        """(lam, kappa), cached: y^2 = sum lam_k z^k (lam zero past 2g + 2) and
+        kappa = -A^-1 I R / 4, I[a, p] the integral of z^p dz / y (p <= 2g)
+        over the curve's own a-cycle a, A = I[:, :g], and R[p, q] =
+        max(p - q, 0) lam_{p+q+2} Baker's second-kind coefficients:
+        (F(x, z) - 2 y^2(x) - (z - x) (y^2)'(x)) / (z - x)^2 = sum R[p, q]
+        x^p z^q, the rest of F dx / (4 y (x - z)^2) being exact in x."""
+        if "kb" not in self._lazy_cache:
+            g, n = self.g, 2 * self.g + 1
+            if self.marking == "standard":
+                I = np.array([self._pair_loop_integrals(2 * i, 2 * i + 1, n)[0]
+                              for i in range(g)])
+            else:       # a_i is the chain of loops (2k+1, 2k+2), k >= i
+                chain = [s * self._pair_loop_integrals(2 * k + 1, 2 * k + 2, n)[0]
+                         for k, s in enumerate(self._chain_signs)]
+                I = np.array([sum(chain[i:]) for i in range(g)])
+            lam = np.concatenate((np.poly(self.e)[::-1], np.zeros(g)))
+            p, q = np.arange(n)[:, None], np.arange(g)
+            R = np.maximum(p - q, 0) * lam[p + q + 2]
+            self._lazy_cache["kb"] = lam, -np.linalg.solve(I[:, :g], I @ R) / 4
+        return self._lazy_cache["kb"]
+
+    def _klein_baker_kernel(self, z1, y1, z2, y2):
+        """Klein-Baker W / (dz dz) at every pair (z1_i, y1_i), (z2_j, y2_j)
+        (H. F. Baker, Abelian Functions, 1897, ch. X): (2 y1 y2 + F) /
+        (4 y1 y2 (z1 - z2)^2) + sum kappa_pq z1^p z2^q / (y1 y2), with F(x, z) =
+        sum_k (x z)^k (2 lam_2k + lam_2k+1 (x + z)) the Kleinian 2-polar."""
+        lam, kappa = self._klein_baker()
+        X, Z, Y = z1[:, None], z2[None, :], y1[:, None] * y2[None, :]
+        k, mono = np.arange(self.g + 2), np.arange(self.g)
+        powers = (X * Z)[..., None] ** k
+        F = powers @ (2 * lam[2 * k]) + (X + Z) * (powers @ lam[2 * k + 1])
+        poly = z1[:, None] ** mono @ kappa @ (z2[:, None] ** mono).T
+        return (2 * Y + F) / (4 * Y * (X - Z) ** 2) + poly / Y
 
     def bergman_sb_branch(self, m):
-        """S_B = 6 H(0, 0) at branch point m in its distinguished chart, by
-        the near-diagonal limit H(d, -d) = W(d, -d) - (2d)^-2 at d = delta,
-        delta/2, delta/4 (delta = 0.05 sqrt(distance to the nearest other
-        branch point)) and two Richardson steps: the clue identity's right
-        side, independent of the torus route of :meth:`h_taylor_branch`."""
-        delta = 0.05 * np.sqrt(np.min(np.abs(self._others[m] - self.e[m])))
-        # one W call, so one theta lattice, per separation: the terms that
-        # cancel in W at these pairs reach ~1e7 |W|, so a lattice shared by
-        # the three samples moves H(0,0) by up to ~3e-5 through rounding alone
-        h = [self.w_hat_branch_chart(m, d, -d) - 1.0 / (2 * d) ** 2
-             for d in (delta, delta / 2, delta / 4)]
-        val, _ = self._richardson_even(np.array(h), 1e-4)
-        return 6.0 * val
+        """S_B = 6 H(0, 0) at branch point m, the clue identity's right side:
+        the Klein-Baker kernel on the torus of :meth:`h_taylor_branch`, read
+        the same way, from (z, y) at the nodes alone (W is unchanged when the
+        chart's sign flips): no theta function and no chart Abel row."""
+        rho1, rho2, xs, ys = self._torus(m, 16)
+        (z1, y1), (z2, y2) = self._chart_points(m, xs), self._chart_points(m, ys)
+        W = self._klein_baker_kernel(z1, y1, z2, y2) * 4 * xs[:, None] * ys
+        H, _ = h_taylor_torus(W - 1.0 / (xs[:, None] - ys) ** 2, rho1, rho2, 1)
+        return 6.0 * complex(H[0, 0])
 
     def h_taylor_branch(self, m, order=1, n_fft=16):
-        """Taylor coefficients H_{pq} (p, q < order) of the regular part
-        H(x, y) = W(x, y) - (x - y)^{-2} in the distinguished chart at branch
-        point m, by certified Fourier extraction on the torus |x| = 0.33 r0,
-        |y| = 0.21 r0 with r0^2 a tenth of the distance to the nearest other
-        branch point (see :func:`h_taylor_torus`).  Every order is read from
-        one grid per (m, n_fft), kept in ``_lazy_cache``."""
-        r0 = np.sqrt(0.1 * float(np.min(np.abs(np.delete(self.e, m)
-                                               - self.e[m]))))
-        rho1, rho2 = 0.33 * r0, 0.21 * r0
+        """Taylor coefficients H_{pq} (p, q < order) of H(x, y) = W(x, y) -
+        (x - y)^{-2} at branch point m, W from the theta kernel on the torus
+        of :meth:`_torus`, read by :func:`h_taylor_torus`.  Every order is
+        read from one grid per (m, n_fft), kept in ``_lazy_cache``."""
+        rho1, rho2, xs, ys = self._torus(m, n_fft)
         key = ("h_grid", m, n_fft)
         if key not in self._lazy_cache:
-            th = np.arange(2 * n_fft) * np.pi / n_fft
-            xs, ys = rho1 * np.exp(1j * th), rho2 * np.exp(1j * th)
             self._lazy_cache[key] = self.w_hat_branch_chart_grid(m, xs, ys) \
                 - 1.0 / (xs[:, None] - ys[None, :]) ** 2
         return h_taylor_torus(self._lazy_cache[key], rho1, rho2, order)
@@ -853,32 +868,33 @@ class HyperellipticCurve:
 
 @lru_cache(maxsize=8)
 def _w_specs(g):
-    """Theta specs of the bidifferential kernel: value, gradient, Hessian
-    along the coordinate axes."""
+    """Theta specs of the bidifferential kernel: value, gradient, and the
+    Hessian entries (i, j), i <= j, along the coordinate axes."""
     basis = [tuple(np.eye(g)[i]) for i in range(g)]
     return tuple([()] + [(b,) for b in basis]
-                 + [(basis[i], basis[j]) for i in range(g) for j in range(g)])
+                 + [(basis[i], basis[j]) for i, j in zip(*np.triu_indices(g))])
 
 
 def _log_deriv(vals, g):
     """L_ij = theta_ij/theta - theta_i theta_j / theta^2 from theta values
-    in the spec order of :func:`_w_specs` along the last axis; returns the
-    leading shape + (g, g)."""
+    in the spec order of :func:`_w_specs` along the last axis (the Hessian
+    mirrored from its upper triangle); returns the leading shape + (g, g)."""
     th = vals[..., 0, None, None]
     if np.any(th == 0):
         raise DiagonalTooClose("theta vanished in the bidifferential kernel")
     grad = vals[..., 1 : 1 + g]
-    hess = vals[..., 1 + g :].reshape(vals.shape[:-1] + (g, g))
-    return hess / th - grad[..., :, None] * grad[..., None, :] / th ** 2
+    i, j = np.triu_indices(g)
+    pos = np.empty((g, g), dtype=int)
+    pos[i, j] = pos[j, i] = 1 + g + np.arange(len(i))
+    return vals[..., pos] / th - grad[..., :, None] * grad[..., None, :] / th ** 2
 
 
 def h_taylor_torus(vals, rho1, rho2, order):
     """Taylor coefficients H_{pq} (p, q < order) of the regular part
     H(x, y) = W(x, y) - (x - y)^{-2} of a bidifferential by 2-D Fourier
     extraction on the torus |x| = rho1, |y| = rho2; ``vals`` holds H at
-    every pair (x_i, y_j) of the points at the angles 2 pi i / N, N even
-    (for the hyperelliptic kernel one separable theta pass,
-    :meth:`HyperellipticCurve.w_hat_branch_chart_grid`).
+    every pair (x_i, y_j) of the points at the angles 2 pi i / N, N even,
+    from either kernel of :class:`HyperellipticCurve` (theta or Klein-Baker).
 
     Distinct radii keep the diagonal away from the sampling torus, so no
     small-separation amplification occurs.  The even-index subgrid is the

@@ -81,22 +81,6 @@ def _circle_contour(fun, radius, nodes, max_doublings=3, target=None):
     return ContourIntegralResult(value, radius, N, cert)
 
 
-def _branch_contour_radius(curve, m):
-    """Distinguished-chart radius pulled back from a base-plane radius equal
-    to 0.1 times the distance to the nearest other critical value."""
-    dmin = float(np.min(np.abs(np.delete(curve.e, m) - curve.e[m])))
-    return np.sqrt(0.1 * dmin)
-
-
-def _genus0_base_radius(cover: RationalCoverP1, m):
-    """Base-plane radius at critical point m of a genus-0 cover: 0.1 times
-    the distance to the nearest other critical value (0.1 when there is
-    none)."""
-    zm = cover.critical_values[m]
-    others = np.delete(cover.critical_values, m)
-    return 0.1 * float(np.min(np.abs(others - zm))) if len(others) else 0.1
-
-
 def _moved(points, m, dz):
     """The branch points with point m moved by dz."""
     pts = list(points)
@@ -123,7 +107,7 @@ def rauch_contour(curve, m):
     point m, i.e. d B_{ab} / d z_m by the Rauch formula; with certificate
     (32 nodes, doubled until the certificate is below 1e-9, at most three
     times)."""
-    r = _branch_contour_radius(curve, m)
+    r = curve.chart_radius(m)
     g = curve.g
 
     def entry_fun(a, b):
@@ -212,17 +196,20 @@ def vardwa_rhs_curve(curve, m):
     n_fft = 16
     H, cert = curve.h_taylor_branch(m, order=1, n_fft=n_fft)
     return ContourIntegralResult(complex(-H[0, 0] / 2.0),
-                                 _branch_contour_radius(curve, m),
+                                 curve.chart_radius(m),
                                  2 * n_fft, cert)
 
 
 def vardwa_rhs_genus0(cover: RationalCoverP1, m):
     """Genus-0 governing contour in the global w chart: S_B = 0 there, so the
     integrand is -S_f(w)/f'(w) dw around the critical point w_m (32 nodes,
-    doubled once)."""
+    doubled once), at the pull-back of a base-plane radius of 0.1 times the
+    distance to the nearest other critical value (0.1 when there is none)."""
     wm = cover.critical_points[m]
-    f2 = cover.f2(wm)
-    r = np.sqrt(2.0 * _genus0_base_radius(cover, m) / abs(f2))
+    others = np.delete(cover.critical_values, m)
+    base = 0.1 * float(np.min(np.abs(others - cover.critical_values[m]))) \
+        if len(others) else 0.1
+    r = np.sqrt(2.0 * base / abs(cover.f2(wm)))
 
     from .specfun import schwarzian
 
@@ -281,13 +268,13 @@ def smatrix_hh_zero(curve, m, ell=2):
 
 def clue_identity_check(curve, m, ell=2):
     """LHS (1/2) S^{hh}_{1/2,1/2}(0) at the 4 pi cone versus the RHS
-    -(1/12) S_Sch(0); signed discrepancy.  The RHS is computed through the
-    diagonal H(x, x) limit, a numerically independent evaluation path.  Any
-    ``ell`` other than 2 raises WrongOrder."""
+    -(1/12) S_Sch(0); signed discrepancy.  Both sides read H(0, 0) by one
+    torus extraction from two independent kernels: the left side from the
+    theta kernel (``h_taylor_branch``), the right side's S_B from the
+    Klein-Baker kernel (``bergman_sb_branch``), which reads no theta
+    function.  Any ``ell`` other than 2 raises WrongOrder."""
     block = smatrix_hh_zero(curve, m, ell=ell)
     lhs = 0.5 * block.hh[0, 0]
-    # right side through the near-diagonal limit: numerically independent
-    # of the Fourier extraction feeding the block
     rhs = -(curve.bergman_sb_branch(m)
             - curve.schiffer_sb_term(curve.branch_data(m).v_lead)) / 12.0
     return {"lhs": complex(lhs), "rhs": complex(rhs),

@@ -12,7 +12,9 @@ primitives:
   reference of its replacement;
 * the z-chart W route (``w_hat`` and ``bergman_sb_z``, with ``abel_between``,
   ``abel_of_point``, ``other_sheet``, ``flip_vec`` and ``cycle_pairs``), an
-  independent cross-check of the distinguished-chart theta kernel;
+  independent cross-check of the distinguished-chart theta kernel, whose
+  diagonal limit ``h_limit`` takes two Richardson steps
+  (``richardson_even``);
 * ``cover_to_json``, the inverse of ``covers.cover_from_json`` for the JSON
   round trip.
 """
@@ -21,11 +23,19 @@ import numpy as np
 import scipy.special as sps
 
 from hurwitztau.cones import ConeCircle, _on_imag_axis
-from hurwitztau.curves import CurvePoint, _PANEL_DIV, _leggauss, _tracked_sqrt
+from hurwitztau.curves import (
+    CurvePoint,
+    _PANEL_DIV,
+    _leggauss,
+    _log_deriv,
+    _tracked_sqrt,
+    _w_specs,
+)
 from hurwitztau.errors import (
     CurveGeometryError,
     DiagonalTooClose,
     DomainError,
+    ExtrapolationUnstable,
     IllConditionedPeriods,
     SheetTrackingLoss,
     TruncationFailure,
@@ -509,19 +519,35 @@ def w_hat(curve, P, Q):
     if abs(P.z - Q.z) + abs(P.y - Q.y) < 1e-8 * curve.scale:
         raise DiagonalTooClose("bidifferential requested on the diagonal")
     t = abel_between(curve, P, Q)
-    L = curve._log_deriv_matrix(t[None], curve._w_char())[0]
+    L = _log_deriv(curve.theta_bundle(t[None], curve._w_char(),
+                                      _w_specs(curve.g)), curve.g)[0]
     return -complex(np.einsum("ij,j,i->", L, curve.v_hat(P), curve.v_hat(Q)))
+
+
+def richardson_even(h, tol):
+    """Limit of an even-in-delta quantity h(delta) -> L + c d^2 + e d^4
+    from the samples h = (h(delta), h(delta/2), h(delta/4)) (two
+    Richardson levels); the certificate must meet ``tol`` (a NaN
+    certificate does not).  Returns (limit, certificate)."""
+    e1 = (4 * h[1] - h[0]) / 3
+    e2 = (4 * h[2] - h[1]) / 3
+    extrap = (16 * e2 - e1) / 15
+    cert = abs(e2 - e1)
+    if not cert <= tol * max(1.0, abs(extrap)):
+        raise ExtrapolationUnstable(
+            f"H-limit Richardson certificate {cert:.2e} above tolerance")
+    return extrap, cert
 
 
 def h_limit(curve, w_of_pair, x0, delta, tol):
     """H(x0, x0) = lim W(x0 + d, x0 - d) - (2d)^-2 from d = delta, delta/2,
-    delta/4 by the curve's two Richardson steps; returns (value, certificate)."""
+    delta/4 by two Richardson steps; returns (value, certificate)."""
     def h(d):
         u, v = x0 + d, x0 - d
         return w_of_pair(u, v) - 1.0 / (u - v) ** 2
 
-    return curve._richardson_even(
-        np.array([h(delta), h(delta / 2), h(delta / 4)]), tol)
+    return richardson_even(np.array([h(delta), h(delta / 2), h(delta / 4)]),
+                           tol)
 
 
 def bergman_sb_z(curve, P, delta_rel=1e-2):

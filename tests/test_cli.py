@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -438,6 +439,25 @@ def test_cone_dtn_past_the_overflow_of_k_nu(tmp_path):
     assert len(rows) == 4 * 300
     mu = [float(r.split(",")[3]) for r in rows]
     assert all(np.isfinite(mu)) and min(mu) > 0
+
+
+def test_cone_dtn_order_past_max_modes_is_a_domain_error(tmp_path):
+    # nu = n / (k R) ~ 3e21 at n = 1: the K-ratio recurrence would take that
+    # many steps, so the order is refused before the first.  In a process of
+    # its own first, so that a hang fails at the timeout
+    argv = ["cone", "dtn", "--k", "3", "--R", "1e-22"]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hurwitztau.cli", *argv,
+         "--out", str(tmp_path / "process.json")],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 1 and "DomainError" in proc.stderr
+    start = time.perf_counter()
+    code, rep = run_cli(argv, tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and rep["error"] == "DomainError"
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_cone_dtn_reports_the_k_ratio_certificate(tmp_path):

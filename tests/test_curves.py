@@ -300,7 +300,8 @@ def test_h_origin_genus1_weierstrass_closed_form():
     # on C / (Z + tau Z), W = (wp(u - u') + 2 eta_1) du du', so in the
     # distinguished chart at e_m (u = a x + O(x^3), a the leading
     # differential coefficient) H(0, 0) = -(1/6) sum_{i != m} 1/(e_m - e_i)
-    # + 2 eta_1 a^2: no theta function and no torus FFT
+    # + 2 eta_1 a^2: no theta function and no torus FFT.  Both kernels are
+    # held to it: the theta torus and the Klein-Baker S_B = 6 H(0, 0)
     data = load_fixture("curve_genus1")
     cur = HyperellipticCurve([complex(*p) for p in data["branch_points"]])
     eta1 = weierstrass_eta1(cur.B.B[0, 0])
@@ -309,16 +310,18 @@ def test_h_origin_genus1_weierstrass_closed_form():
         want = -np.sum(1.0 / (cur.e[m] - np.delete(cur.e, m))) / 6.0 \
             + 2.0 * eta1 * a * a
         assert abs(cur.h_taylor_branch(m, order=1)[0][0, 0] - want) < 1e-10
+        assert abs(cur.bergman_sb_branch(m) / 6.0 - want) < 1e-10
 
 
 # ---------------------------------------------------------------------------
 # a NaN certificate is a failed certificate
 # ---------------------------------------------------------------------------
 
-def test_richardson_nan_certificate_raises(genus1_curve, monkeypatch):
-    monkeypatch.setattr(genus1_curve, "w_hat_branch_chart",
-                        lambda m, u, v: complex(np.nan, 0.0))
-    with pytest.raises(ExtrapolationUnstable):
+def test_klein_baker_nan_certificate_raises(genus1_curve, monkeypatch):
+    lam, kappa = genus1_curve._klein_baker()
+    monkeypatch.setattr(genus1_curve, "_klein_baker",
+                        lambda: (lam, np.full_like(kappa, np.nan)))
+    with pytest.raises(ExtrapolationUnstable, match="grid-doubling"):
         genus1_curve.bergman_sb_branch(1)
 
 
@@ -641,14 +644,12 @@ def test_batched_chart_rows_match_per_node_reference(m):
     # the 64 H-Taylor torus nodes and the 48 vardwa contour nodes of the
     # genus-2 fixture: both kinds of row are bit-identical to one scalar
     # chart path and one scalar tracking chain per node
-    from hurwitztau.variational import _branch_contour_radius
-
     cur = _fixture_genus2_curve()
-    r0 = np.sqrt(0.1 * float(np.min(np.abs(np.delete(cur.e, m) - cur.e[m]))))
+    r0 = cur.chart_radius(m)
     torus = np.exp(2j * np.pi * np.arange(32) / 32)
     contour = np.exp(2j * np.pi * np.arange(48) / 48)
     for xs in (np.concatenate((0.33 * r0 * torus, 0.21 * r0 * torus)),
-               _branch_contour_radius(cur, m) * contour):
+               r0 * contour):
         abel, v = chart_rows_per_node(cur, m, xs)
         assert np.array_equal(cur.chart_nodes(m, xs, "abel"), abel)
         assert np.array_equal(cur.chart_nodes(m, xs, "v"), v)
