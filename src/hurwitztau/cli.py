@@ -73,13 +73,18 @@ def _load_input(args):
     if not args.input:
         raise SystemExit("--input is required")
     with open(args.input) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"the input must be a JSON object, got {data!r}")
+    return data
 
 
 def _complex(v):
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
+    """A JSON number or [re, im] as a complex number, else a usage error."""
+    parts = v if isinstance(v, list) else [v, 0]
+    if len(parts) != 2 or any(type(x) not in (int, float) for x in parts):
+        raise ValueError(f"expected a number or [re, im], got {v!r}")
+    return complex(*parts)
 
 
 def _finite_point(data, key, default):
@@ -391,7 +396,8 @@ def cmd_verify_clue(args):
             "ha_imag": abs(ha.imag),
         },
         "certificates": {
-            "h_taylor": block.diagnostics["h_taylor_certificate"]},
+            "h_taylor": block.diagnostics["h_taylor_certificate"],
+            "klein_baker": res["klein_baker_certificate"]},
     }, ok
 
 

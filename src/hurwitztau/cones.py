@@ -67,8 +67,9 @@ class ConeCircle:
     def __post_init__(self):
         if self.k < 1:
             raise DomainError("cone order k must be a positive integer")
-        if self.R <= 0:
-            raise DomainError("circle radius must be positive")
+        if not self.R > 0 or math.isinf(2 * math.pi * self.k * self.R * self.R):
+            raise DomainError(f"circle radius must be positive with 2 pi k R^2 "
+                              f"finite, got k = {self.k}, R = {self.R}")
 
     def nu(self, n):
         return abs(n) / (self.k * self.R)
@@ -519,18 +520,19 @@ def _tail(s, kR, N):
     a1 = nu1 - 1
     x_abs = math.sqrt(sa)
     coef_S = math.comb(2 * K, K) * (sa / 4) ** K / (1 - 2 * sa / (a1 + K + 1))
-    first_S = coef_S / (a1 - K) ** (2 * K)
+    # a power of 1/a1 underflows to 0 at a huge order, where a1's overflows
+    first_S = coef_S * (1 / (a1 - K)) ** (2 * K)
     sum_S = coef_S * _zeta_upper(2 * K, N + 1 - kR * (1 + K), kR)
     first_J = _J2_MAJORANT * max(1.0, x_abs / 2) ** 4 \
         * math.exp(sa / (2 * (a1 + 1))) * (a1 + 2) / (2 * a1) \
         * (np.e * x_abs / (2 * a1)) ** (2 * a1)
     sum_J = first_J / (1 - 4.0 ** (-1 / kR))
-    sigma = (1 - sa / (nu1 ** 2 - K ** 2)) ** -0.5 - 1
+    sigma = (1 - sa / (nu1 * nu1 - K ** 2)) ** -0.5 - 1
     if (first_S + first_J) / (1 - sigma) > 0.5:
         return tail, math.inf
     rho = 1 / max(2 * (K - 1) ** 2, 4 * sa)
     log_max = -math.log(2 - (1 - 2 * sa * rho) ** -0.5)
-    cauchy = log_max / (1 - 1 / (nu1 ** 2 * rho)) \
+    cauchy = log_max / (1 - 1 / (nu1 * nu1 * rho)) \
         * _zeta_upper(2 * _TAIL_ORDER + 2, N + 1, kR / math.sqrt(rho))
     bound = 2 * (sum_S + sum_J) / (1 - sigma) + cauchy \
         + float(np.abs(e) @ zeta_rem)

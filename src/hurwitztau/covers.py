@@ -17,6 +17,7 @@ Conventions
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -275,15 +276,38 @@ def genus_from_riemann_hurwitz(spec: CoverSpec) -> int:
 # with permutations as 1-indexed disjoint-cycle lists (identity = []).
 # ---------------------------------------------------------------------------
 
+MAX_DEGREE = 10_000     # the largest degree cover_from_json accepts
+
+
 def cover_from_json(text_or_dict) -> CoverSpec:
+    """CoverSpec of the schema above.  Malformed data raises ValueError:
+    not an object with an integer degree in 1..MAX_DEGREE (checked before
+    any permutation is built), branches that are not objects, a point that
+    is not [re, im] of finite numbers, or cycles that are not integer lists."""
     d = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
-    n = int(d["degree"])
-    sig0 = Permutation.from_cycles(d.get("sigma_infinity", []), n)
+    n = d.get("degree") if isinstance(d, dict) else None
+    if type(n) is not int or not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"a cover needs an integer degree in 1..{MAX_DEGREE}, "
+                         f"got {n!r}")
+
+    def point(v):
+        if not (isinstance(v, list) and len(v) == 2 and all(
+                type(x) in (int, float) and math.isfinite(x) for x in v)):
+            raise ValueError(f"malformed point: {v!r}")
+        return complex(*v)
+
+    def perm(v):
+        if not (isinstance(v, list) and all(
+                isinstance(c, list) and all(type(x) is int for x in c)
+                for c in v)):
+            raise ValueError(f"malformed cycles: {v!r}")
+        return Permutation.from_cycles(v, n)
+
     branches = d.get("branches", [])
-    perms, vals = [], []
-    for br in branches:
-        re, im = br["value"]
-        vals.append(complex(re, im))
-        perms.append(Permutation.from_cycles(br["sigma"], n))
-    bp = d.get("base_point", [0.0, 0.0])
-    return CoverSpec(n, sig0, tuple(perms), tuple(vals), complex(bp[0], bp[1]))
+    if not (isinstance(branches, list)
+            and all(isinstance(br, dict) for br in branches)):
+        raise ValueError(f"malformed branches: {branches!r}")
+    return CoverSpec(n, perm(d.get("sigma_infinity", [])),
+                     tuple(perm(br["sigma"]) for br in branches),
+                     tuple(point(br["value"]) for br in branches),
+                     point(d.get("base_point", [0.0, 0.0])))

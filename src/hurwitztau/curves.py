@@ -218,7 +218,6 @@ class HyperellipticCurve:
         self._abel_cache = {}
         self._branch_cache = {}
         self._pair_cache = {}
-        self._chart_cache = {}
         self._lazy_cache = {}     # "grad", "inf", "K", "probes", ("tau", zeta)
         self._build_periods()
         _CURVE_TABLE[key] = dict(self.__dict__)
@@ -341,7 +340,7 @@ class HyperellipticCurve:
             "marking": "swapped" if self.marking == "standard" else "standard",
             "_pair_cache": self._pair_cache,
             "_abel_cache": {},
-            "_branch_cache": {}, "_chart_cache": {}, "_lazy_cache": {},
+            "_branch_cache": {}, "_lazy_cache": {},
         })
         other._build_periods()
         return other
@@ -531,21 +530,20 @@ class HyperellipticCurve:
         sq = _tracked_sqrt(hv, seed=bd.sqrt_h)
         return z, _cmul(xs, sq[:, -1])
 
-    def _chart_abel(self, m, xs):
-        """Abel vectors (n, g) from the hub through branch point m to the
-        chart values xs (shape (n,)): one chart path from 0 per node, one
-        panel of 24 Gauss-Legendre nodes."""
+    def _chart_rows(self, m, xs):
+        """(Abel vectors, distinguished-chart differentials), each (n, g), at
+        the chart values xs (shape (n,)) near branch point m: one chart path
+        from 0 per node (one panel of 24 Gauss-Legendre nodes) from the hub
+        through the branch point, and v = 2 v_poly(e_m + x^2) / sqrt_h with
+        the root sqrt_h that the path tracks to the node (v_poly on one
+        (1, g) row per node)."""
         bd = self.branch_data(m)
-        vec, _ = self._chart_path(0.0, xs, bd.sqrt_h,
-                                  *self._x_chart(np.full(len(xs), m)),
-                                  np.linspace(0.0, 1.0, 2), 24)
-        return bd.abel + vec
-
-    def _chart_v(self, m, xs):
-        """Distinguished-chart differentials v_hat * 2x (n, g) at the chart
-        values xs (shape (n,)); v_poly runs on one (1, g) row per node."""
-        z, y = self._chart_points(m, xs)
-        return self.v_poly(z[:, None])[:, 0] / y[:, None] * (2.0 * xs)[:, None]
+        vec, root = self._chart_path(0.0, xs, bd.sqrt_h,
+                                     *self._x_chart(np.full(len(xs), m)),
+                                     np.linspace(0.0, 1.0, 2), 24)
+        z = self.e[m] + _cmul(xs, xs)
+        return bd.abel + vec, \
+            2.0 * self.v_poly(z[:, None])[:, 0] / root[:, None]
 
     def branch_chart_point(self, m, x):
         """CurvePoint for chart value x near branch point m (y = x sqrt_h(z))."""
@@ -555,25 +553,7 @@ class HyperellipticCurve:
     def abel_branch_chart(self, m, x):
         """Abel vector from the hub through branch point m to the chart point
         x (chart path, one panel of 24 Gauss-Legendre nodes)."""
-        return self._chart_abel(m, np.array([complex(x)]))[0]
-
-    def chart_nodes(self, m, xs, kind):
-        """Chart data at the nodes xs near branch point m, shape xs.shape +
-        (g,): kind "abel" is :meth:`abel_branch_chart`, kind "v" the
-        distinguished-chart differentials v_hat * 2x at
-        :meth:`branch_chart_point`.  The distinct nodes missing from the memo
-        (keyed by the chart value) run as one batch, and the memo takes them
-        only once the whole batch has succeeded."""
-        xs = np.asarray(xs, dtype=complex)
-        memo = self._chart_cache.setdefault((kind, m), {})
-        uniq, inv = np.unique(xs.ravel(), return_inverse=True)
-        keys = list(map(complex, uniq))
-        missing = np.array([x for x in keys if x not in memo], dtype=complex)
-        if len(missing):
-            fill = self._chart_abel if kind == "abel" else self._chart_v
-            memo.update(zip(map(complex, missing), fill(m, missing)))
-        rows = np.array([memo[x] for x in keys])
-        return rows[inv].reshape(xs.shape + (self.g,))
+        return self._chart_rows(m, np.array([complex(x)]))[0][0]
 
     def infinity_data(self):
         """Both points over z = infinity with sheet markers +1 and -1: the
@@ -616,23 +596,20 @@ class HyperellipticCurve:
 
     def w_hat_branch_chart(self, m, x1, x2):
         """Distinguished-chart value of W at two chart points x1, x2 near
-        branch m: node data from :meth:`chart_nodes`, one theta call on one
-        row, one contraction."""
+        branch m: both nodes' rows from one :meth:`_chart_rows` batch, one
+        theta call on one row, one contraction."""
         x1, x2 = complex(x1), complex(x2)
         if abs(x1 - x2) < 1e-10 * max(abs(x1), abs(x2), 1e-30):
             raise DiagonalTooClose("bidifferential requested on the diagonal")
-        x1s, x2s = np.array([x1]), np.array([x2])
-        t = self.chart_nodes(m, x2s, "abel") - self.chart_nodes(m, x1s, "abel")
-        L = _log_deriv(self.theta_bundle(t, self._w_char(), _w_specs(self.g)),
-                       self.g)
-        return -complex(np.einsum("nij,nj,ni->n", L,
-                                  self.chart_nodes(m, x1s, "v"),
-                                  self.chart_nodes(m, x2s, "v"))[0])
+        abel, v = self._chart_rows(m, np.array([x1, x2]))
+        L = _log_deriv(self.theta_bundle(abel[1:] - abel[:1], self._w_char(),
+                                         _w_specs(self.g)), self.g)
+        return -complex(np.einsum("nij,nj,ni->n", L, v[:1], v[1:])[0])
 
     def w_hat_branch_chart_grid(self, m, xs, ys):
         """Distinguished-chart W at every pair (xs_i, ys_j) of chart points
-        near branch m, shape (len(xs), len(ys)): node data from
-        :meth:`chart_nodes`, one separable theta pass
+        near branch m, shape (len(xs), len(ys)): each node's rows from
+        :meth:`_chart_rows`, one separable theta pass
         (:func:`riemann_theta_grid`) over the chart Abel rows, one
         contraction."""
         xs, ys = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
@@ -640,11 +617,10 @@ class HyperellipticCurve:
         near = np.maximum(np.maximum(np.abs(X), np.abs(Y)), 1e-30)
         if np.any(np.abs(X - Y) < 1e-10 * near):
             raise DiagonalTooClose("bidifferential requested on the diagonal")
-        L = _log_deriv(riemann_theta_grid(
-            self.chart_nodes(m, xs, "abel"), self.chart_nodes(m, ys, "abel"),
-            self.B, self._w_char(), _w_specs(self.g)), self.g)
-        return -np.einsum("xyij,xj,yi->xy", L, self.chart_nodes(m, xs, "v"),
-                          self.chart_nodes(m, ys, "v"))
+        (ax, vx), (ay, vy) = self._chart_rows(m, xs), self._chart_rows(m, ys)
+        L = _log_deriv(riemann_theta_grid(ax, ay, self.B, self._w_char(),
+                                          _w_specs(self.g)), self.g)
+        return -np.einsum("xyij,xj,yi->xy", L, vx, vy)
 
     def chart_radius(self, m):
         """Distinguished-chart radius at branch point m, the pull-back of 0.1
@@ -697,12 +673,14 @@ class HyperellipticCurve:
         """S_B = 6 H(0, 0) at branch point m, the clue identity's right side:
         the Klein-Baker kernel on the torus of :meth:`h_taylor_branch`, read
         the same way, from (z, y) at the nodes alone (W is unchanged when the
-        chart's sign flips): no theta function and no chart Abel row."""
+        chart's sign flips): no theta function and no chart Abel row.
+        Returns (value, grid-doubling certificate)."""
         rho1, rho2, xs, ys = self._torus(m, 16)
         (z1, y1), (z2, y2) = self._chart_points(m, xs), self._chart_points(m, ys)
         W = self._klein_baker_kernel(z1, y1, z2, y2) * 4 * xs[:, None] * ys
-        H, _ = h_taylor_torus(W - 1.0 / (xs[:, None] - ys) ** 2, rho1, rho2, 1)
-        return 6.0 * complex(H[0, 0])
+        H, cert = h_taylor_torus(W - 1.0 / (xs[:, None] - ys) ** 2, rho1, rho2,
+                                 1)
+        return 6.0 * complex(H[0, 0]), cert
 
     def h_taylor_branch(self, m, order=1, n_fft=16):
         """Taylor coefficients H_{pq} (p, q < order) of H(x, y) = W(x, y) -

@@ -280,10 +280,6 @@ class RationalCoverP1:
     def f(self, w):
         return npoly.polyval(w, self.num) / npoly.polyval(w, self.den)
 
-    def fprime(self, w):
-        d1n, d1d = _rat_derivs(self.num, self.den)
-        return npoly.polyval(w, d1n) / npoly.polyval(w, d1d)
-
     def f2(self, w):
         """Second derivative of f at w (exact rational differentiation)."""
         d2n, d2d = _rat_derivs(*_rat_derivs(self.num, self.den))

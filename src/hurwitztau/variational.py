@@ -7,8 +7,8 @@ zero-energy S-matrix block at a conical point, and the chained
 Schiffer-connection identity.
 
 All identity checks return signed discrepancies; tolerance policy lives in
-the callers/tests.  Every contour integral carries a node-doubling
-convergence certificate, every H-Taylor torus a grid-doubling one.
+the callers/tests.  Every contour integral around a simple branch point is
+read as its residue, with the certificate of the data it reads.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .curves import HyperellipticCurve
 from .errors import WrongOrder
-from .quadrature import trapezoid_doubling
+from .specfun import _rat_derivs
 from .taufn import RationalCoverP1, tau_genus0, tau_genus1, tau_genus2
 
 __all__ = [
@@ -41,10 +42,13 @@ __all__ = [
 
 @dataclass
 class ContourIntegralResult:
+    """A contour integral read as its residue, and its data's certificate;
+    ``radius`` and ``nodes`` are those of its H-Taylor torus (0 if none)."""
+
     value: complex
-    radius: float
-    nodes: int
     certificate: float
+    radius: float = 0.0
+    nodes: int = 0
 
 
 @dataclass
@@ -65,21 +69,8 @@ class SMatrixBlock:
 
 
 # ---------------------------------------------------------------------------
-# contour helpers
+# finite differences
 # ---------------------------------------------------------------------------
-
-def _circle_contour(fun, radius, nodes, max_doublings=3, target=None):
-    """Closed-contour integral of fun(x) dx over |x| = radius: the periodic
-    doubling trapezoid of :func:`quadrature.trapezoid_doubling` in the angle,
-    x = radius e^{i theta}, dx = i x dtheta."""
-    def integrand(th):
-        xs = radius * np.exp(1j * th)
-        return fun(xs) * 1j * xs
-
-    value, N, cert = trapezoid_doubling(integrand, nodes, max_doublings,
-                                        target)
-    return ContourIntegralResult(value, radius, N, cert)
-
 
 def _moved(points, m, dz):
     """The branch points with point m moved by dz."""
@@ -103,27 +94,14 @@ def _wirtinger_fd(at, diff, h):
 # ---------------------------------------------------------------------------
 
 def rauch_contour(curve, m):
-    """Matrix of contour integrals (1/2 pi i) oint v_a v_b / df around branch
-    point m, i.e. d B_{ab} / d z_m by the Rauch formula; with certificate
-    (32 nodes, doubled until the certificate is below 1e-9, at most three
-    times)."""
-    r = curve.chart_radius(m)
-    g = curve.g
-
-    def entry_fun(a, b):
-        def fun(xs):
-            vx = curve.chart_nodes(m, xs, "v")
-            return vx[:, a] * vx[:, b] / (2.0 * xs)
-        return fun
-
-    out = np.zeros((g, g), dtype=complex)
-    cert = 0.0
-    for a in range(g):
-        for b in range(a, g):
-            res = _circle_contour(entry_fun(a, b), r, 32, target=1e-9)
-            out[a, b] = out[b, a] = res.value
-            cert = max(cert, res.certificate)
-    return out, cert, r
+    """d B / d z_m by the Rauch formula, oint v_a v_b / df around branch
+    point m, read as its residue: in the distinguished chart df = 2x dx, so
+    the integrand is v_a(x) v_b(x) / (2x) dx and the value is
+    pi i v_a(0) v_b(0), v(0) = ``branch_data(m).v_lead``.  Returns (matrix,
+    certificate), the certificate being the period certificate of the
+    ``coef`` that v_lead reads."""
+    v = curve.branch_data(m).v_lead
+    return np.pi * 1j * np.outer(v, v), curve.period_certificate
 
 
 def rauch_check(curve_factory, base_points, m, alpha, beta, h=1e-5):
@@ -133,7 +111,7 @@ def rauch_check(curve_factory, base_points, m, alpha, beta, h=1e-5):
     values and the signed discrepancy.
     """
     curve = curve_factory(base_points)
-    contour, cert, r = rauch_contour(curve, m)
+    contour, cert = rauch_contour(curve, m)
 
     def B_at(dz):
         return curve_factory(_moved(base_points, m, dz)).B.B
@@ -144,26 +122,23 @@ def rauch_check(curve_factory, base_points, m, alpha, beta, h=1e-5):
         "fd": complex(fd[alpha, beta]),
         "discrepancy": complex(contour[alpha, beta] - fd[alpha, beta]),
         "certificate": cert,
-        "radius": r,
         "contour_matrix": contour,
         "fd_matrix": fd,
     }
 
 
 def det_imB_derivative(curve_factory, base_points, m):
-    """d/dz_m of ln det Im B three ways: the trace form, the contour form,
-    and the Wirtinger finite difference (step 1e-5) of ln det Im B."""
+    """d/dz_m of ln det Im B three ways: the trace form tr(dB (Im B)^-1) / 2i
+    of the Rauch residue, the residue of the contour form
+    (1/2i) oint v^T (Im B)^-1 v / df, i.e. (pi/2) v^T (Im B)^-1 v at
+    v = v_lead, and the Wirtinger finite difference (step 1e-5) of
+    ln det Im B."""
     curve = curve_factory(base_points)
     Yi = curve.imB_inv()
-    dB, cert, r = rauch_contour(curve, m)
+    dB, cert = rauch_contour(curve, m)
+    v = curve.branch_data(m).v_lead
     trace_route = complex(np.trace(dB @ Yi) / 2j)
-
-    def q_fun(xs):
-        vx = curve.chart_nodes(m, xs, "v")
-        return np.einsum("ni,ij,nj->n", vx, Yi, vx) / (2.0 * xs)
-
-    res = _circle_contour(q_fun, r, 32, target=1e-9)
-    contour_route = res.value / 2j
+    contour_route = complex(np.pi / 2 * (v @ Yi @ v))
 
     def lndet(dz):
         c = curve_factory(_moved(base_points, m, dz))
@@ -173,10 +148,10 @@ def det_imB_derivative(curve_factory, base_points, m):
         lndet, lambda plus, minus, h: (plus - minus) / (2 * h), 1e-5)
     return {
         "trace_route": trace_route,
-        "contour_route": complex(contour_route),
+        "contour_route": contour_route,
         "fd_route": complex(fd_route),
         "fd_antiholomorphic": complex(fd_antiholo),
-        "certificate": max(cert, res.certificate),
+        "certificate": cert,
     }
 
 
@@ -195,31 +170,28 @@ def vardwa_rhs_curve(curve, m):
     certificate and ``nodes`` its points per circle."""
     n_fft = 16
     H, cert = curve.h_taylor_branch(m, order=1, n_fft=n_fft)
-    return ContourIntegralResult(complex(-H[0, 0] / 2.0),
-                                 curve.chart_radius(m),
-                                 2 * n_fft, cert)
+    return ContourIntegralResult(complex(-H[0, 0] / 2.0), cert,
+                                 curve.chart_radius(m), 2 * n_fft)
 
 
 def vardwa_rhs_genus0(cover: RationalCoverP1, m):
-    """Genus-0 governing contour in the global w chart: S_B = 0 there, so the
-    integrand is -S_f(w)/f'(w) dw around the critical point w_m (32 nodes,
-    doubled once), at the pull-back of a base-plane radius of 0.1 times the
-    distance to the nearest other critical value (0.1 when there is none)."""
+    """Genus-0 governing contour -(1/12 pi i) oint -S_f(w) / f'(w) dw around
+    the critical point w_m (S_B = 0 in the global w chart), read as its
+    residue: with f = f(w_m) + a_2 t^2 + a_3 t^3 + a_4 t^4 + .., t = w - w_m,
+    the value is (4 a_2 a_4 - 3 a_3^2) / (16 a_2^3), a_k = f^(k)(w_m) / k!
+    from exact rational differentiation.  The certificate is the residual
+    of f' at w_m, relative to the scale :func:`specfun.schwarzian` uses."""
     wm = cover.critical_points[m]
-    others = np.delete(cover.critical_values, m)
-    base = 0.1 * float(np.min(np.abs(others - cover.critical_values[m]))) \
-        if len(others) else 0.1
-    r = np.sqrt(2.0 * base / abs(cover.f2(wm)))
-
-    from .specfun import schwarzian
-
-    def fun(ws):
-        return np.array([-schwarzian(cover.num, cover.den, wm + w)
-                         / cover.fprime(wm + w) for w in ws])
-
-    res = _circle_contour(fun, r, 32, max_doublings=1)
-    return ContourIntegralResult(-res.value / (12j * np.pi), r, res.nodes,
-                                 res.certificate)
+    num, den = _rat_derivs(cover.num, cover.den)
+    scale = float(np.max(np.abs(num))) * max(1.0, abs(wm)) ** (len(num) - 1)
+    resid = abs(npoly.polyval(wm, num)) / max(scale, 1e-300)
+    a = []
+    for factorial in (2, 6, 24):    # k! for k = 2, 3, 4
+        num, den = _rat_derivs(num, den)
+        a.append(npoly.polyval(wm, num) / npoly.polyval(wm, den) / factorial)
+    a2, a3, a4 = a
+    return ContourIntegralResult(
+        complex((4 * a2 * a4 - 3 * a3 ** 2) / (16 * a2 ** 3)), resid)
 
 
 def varodin_rhs_curve(curve, m):
@@ -272,13 +244,15 @@ def clue_identity_check(curve, m, ell=2):
     torus extraction from two independent kernels: the left side from the
     theta kernel (``h_taylor_branch``), the right side's S_B from the
     Klein-Baker kernel (``bergman_sb_branch``), which reads no theta
-    function.  Any ``ell`` other than 2 raises WrongOrder."""
+    function; ``klein_baker_certificate`` is the grid-doubling certificate
+    of the latter.  Any ``ell`` other than 2 raises WrongOrder."""
     block = smatrix_hh_zero(curve, m, ell=ell)
     lhs = 0.5 * block.hh[0, 0]
-    rhs = -(curve.bergman_sb_branch(m)
-            - curve.schiffer_sb_term(curve.branch_data(m).v_lead)) / 12.0
+    s_b, cert = curve.bergman_sb_branch(m)
+    rhs = -(s_b - curve.schiffer_sb_term(curve.branch_data(m).v_lead)) / 12.0
     return {"lhs": complex(lhs), "rhs": complex(rhs),
-            "discrepancy": complex(lhs - rhs), "block": block}
+            "discrepancy": complex(lhs - rhs), "block": block,
+            "klein_baker_certificate": cert}
 
 
 # ---------------------------------------------------------------------------

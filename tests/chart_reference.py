@@ -1,8 +1,8 @@
-"""Per-node reference for the batched chart-node data of
-``HyperellipticCurve.chart_nodes``: one scalar chart path and one scalar
-tracking chain per node, in scalar arithmetic (Python complex products, a
-(g,) v_poly row per node).  A plain module, shared by the unit and property
-tests."""
+"""Per-node reference for the batched chart rows of
+``HyperellipticCurve._chart_rows``: one scalar chart path per node, in
+scalar arithmetic (Python complex products, a (g,) v_poly row per node),
+with v read from the root that the path tracks to the node.  A plain
+module, shared by the unit and property tests."""
 
 import numpy as np
 
@@ -28,11 +28,6 @@ def chart_rows_per_node(cur, m, xs):
         vals = 2.0 * cur.v_poly(zm + chain[1:-1] ** 2) / root[1:-1, None]
         vec = np.einsum("sk,skg,s->g", wg[None], vals[None], [x]) / 2
         abel.append(bd.abel + vec)
-        # chart point: sqrt_h tracked along 24 evenly spaced z from e_m
-        z = zm + x ** 2
-        chain_z = zm + np.linspace(0.0, 1.0, 24) * (z - zm)
-        sq = _tracked_sqrt(np.prod(chain_z[:, None] - others, axis=1),
-                           seed=bd.sqrt_h)
-        y = x * complex(sq[-1])
-        v.append(cur.v_poly(z) / y * (2.0 * x))
+        # v = 2 v_poly(z) / sqrt_h at the path's end, z = e_m + x^2
+        v.append(2.0 * cur.v_poly(zm + x ** 2) / root[-1])
     return np.array(abel), np.array(v)

@@ -297,26 +297,52 @@ _NOT_A_CURVE = ("the input has no branch_points "
                 "(only verify vardwa takes cubic-family input)")
 
 
+_BAD_POINT = {"branch_points": [["x", 1]] + _G2_INPUT["branch_points"][1:]}
+_SHORT_POINT = {"branch_points": [[3]] + _G2_INPUT["branch_points"][1:4]}
+_COVER = {"degree": 2, "sigma_infinity": [],
+          "branches": [{"value": [float(j), 0.0], "sigma": [[1, 2]]}
+                       for j in range(4)]}
+
+
 @pytest.mark.parametrize("command, data, message", [
-    ("clue", dict(_G2_INPUT, branch_index=9),
+    ("verify clue", dict(_G2_INPUT, branch_index=9),
      "branch_index must be an integer in 0..5, got 9"),
-    ("vardwa", dict(_G2_INPUT, branch_index=9),
+    ("verify vardwa", dict(_G2_INPUT, branch_index=9),
      "branch_index must be an integer in 0..5, got 9"),
-    ("varodin", dict(_G2_INPUT, branch_index=9),
+    ("verify varodin", dict(_G2_INPUT, branch_index=9),
      "branch_index must be an integer in 0..5, got 9"),
-    ("rauch", dict(_G2_INPUT, branch_index=2.5),
+    ("verify rauch", dict(_G2_INPUT, branch_index=2.5),
      "branch_index must be an integer in 0..5, got 2.5"),
-    ("clue", dict(_G2_INPUT, branch_index=-1),
+    ("verify clue", dict(_G2_INPUT, branch_index=-1),
      "branch_index must be an integer in 0..5, got -1"),
-    ("vardwa", dict(_CUBIC, branch_index=2),
+    ("verify vardwa", dict(_CUBIC, branch_index=2),
      "branch_index must be an integer in 0..1, got 2"),
-    ("clue", _CUBIC, _NOT_A_CURVE),
-    ("varodin", _CUBIC, _NOT_A_CURVE),
+    ("verify clue", _CUBIC, _NOT_A_CURVE),
+    ("verify varodin", _CUBIC, _NOT_A_CURVE),
+    ("verify rauch", _BAD_POINT,
+     "expected a number or [re, im], got ['x', 1]"),
+    ("tau genus1", _SHORT_POINT, "expected a number or [re, im], got [3]"),
+    ("verify vardwa", dict(_CUBIC, a=[1.0, 0.0, 2.0]),
+     "expected a number or [re, im], got [1.0, 0.0, 2.0]"),
+    ("tau poly", [], "the input must be a JSON object, got []"),
+    ("cover validate", [], "the input must be a JSON object, got []"),
+    ("cover validate", dict(_COVER, degree=0),
+     "a cover needs an integer degree in 1..10000, got 0"),
+    ("cover validate", dict(_COVER, degree=100_000_000),
+     "a cover needs an integer degree in 1..10000, got 100000000"),
+    ("cover validate", dict(_COVER, branches=[{"value": ["nan", 0],
+                                               "sigma": [[1, 2]]}]),
+     "malformed point: ['nan', 0]"),
+    ("cover validate", dict(_COVER, sigma_infinity=[[1.5, 2]]),
+     "malformed cycles: [[1.5, 2]]"),
 ], ids=["clue-9", "vardwa-9", "varodin-9", "rauch-2.5", "clue-negative",
-        "vardwa-cubic-2", "clue-cubic", "varodin-cubic"])
+        "vardwa-cubic-2", "clue-cubic", "varodin-cubic", "rauch-string-point",
+        "genus1-short-point", "vardwa-long-a", "poly-top-level-list",
+        "cover-top-level-list", "cover-degree-0", "cover-degree-1e8",
+        "cover-nan-string-value", "cover-float-cycle"])
 def test_malformed_curve_input_is_a_usage_error(command, data, message,
                                                 tmp_path, capsys):
-    code, rep = run_cli(["verify", command, "--input",
+    code, rep = run_cli([*command.split(), "--input",
                          write_input(tmp_path, data)], tmp_path)
     assert code == 2 and rep is None
     assert capsys.readouterr().err == f"usage error: {message}\n"
@@ -331,6 +357,8 @@ def test_verify_clue_command(tmp_path):
     assert code == 0
     assert rep["discrepancies"]["clue"] < 1e-5
     assert 0.0 <= rep["certificates"]["h_taylor"] < 1e-7
+    # the grid-doubling certificate of the right side's Klein-Baker torus
+    assert 0.0 < rep["certificates"]["klein_baker"] < 1e-7
 
 
 def test_tau_genus2_command(tmp_path):
@@ -398,6 +426,29 @@ def test_cone_shift_fit_past_the_mode_sum_range_exits_1(tmp_path):
     code, rep = run_cli(["cone", "shift-fit", "--R", "60"], tmp_path)
     assert code == 1
     assert rep["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["det-n0", "--R", "nan"], ["det-n0", "--R", "inf"],
+    ["det-n0", "--R", "1e160"], ["dtn", "--R", "nan"],
+    ["mu0-fit", "--R", "nan"], ["dtn", "--k", "4", "--R", "1e154"],
+], ids=["det-n0-nan", "det-n0-inf", "det-n0-1e160", "dtn-nan", "mu0-fit-nan",
+        "dtn-k4-1e154"])
+def test_cone_radius_out_of_range_is_a_domain_error(argv, tmp_path):
+    # a non-finite R, or a 2 pi k R^2 past the float range
+    code, rep = run_cli(["cone", *argv], tmp_path)
+    assert code == 1 and rep["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("R", ["1e-31", "1e-100"])
+def test_cone_shift_fit_at_a_tiny_radius_reports(R, tmp_path):
+    # orders nu = n / (k R) up to 1e100: the tail bound underflows instead
+    # of overflowing, so the fit ends in a finite report (its leading
+    # coefficient misses the law far outside the band where it holds)
+    code, rep = run_cli(["cone", "shift-fit", "--R", R], tmp_path)
+    assert code == 1 and "error" not in rep
+    assert not re.search(r"\b(NaN|Infinity)\b",
+                         (tmp_path / "report.json").read_text())
 
 
 def test_cone_dtn_csv(tmp_path):

@@ -386,6 +386,17 @@ def test_tail_bound_over_tolerance_is_typed(monkeypatch):
         cones.detzeta_N_model(cone, 0.1)
 
 
+@pytest.mark.parametrize("R", [1e-31, 1e-100, 1e-200])
+def test_tail_at_huge_orders_underflows(R):
+    # nu_1 = 1 / (k R) up to 1e200: the bound's powers underflow to 0
+    # instead of overflowing, and the log-det stays finite
+    tail, bound = cones._tail(1e-4, R, 1)
+    assert np.isfinite(tail) and 0 <= bound < 1e-20
+    if R > 1e-150:      # past that the mode sum's own nu^2 overflows
+        log_det, diag = cones.detzeta_N_model(ConeCircle(1, R), 1e-2j)
+        assert cmath.isfinite(log_det) and diag["tail_bound"] < 1e-20
+
+
 def test_mu0_fit_adjudicates_subleading():
     for k, R in ((1, 1.0), (2, 1.0), (1, 1.8)):
         fit = cones.mu0_asymptotic_fit(ConeCircle(k, R))
@@ -485,6 +496,11 @@ def test_cone_validation():
         ConeCircle(k=0, R=1.0)
     with pytest.raises(DomainError):
         ConeCircle(k=1, R=-1.0)
+    # a non-finite R, or a 2 pi k R^2 past the float range
+    for k, R in ((1, float("nan")), (1, float("inf")), (1, 1e160),
+                 (4, 1e154)):
+        with pytest.raises(DomainError):
+            ConeCircle(k=k, R=R)
     with pytest.raises(DomainError):
         cones.dtn_exterior_eigenvalue(0, ConeCircle(1, 1.0), 0.0)
     with pytest.raises(DomainError):

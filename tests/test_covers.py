@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hurwitztau import covers
 from hurwitztau.covers import CoverSpec, Permutation
@@ -158,3 +161,72 @@ def test_genus_integer_nonnegative_property(rng):
         assert rep.ends.degree == n
         checked += 1
     assert checked > 50
+
+
+@st.composite
+def transitive_covers(draw):
+    """A degree-n cover with 2..5 finite critical values: sigma_1 an n-cycle
+    (so the group is transitive), the other finite monodromies random, and
+    sigma_infinity the inverse of their product, so that sigma_inf o
+    sigma_1 o ... o sigma_M = id."""
+    n = draw(st.integers(2, 6))
+    count = draw(st.integers(2, 5))
+    order = draw(st.permutations(range(n)))
+    cycle = [0] * n
+    for i, x in enumerate(order):
+        cycle[x] = order[(i + 1) % n]
+    finite = [Permutation(cycle)] + [
+        Permutation(draw(st.permutations(range(n)))) for _ in range(count - 1)]
+    total = Permutation.identity(n)
+    for p in finite:
+        total = total * p
+    inverse = [0] * n
+    for i in range(n):
+        inverse[total(i)] = i
+    values = tuple(complex(j, draw(st.floats(-3.0, 3.0))) for j in range(count))
+    return CoverSpec(n, Permutation(inverse), tuple(finite), values,
+                     base_point=99.0 + 0.5j)
+
+
+def _cycle_count(images):
+    """Number of cycles (fixed points included) of the image list."""
+    seen, count = set(), 0
+    for start in range(len(images)):
+        if start not in seen:
+            count += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = images[x]
+    return count
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(spec=transitive_covers())
+def test_random_transitive_cover_genus_and_json_round_trip(spec):
+    # Riemann-Hurwitz counted here from the cycles of every monodromy,
+    # sigma_infinity included: 2g - 2 = -2N + sum (N - #cycles)
+    n = spec.degree
+    perms = [spec.sigma_infinity, *spec.finite_monodromies]
+    chi = -2 * n + sum(n - _cycle_count(p.images) for p in perms)
+    assert chi % 2 == 0
+    assert covers.validate_cover(spec).genus == chi // 2 + 1
+    # through the JSON schema, as text, and back: equal permutations
+    back = covers.cover_from_json(json.dumps(cover_to_json(spec)))
+    assert back.degree == n
+    assert back.sigma_infinity == spec.sigma_infinity
+    assert back.finite_monodromies == spec.finite_monodromies
+    assert back.critical_values == spec.critical_values
+    assert back.base_point == spec.base_point
+
+
+def test_degree_cap_is_checked_before_any_permutation(monkeypatch):
+    def built(*args):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(Permutation, "__init__", built)
+    monkeypatch.setattr(Permutation, "from_cycles", built)
+    for degree in (covers.MAX_DEGREE + 1, 10 ** 18):
+        with pytest.raises(ValueError, match="integer degree in 1..10000"):
+            covers.cover_from_json({"degree": degree, "sigma_infinity": [],
+                                    "branches": []})

@@ -67,11 +67,11 @@ def test_table_holds_at_most_eight_curves(quadratures):
 
 def test_instance_attribute_does_not_leak():
     first = HyperellipticCurve(PTS)
-    first._chart_abel = lambda m, xs: pytest.fail("patched primitive reached")
+    first._chart_rows = lambda m, xs: pytest.fail("patched primitive reached")
     first.marking = "patched"
     again = HyperellipticCurve(PTS)
-    assert "_chart_abel" not in vars(again) and again.marking == "standard"
-    again.chart_nodes(1, np.array([0.05, 0.04j]), "abel")
+    assert "_chart_rows" not in vars(again) and again.marking == "standard"
+    again.abel_branch_chart(1, 0.05)
     # a second fresh instance still sees the table's own entry
     assert HyperellipticCurve(PTS).marking == "standard"
 

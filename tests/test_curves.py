@@ -310,7 +310,7 @@ def test_h_origin_genus1_weierstrass_closed_form():
         want = -np.sum(1.0 / (cur.e[m] - np.delete(cur.e, m))) / 6.0 \
             + 2.0 * eta1 * a * a
         assert abs(cur.h_taylor_branch(m, order=1)[0][0, 0] - want) < 1e-10
-        assert abs(cur.bergman_sb_branch(m) / 6.0 - want) < 1e-10
+        assert abs(cur.bergman_sb_branch(m)[0] / 6.0 - want) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -594,28 +594,20 @@ def test_w_pairs_match_single_pairs(genus2_curve):
 
 
 def test_chart_node_data_computed_once_per_node():
-    # count the nodes that reach the batched chart primitives
+    # count the nodes that reach the batched chart primitive
     cur = HyperellipticCurve([-1.9, -0.85, 0.6 + 0.25j, 1.7])
-    nodes = {"abel": [], "v": []}
+    nodes = []
+    rows = cur._chart_rows
 
-    def counting(kind, primitive):
-        def batch(m, xs):
-            nodes[kind].extend(map(complex, xs))
-            return primitive(m, xs)
-        return batch
+    def counting(m, xs):
+        nodes.extend(map(complex, xs))
+        return rows(m, xs)
 
-    cur._chart_abel = counting("abel", cur._chart_abel)
-    cur._chart_v = counting("v", cur._chart_v)
+    cur._chart_rows = counting
     cur.h_taylor_branch(1, order=2, n_fft=8)
-    # the 16 x 16 certificate grid: 16 nodes on each circle of the torus
-    for calls in nodes.values():
-        assert len(calls) == len(set(calls)) == 32
-    # resampled past the grid memo, the torus takes every node's chart data
-    # from the node memo
-    cur._lazy_cache.clear()
-    cur.h_taylor_branch(1, order=2, n_fft=8)
-    for calls in nodes.values():
-        assert len(calls) == 32
+    # the 16 x 16 certificate grid: 16 nodes on each circle of the torus,
+    # each read once
+    assert len(nodes) == len(set(nodes)) == 32
 
 
 def test_h_taylor_grid_sampled_once_per_branch_and_size():
@@ -641,9 +633,9 @@ def test_h_taylor_grid_sampled_once_per_branch_and_size():
 
 @pytest.mark.parametrize("m", [0, 2])
 def test_batched_chart_rows_match_per_node_reference(m):
-    # the 64 H-Taylor torus nodes and the 48 vardwa contour nodes of the
+    # the 64 H-Taylor torus nodes and 48 nodes on the chart circle of the
     # genus-2 fixture: both kinds of row are bit-identical to one scalar
-    # chart path and one scalar tracking chain per node
+    # chart path per node
     cur = _fixture_genus2_curve()
     r0 = cur.chart_radius(m)
     torus = np.exp(2j * np.pi * np.arange(32) / 32)
@@ -651,21 +643,35 @@ def test_batched_chart_rows_match_per_node_reference(m):
     for xs in (np.concatenate((0.33 * r0 * torus, 0.21 * r0 * torus)),
                r0 * contour):
         abel, v = chart_rows_per_node(cur, m, xs)
-        assert np.array_equal(cur.chart_nodes(m, xs, "abel"), abel)
-        assert np.array_equal(cur.chart_nodes(m, xs, "v"), v)
+        rows = cur._chart_rows(m, xs)
+        assert np.array_equal(rows[0], abel)
+        assert np.array_equal(rows[1], v)
 
 
-def test_chart_batch_with_lost_row_leaves_memo_unchanged():
+@pytest.mark.parametrize("name", ["curve_genus1", "curve_genus2"])
+def test_chart_v_rows_match_chart_points(name):
+    # v from the root the chart path tracks against v_hat * 2x at the
+    # (z, y) of the separate tracking chain of _chart_points, on every torus
+    # node at every branch point
+    cur = HyperellipticCurve([complex(*p)
+                              for p in load_fixture(name)["branch_points"]])
+    for m in range(len(cur.e)):
+        _, _, xs, ys = cur._torus(m, 16)
+        nodes = np.concatenate((xs, ys))
+        _, v = cur._chart_rows(m, nodes)
+        z, y = cur._chart_points(m, nodes)
+        want = cur.v_poly(z) / y[:, None] * (2.0 * nodes)[:, None]
+        assert np.max(np.abs(v - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_chart_batch_with_lost_row_raises():
     cur = HyperellipticCurve([-1.9, -0.85, 0.6 + 0.25j, 1.7])
-    for kind in ("abel", "v"):
-        cur.chart_nodes(1, np.array([0.05, 0.04j]), kind)
-    before = {key: set(memo) for key, memo in cur._chart_cache.items()}
-    # both chains from branch point 1 run through branch point 2 halfway
+    # the chart path from branch point 1 runs through branch point 2 halfway
     lost = np.sqrt(2 * (cur.e[2] - cur.e[1]))
-    for kind in ("abel", "v"):
-        with pytest.raises(SheetTrackingLoss):
-            cur.chart_nodes(1, np.array([0.03, lost, -0.02j]), kind)
-    assert {key: set(memo) for key, memo in cur._chart_cache.items()} == before
+    with pytest.raises(SheetTrackingLoss):
+        cur._chart_rows(1, np.array([0.03, lost, -0.02j]))
+    with pytest.raises(SheetTrackingLoss):
+        cur.abel_branch_chart(1, lost)
 
 
 @pytest.mark.parametrize("angle, flips", [(1.4, None), (1.8, None),

@@ -335,8 +335,8 @@ def _fixture_torus(m):
     cur = HyperellipticCurve([complex(*p) for p in data["branch_points"]])
     r0 = np.sqrt(0.1 * float(np.min(np.abs(np.delete(cur.e, m) - cur.e[m]))))
     circle = np.exp(2j * np.pi * np.arange(32) / 32)
-    return (cur, cur.chart_nodes(m, 0.33 * r0 * circle, "abel"),
-            cur.chart_nodes(m, 0.21 * r0 * circle, "abel"))
+    return (cur, cur._chart_rows(m, 0.33 * r0 * circle)[0],
+            cur._chart_rows(m, 0.21 * r0 * circle)[0])
 
 
 @pytest.mark.parametrize("m", [0, 3])

@@ -4,8 +4,9 @@ import pytest
 from hurwitztau import HyperellipticCurve
 from hurwitztau import variational as V
 from hurwitztau.errors import WrongOrder
+from hurwitztau.quadrature import trapezoid_doubling
 from hurwitztau.taufn import RationalCoverP1
-from curve_inputs import random_branch_points
+from curve_inputs import load_fixture, random_branch_points
 
 
 @pytest.fixture(scope="module")
@@ -267,14 +268,15 @@ def test_contour_certificates_present(g1):
     cur = fac(pts)
     res = V.vardwa_rhs_curve(cur, 0)
     assert res.certificate < 1e-7
-    _, cert, _ = V.rauch_contour(cur, 0)
-    assert cert < 1e-9
+    _, cert = V.rauch_contour(cur, 0)
+    assert cert == cur.period_certificate < 1e-9
 
 
 def _trapezoid_doubling_reference(fun, radius, nodes, max_doublings=3,
                                   target=None):
-    """The doubling rule before node reuse: every rule re-evaluates all of
-    its nodes one at a time."""
+    """The doubling rule before node reuse, on the circle |x| = radius: every
+    rule re-evaluates all of its nodes one at a time.  Returns (value, node
+    count, certificate)."""
     def quad(N):
         th = np.arange(N) * 2 * np.pi / N
         xs = radius * np.exp(1j * th)
@@ -288,9 +290,9 @@ def _trapezoid_doubling_reference(fun, radius, nodes, max_doublings=3,
         cur = quad(N)
         cert = abs(cur - prev) / max(abs(cur), 1e-300)
         if target is None or cert < target:
-            return V.ContourIntegralResult(cur, radius, N, cert)
+            return cur, N, cert
         prev = cur
-    return V.ContourIntegralResult(cur, radius, N, cert)
+    return cur, N, cert
 
 
 @pytest.mark.parametrize("max_doublings, target", [(1, None), (3, 1e-30)])
@@ -300,17 +302,76 @@ def test_trapezoid_doubling_reuses_nodes(max_doublings, target):
 
     evaluated = []
 
-    def batched(xs):
-        evaluated.extend(xs)
-        return integrand(xs)
+    def batched(th):
+        evaluated.extend(th)
+        xs = 0.3 * np.exp(1j * th)
+        return integrand(xs) * 1j * xs
 
-    res = V._circle_contour(batched, 0.3, 24, max_doublings, target)
+    value, nodes, cert = trapezoid_doubling(batched, 24, max_doublings, target)
     ref = _trapezoid_doubling_reference(integrand, 0.3, 24, max_doublings,
                                         target)
     # one doubling costs 2N node evaluations, not N + 2N
-    assert len(evaluated) == len(set(evaluated)) == res.nodes
-    assert res.nodes == ref.nodes == 24 * 2 ** max_doublings
-    assert res.value == ref.value and res.certificate == ref.certificate
+    assert len(evaluated) == len(set(evaluated)) == nodes
+    assert nodes == ref[1] == 24 * 2 ** max_doublings
+    assert value == ref[0] and cert == ref[2]
+
+
+@pytest.mark.parametrize("name", ["curve_genus1", "curve_genus2"])
+def test_rauch_residue_matches_the_chart_contour(name):
+    # the residue pi i v v^T and (pi/2) v^T (Im B)^-1 v against the contour
+    # oint v v^T / df at the chart radius, on the doubling trapezoid over
+    # the chart rows, at every branch index
+    pts = [complex(*p) for p in load_fixture(name)["branch_points"]]
+    cur = HyperellipticCurve(pts)
+    Yi = cur.imB_inv()
+    for m in range(len(pts)):
+        r = cur.chart_radius(m)
+
+        def vv(th):
+            xs = r * np.exp(1j * th)
+            v = cur._chart_rows(m, xs)[1]
+            outer = (v[:, :, None] * v[:, None, :]).reshape(len(xs), -1)
+            quad = np.einsum("ni,ij,nj->n", v, Yi, v)[:, None]
+            # v(x) ... / (2x) dx with dx = i x dtheta
+            return np.concatenate((outer, quad), axis=1) * 0.5j
+
+        contour, _, cert = trapezoid_doubling(vv, 32, 3, 1e-12)
+        assert cert < 1e-12
+        dB, _ = V.rauch_contour(cur, m)
+        assert np.max(np.abs(dB - contour[:-1].reshape(dB.shape))) \
+            <= 1e-14 * np.max(np.abs(dB))
+        dd = V.det_imB_derivative(lambda p: HyperellipticCurve(p, hub=cur.hub),
+                                  pts, m)
+        assert abs(dd["contour_route"] - contour[-1] / 2j) \
+            <= 1e-14 * abs(dd["contour_route"])
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("name", ["cubic_family", "cubic_family_axis"])
+def test_vardwa_genus0_residue_matches_the_contour(name, m):
+    # (4 a2 a4 - 3 a3^2) / (16 a2^3) against -(1/12 pi i) oint -S_f / f' dw
+    # around w_m, with S_f from specfun.schwarzian
+    from hurwitztau.specfun import schwarzian
+
+    data = load_fixture(name)
+    fam = V.CubicFamily(complex(*data["a"]), complex(*data["b"]))
+    cover = RationalCoverP1(fam.coeffs())
+    wm = cover.critical_points[m]
+    r = np.sqrt(0.1 / abs(cover.f2(wm)))
+
+    fprime = np.polynomial.Polynomial(cover.num).deriv()   # den = 1
+
+    def fun(th):
+        w = wm + r * np.exp(1j * th)
+        return np.array([-schwarzian(cover.num, cover.den, x)
+                         / fprime(x) for x in w]) * 1j * (w - wm)
+
+    contour, _, cert = trapezoid_doubling(fun, 32, 3, 1e-13)
+    assert cert < 1e-13
+    rhs = V.vardwa_rhs_genus0(cover, m)
+    want = -contour / (12j * np.pi)
+    assert abs(rhs.value - want) <= 1e-13 * abs(want)
+    assert 0.0 <= rhs.certificate < 1e-12
 
 
 def test_smatrix_reports_h_taylor_certificate(g1):
