@@ -87,6 +87,13 @@ def _complex(v):
     return complex(*parts)
 
 
+def _list_field(data, key):
+    """data[key], which must be a JSON list (a usage error otherwise)."""
+    if not isinstance(data[key], list):
+        raise ValueError(f"{key} must be a list, got {data[key]!r}")
+    return data[key]
+
+
 def _finite_point(data, key, default):
     """data[key] (``default`` when absent) as a complex number; a value
     that is not finite raises DomainError naming the key."""
@@ -161,7 +168,7 @@ def cmd_tau_poly(args):
     from . import taufn
 
     data = _load_input(args)
-    coeffs = [_complex(c) for c in data["coefficients"]]
+    coeffs = [_complex(c) for c in _list_field(data, "coefficients")]
     tv = taufn.tau_polynomial(coeffs)
     d = tv.diagnostics
     ratio = d["resultant_route"] / (d["recorded_constant"] * d["product_route_tau24"])
@@ -219,7 +226,7 @@ def _curve_from_input(data):
     if "branch_points" not in data:
         raise SystemExit("the input has no branch_points (only verify vardwa "
                          "takes cubic-family input)")
-    pts = [_complex(p) for p in data["branch_points"]]
+    pts = [_complex(p) for p in _list_field(data, "branch_points")]
     m = _branch_index(data, len(pts))
     return HyperellipticCurve(pts), pts, m
 
@@ -484,7 +491,7 @@ def cmd_cone_shift_fit(args):
     cone = cones.ConeCircle(k=args.k, R=args.R)
     exponents = _exponents(args, 7, 2, least=1)
     # the CSV rows are the determinants the fit sampled
-    fit, log_dets = cones._shift_fit(cone, exponents)
+    fit, log_dets, sums = cones._shift_fit(cone, exponents)
     out_csv = _write_csv(args, ["lam", "logdet_re", "phase"],
                          ([lam, log_det.real, log_det.imag]
                           for lam, log_det in zip(fit["samples"], log_dets)))
@@ -493,10 +500,12 @@ def cmd_cone_shift_fit(args):
     return {
         "inputs": {"k": args.k, "R": args.R,
                    "exponents": [exponents[0], exponents[-1]]},
-        "outputs": {**fit, "csv": out_csv},
+        "outputs": {**fit, "csv": out_csv, "modes": sums["modes"]},
         "discrepancies": {
             "leading_rel": abs(fit["leading"] - fit["expected"]) / fit["expected"]
         },
+        "certificates": {"tail_bound": sums["tail_bound"],
+                         "near_integer": sums["near_integer"]},
     }, ok
 
 

@@ -50,6 +50,7 @@ _TAIL_ORDER = 14    # Q: powers of 1/nu^2 that the tail sums in closed form
 _CAUCHY_NODES = 64  # nodes of the circle integral at (near-)integer orders
 _CAUCHY_RADIUS = 0.25
 _MAX_MODES = 1 << 15
+_BLOCK = 1 << 15    # lambda-mode pairs of one pass of detzeta_N_model
 _K_TARGET = 1e-12   # doubling certificate each K_nu integral of _k_ratio meets
 
 
@@ -65,8 +66,8 @@ class ConeCircle:
     R: float = 1.0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DomainError("cone order k must be a positive integer")
+        if not 1 <= self.k <= 1.7976931348623157e308:    # the largest float
+            raise DomainError("cone order k must be a positive integer in the float range")
         if not self.R > 0 or math.isinf(2 * math.pi * self.k * self.R * self.R):
             raise DomainError(f"circle radius must be positive with 2 pi k R^2 "
                               f"finite, got k = {self.k}, R = {self.R}")
@@ -269,63 +270,54 @@ _EM_B = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730]) \
 _EM_NEXT = (7 / 6) / math.factorial(14)
 _EM_POW = 1.0 - 2 * np.arange(1, 7)
 _ZETA_DIRECT = np.arange(8.0)
+# (sig)_1 .. (sig)_13 at the orders sig = 2 .. 31 that _zeta_scaled is taken at
+_POCHHAMMER = np.cumprod(np.arange(2.0, 32.0)[:, None] + np.arange(13.0), axis=1)
 
 
 def _zeta_scaled(sig, a, c):
     """c^sig zeta(sig, a) = sum_{n>=0} (c / (a + n))^sig for an array of
-    sig > 1 and a, c > 0: 8 terms summed, then Euler-Maclaurin (DLMF 2.10.1)
-    with B_2 .. B_12.  Returns (values, remainder bounds); each bound is the
-    first omitted term, which bounds the remainder since every derivative of
-    n^-sig keeps one sign."""
+    integer sig in 2 .. 31 and a, c > 0: 8 terms summed, then Euler-Maclaurin
+    (DLMF 2.10.1) with B_2 .. B_12, whose (sig)_1 .. (sig)_13 are tabled once.
+    Returns (values, remainder bounds); each bound is the first omitted term,
+    which bounds the remainder since every derivative of n^-sig keeps one sign."""
+    poch = _POCHHAMMER[sig.astype(int) - 2]
     direct = ((c / (a + _ZETA_DIRECT)) ** sig[:, None]).sum(axis=1)
     b = a + len(_ZETA_DIRECT)
     cb = (c / b) ** sig
-    poch = np.cumprod(sig[:, None] + np.arange(13.0), axis=1)   # (sig)_1..13
     em = b / (sig - 1) + 0.5 + (poch[:, 0:12:2] * _EM_B * b ** _EM_POW).sum(axis=1)
     return direct + cb * em, cb * _EM_NEXT * poch[:, 12] * b ** -13.0
 
 
 _KS = np.arange(1.0, _SERIES_TERMS + 1)
-_S_RATIO = (2 * _KS - 1) / (2 * _KS)                   # C(2k,k) / (4 C(2k-2,k-1))
+# the term ratios' factors, -C(2k,k) / (4 C(2k-2,k-1)) of S and -1/4 of J_nu
+_FACTORS = np.array([(1 - 2 * _KS) / (2 * _KS), np.full(_SERIES_TERMS, -0.25)]).T
 
 
-def _S(nu, s, den=None):
-    """S_nu(s) = sum_k C(2k, k) (-s/4)^k / prod_{j<=k} (j^2 - nu^2), first
-    _SERIES_TERMS + 1 terms, at an array of orders (real or complex, none an
-    integer up to _SERIES_TERMS); ``den`` may hold (k - nu)(k + nu),
-    k = 1.._SERIES_TERMS."""
-    if den is None:
-        # (k - nu) is exact near k, so the pole terms keep their relative accuracy
-        den = (_KS - nu[:, None]) * (_KS + nu[:, None])
-    return 1.0 + np.cumprod((-s * _S_RATIO) / den, axis=1).sum(axis=1)
+def _series(ratios):
+    """1 + t_1 + .. + t_12, the cumulative products of the term ratios down
+    the first axis, summed as (A_1 + A_2) + (A_3 + A_4), A_j = t_j + t_{j+4} +
+    t_{j+8} (NumPy's order along twelve complex terms).  Complex ratios take
+    np.cumprod (unfused products); real ones the same products in place, a
+    term at a time, far faster down a long axis: to the bit the real parts of
+    the complex route."""
+    if np.iscomplexobj(ratios):
+        ratios = ratios.cumprod(axis=0)
+    else:
+        for prev, row in zip(ratios, ratios[1:]):
+            row *= prev
+    a = ratios[0:4] + ratios[4:8] + ratios[8:12]
+    return 1.0 + ((a[0] + a[1]) + (a[2] + a[3]))
 
 
-def _j2_part(nu, s, log_half, log_gamma, cot):
-    """pi nu J_nu(x)^2 (i - cot nu pi) at an array of non-integer orders,
-    from x^2 = s, log(x/2) = log_half (principal branch),
-    log_gamma = log Gamma(1 + nu) and cot = cot nu pi; the ascending series
-    of J_nu (DLMF 10.2.2) has _SERIES_TERMS + 1 terms."""
-    series = 1.0 + np.cumprod((-s / 4) / (_KS * (nu[:, None] + _KS)), axis=1).sum(axis=1)
-    return (np.pi * nu * np.exp(2 * nu * log_half - 2 * log_gamma)
-            * series ** 2 * (1j - cot))
+def _j2_part(series, log_half, orders):
+    """pi nu J_nu(x)^2 (i - cot nu pi) from the J_nu series, log(x/2) and
+    ``orders`` = (2 nu, 2 log Gamma(1 + nu), pi nu, i - cot nu pi), nu not an integer."""
+    two_nu, two_log_gamma, pi_nu, i_cot = orders
+    return pi_nu * np.exp(two_nu * log_half - two_log_gamma) * series ** 2 * i_cot
 
 
 _DELTA = _CAUCHY_RADIUS * np.exp(2j * np.pi * np.arange(_CAUCHY_NODES)
                                  / _CAUCHY_NODES)
-_COT_DELTA = np.cos(np.pi * _DELTA) / np.sin(np.pi * _DELTA)
-
-
-def _log_gamma_at_nodes():
-    """log Gamma(1 + delta) at the circle offsets ``_DELTA``, from
-    -gamma delta + sum_{k>=2} zeta(k) (-delta)^k / k (DLMF 5.7.3); 30 terms
-    at |delta| = 1/4."""
-    k = np.arange(2.0, 32.0)
-    zeta_k = _zeta_scaled(k, 1.0, 1.0)[0]
-    return -EULER_GAMMA * _DELTA \
-        + ((-_DELTA[:, None]) ** k * (zeta_k / k)).sum(axis=1)
-
-
-_LOG_GAMMA_NODES = _log_gamma_at_nodes()
 
 
 def _read_only(*arrays):
@@ -334,42 +326,79 @@ def _read_only(*arrays):
 
 
 class _Orders:
-    """The orders nu_n = n / (k R), n = 1..N, of a cone with what
-    ``_series_eps`` needs of them alone: nearest integers m, |sin| and |cos|
-    of pi (nu - m) and cot nu pi (exact, nu - m being exact), the
-    denominators of S_nu's term ratios, log Gamma(1 + nu), and the pieces
-    of the J^2 bound.  They are the same for every lambda of the cone, so
-    ``_cone_orders`` shares them (arrays read-only)."""
+    """The orders nu_n = n / (k R), n = 1..N, of a cone with all that
+    ``_series_eps`` and ``_tail`` need of them alone (shared, read-only): the
+    reciprocal term-ratio denominators of S, then of J_nu up to the last order
+    that can take the J^2 part, ``_j2_part``'s orders, the J^2 thresholds and
+    the tail's weights."""
 
     def __init__(self, kR, N):
         nu = self.nu = np.arange(1, N + 1) / kR
         self.m = np.rint(nu)
         d = np.pi * (nu - self.m)
-        self.sin = np.abs(np.sin(d))
-        self.cos = np.abs(np.cos(d))
-        exact = self.sin == 0
-        self.cot = np.cos(d) / np.where(exact, 1.0, np.sin(d))
-        self.den = (_KS - nu[:, None]) * (_KS + nu[:, None])
-        self.log_gamma = np.array([math.lgamma(1 + v) for v in nu])
-        self.two_nu = 2 * nu
-        self.two_nu_log_nu = self.two_nu * np.log(nu)
-        self.inv = 1 / (2 * (nu + 1))
-        self.positive = self.m >= 1
-        # S meets its pole at an integer order up to _SERIES_TERMS
-        self.pole = exact & self.positive & (self.m <= _SERIES_TERMS)
-        # J^2 threshold: 1e-18 |sin|, never met at an integer order
-        self.floor = np.where(exact, np.inf, 1e-18 * self.sin)
-        self.sin_cos = self.sin + self.cos
-        _read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
+        signed_sin, signed_cos = np.sin(d), np.cos(d)
+        sin, cos = np.abs(signed_sin), np.abs(signed_cos)
+        exact, positive = sin == 0, self.m >= 1
+        # S's ratios are 0 at its poles, integer orders up to _SERIES_TERMS (the
+        # circle takes those), and past nu ~ 1e150 (S = 1, nu^2 overflows)
+        pole = exact & (self.m <= _SERIES_TERMS)
+        nu_S = np.where(pole | (nu > 1e150), np.inf, nu)
+        two_nu = self.two_nu = 2 * nu
+        two_nu_log_nu, self.inv = two_nu * np.log(nu), 1 / (2 * (nu + 1))
+        # J^2 bound exp(e - 2 nu log nu) / 2 past |tan pi (nu - m)| and 1e-30:
+        # the circle (a pole always); past 1e-18 |sin| / (|sin| + |cos|): the
+        # J^2 part, which e at |x| = _SERIES_X, the largest, bounds to the first n
+        self.near_at = two_nu_log_nu + np.where(pole, -np.inf, np.where(
+            positive, np.log(2 * np.maximum(sin / cos, 1e-30)), np.inf))
+        self.j2_at = two_nu_log_nu + np.where(exact, np.inf, np.log(
+            2e-18 * np.where(exact, 1.0, sin) / (sin + cos)))
+        take = np.flatnonzero(two_nu * math.log(np.e * _SERIES_X / 2)
+                              + _SERIES_X ** 2 * self.inv + 1 > self.j2_at)
+        n = take[-1] + 1 if take.size else 0
+        log_gamma = np.array([math.lgamma(1 + v) for v in nu[:n].tolist()])
+        # 1 / the term-ratio denominators of S_nu(s) = sum_k C(2k, k) (-s/4)^k /
+        # prod_{j<=k} (j^2 - nu^2), k - nu exact near k for the pole terms, and of
+        # J_nu(x) (x/2)^-nu Gamma(1 + nu) (complex / real is that product)
+        k = _KS[:, None]
+        self.inv_den = 1 / np.concatenate([(k - nu_S) * (k + nu_S), k * (nu[:n] + k)], 1)
+        self.j2 = (two_nu[:n], 2 * log_gamma, np.pi * nu[:n],
+                   1j - signed_cos[:n] / np.where(exact, 1.0, signed_sin)[:n])
+        # ``_tail``'s weights of s^p, sum_q E[q-1, p-1] zeta_q, and of |s|^p in
+        # its bound, sum_q |E[q-1, p-1]| r_q (``_zeta_scaled``)
+        zeta, rem = _zeta_scaled(2.0 * np.arange(1, _TAIL_ORDER + 1), N + 1.0, kR)
+        self.tail = (zeta @ _tail_coefficients(), rem @ np.abs(_tail_coefficients()),
+                     _zeta_upper(2 * _TAIL_TERMS, N + 1 - kR * (1 + _TAIL_TERMS), kR))
+        _read_only(*self.j2, *self.tail[:2], *(a for a in vars(self).values()
+                                             if isinstance(a, np.ndarray)))
 
 
 _cone_orders = lru_cache(maxsize=8)(_Orders)
 
 
-def _series_eps(orders, x, pure_imag):
-    """eps_n = -log P_n at the ``_Orders`` given, with no Bessel-function
-    call, where P = pi nu J_nu(x) H_nu(x) / (-i) (= 2 nu I_nu K_nu at
-    x = i t R) is split as
+@lru_cache(maxsize=32)
+def _circles(centres):
+    """The nodes zeta of the circles |zeta - m| = _CAUCHY_RADIUS, a row per m in
+    ``centres``, with the term-ratio denominators and ``_j2_part``'s orders there."""
+    centre, j, k = np.array(centres), np.arange(2.0, 32.0), _KS[:, None]
+    zeta = centre[:, None] + _DELTA
+    # log Gamma(1 + m + delta) = log Gamma(1 + delta) + sum_{i<=m} log(i + delta),
+    # the first -gamma delta + sum_{j>=2} zeta(j) (-delta)^j / j (DLMF 5.7.3)
+    log_gamma = -EULER_GAMMA * _DELTA + ((-_DELTA[:, None]) ** j
+                                         * (_zeta_scaled(j, 1.0, 1.0)[0] / j)).sum(axis=1)
+    log_gamma = log_gamma + np.cumsum(np.log(np.arange(1.0, centre.max() + 1)[:, None]
+                                             + _DELTA), axis=0)[centre.astype(int) - 1]
+    flat = zeta.ravel()
+    nodes = (zeta, (k - flat) * (k + flat), k * (flat + k), 2 * flat,
+             2 * log_gamma.ravel(), np.pi * flat,
+             1j - np.tile(np.cos(np.pi * _DELTA) / np.sin(np.pi * _DELTA), len(centre)))
+    _read_only(*nodes)
+    return nodes
+
+
+def _series_eps(orders, xs, pure_imag):
+    """eps_n = -log P_n at the ``_Orders`` given, for x on one axis
+    (``pure_imag``), with no Bessel-function call, where P = pi nu J_nu(x)
+    H_nu(x) / (-i) (= 2 nu I_nu K_nu at x = i t R) is split as
 
       P = S_nu(x^2) + pi nu J_nu(x)^2 (i - cot nu pi)
 
@@ -383,42 +412,45 @@ def _series_eps(orders, x, pure_imag):
     where S meets its pole at an integer order.  An integer order past the
     series' terms whose J^2 bound is below 1e-30 keeps S alone, and the J^2
     part is skipped where it, and the pole it cancels, are below 1e-18.
-    Returns (eps, certificate): the largest change of such an eps when
-    every other node is dropped (0 if no order took the circle).
+    S at every order and the J_nu series up to the last order that can take
+    the J^2 part are one (term, x, order) pass.  Returns eps (len(xs) x N) and
+    per x the largest change of a circle's eps as every other node is dropped
+    (0 if no order took the circle).
     """
     o = orders
-    x = complex(x)
-    s = x * x
-    log_half = cmath.log(x / 2)
-    # bound on |pi nu J_nu(x)^2| from Gamma(1 + nu) >= sqrt(2 pi nu) (nu/e)^nu
-    j2_bound = 0.5 * np.exp(o.two_nu * math.log(np.e * abs(x) / 2)
-                            - o.two_nu_log_nu + abs(s) * o.inv)
-    near = o.positive & (j2_bound * o.cos > o.sin) & (j2_bound > 1e-30) | o.pole
-    cert = 0.0
-    if not near.any():
-        P = _S(o.nu, s, o.den)
-    else:
-        P = np.empty(o.nu.shape, dtype=complex)
-        P[~near] = _S(o.nu[~near], s, o.den[~near])
-        centre = o.m[near]
-        zeta = centre[:, None] + _DELTA
-        # log Gamma(1 + m + delta) = log Gamma(1 + delta) + sum_{i<=m} log(i + delta)
-        steps = np.cumsum(np.log(np.arange(1.0, centre.max() + 1)[:, None] + _DELTA),
-                          axis=0)
-        log_gamma = _LOG_GAMMA_NODES + steps[centre.astype(int) - 1]
-        flat = zeta.ravel()
-        Pz = (_S(flat, s)
-              + _j2_part(flat, s, log_half, log_gamma.ravel(),
-                         np.tile(_COT_DELTA, len(centre)))) \
-            .reshape(zeta.shape) * _DELTA / (zeta - o.nu[near][:, None])
-        P[near] = Pz.mean(axis=1)
-        cert = float(np.max(np.abs(np.log(Pz[:, ::2].mean(axis=1) / P[near]))))
-    with_j2 = np.flatnonzero(~near & (j2_bound * o.sin_cos > o.floor))
-    if with_j2.size:
-        P[with_j2] += _j2_part(o.nu[with_j2], s, log_half, o.log_gamma[with_j2],
-                               o.cot[with_j2])
-    # P = 2 nu I K > 0 on the imaginary axis
-    return (-np.log(P.real) if pure_imag else -np.log(P)), cert
+    s = [v * v for v in xs]
+    log_half = [cmath.log(v / 2) for v in xs]
+    # |pi nu J_nu(x)^2| <= exp(e - 2 nu log nu) / 2, by Gamma(1 + nu) >=
+    # sqrt(2 pi nu) (nu/e)^nu
+    log_x, abs_s = np.array([[math.log(np.e * abs(v) / 2) for v in xs],
+                             [abs(v) for v in s]])[:, :, None]
+    e = o.two_nu * log_x + abs_s * o.inv
+    near = e > o.near_at
+    with_j2 = ~near & (e > o.j2_at)
+    N, n = len(o.nu), len(o.j2[0])
+    s_log_half = np.array([s, log_half])
+    s_row = s_log_half[0] if any(v.imag for v in s) else s_log_half[0].real
+    # s times the factors of S and of J_nu, one column each, over their rows
+    ratios = np.repeat(s_row[:, None] * _FACTORS[:, None], (N, n), axis=2)
+    ratios *= o.inv_den[:, None]
+    series = _series(ratios)
+    # P = 2 nu I K > 0 on the imaginary axis, where s is real: the real
+    # parts alone, to the bit those of the complex route
+    P = series[:, :N] if pure_imag else series[:, :N].astype(complex)
+    cert = [0.0] * len(xs)
+    for i in np.flatnonzero(near.any(axis=1)) if near.any() else ():
+        row = near[i]
+        zeta, S_den, J_den, *j2 = _circles(tuple(o.m[row].tolist()))
+        Pz = (_series(s[i] * _FACTORS[:, :1] / S_den)
+              + _j2_part(_series(s[i] * -0.25 / J_den), log_half[i], j2)) \
+            .reshape(zeta.shape) * _DELTA / (zeta - o.nu[row][:, None])
+        Pm = Pz.mean(axis=1)
+        P[i, row] = Pm.real if pure_imag else Pm
+        cert[i] = float(np.max(np.abs(np.log(Pz[:, ::2].mean(axis=1) / Pm))))
+    if n:
+        j2 = _j2_part(series[:, N:], s_log_half[1, :, None], o.j2)
+        np.add(P[:, :n], j2.real if pure_imag else j2, out=P[:, :n], where=with_j2[:, :n])
+    return -np.log(P), cert
 
 
 def _tail_start(kR):
@@ -470,22 +502,12 @@ def _zeta_upper(sig, b, c):
     return (c / b) ** sig * (1 + b / (sig - 1))
 
 
-@lru_cache(maxsize=16)
-def _tail_zeta(N, kR):
-    """``_zeta_scaled`` at sig = 2, 4, .., 2Q, a = N + 1, c = k R: the
-    same for every lambda of a cone whose tail starts at N."""
-    zeta, rem = _zeta_scaled(2.0 * np.arange(1, _TAIL_ORDER + 1), N + 1.0, kR)
-    _read_only(zeta, rem)
-    return zeta, rem
-
-
 _J2_MAJORANT = (1 + 1.1) * math.exp(math.pi) * math.cosh(math.pi / 2)
 
 
 def _tail(s, kR, N):
-    """(sum_{n>N} eps_n, bound on the error of that value) at s = (lambda R)^2.
-
-    With u_n = 1/nu_n^2 = (k R / n)^2, the sum is
+    """(sum_{n>N} eps_n, bound on the error of that value), a list each, at
+    a list of s = (lambda R)^2.  With u_n = 1/nu_n^2 = (k R / n)^2, the sum is
 
       sum_{q=1..Q} e_q(s) (k R)^{2q} zeta(2q, N + 1),
 
@@ -509,34 +531,29 @@ def _tail(s, kR, N):
     * the powers of u past Q, by Cauchy's estimate on |u| = rho =
       min(1 / (2 (K-1)^2), 1 / (4 |s|)), where |log S_{<K}| <=
       -log(2 - (1 - 2 |s| rho)^{-1/2});
-    * the Euler-Maclaurin remainders of the zeta values.
+    * the Euler-Maclaurin remainders r_q of the zeta values, through
+      |e_q(s)| <= sum_p |E[q-1, p-1]| |s|^p.
     """
-    K = _TAIL_TERMS
-    sa = abs(s)
-    e = _tail_coefficients() @ np.cumprod(np.full(_TAIL_ORDER, s))
-    zeta, zeta_rem = _tail_zeta(N, kR)
-    tail = e @ zeta
-    nu1 = (N + 1) / kR
-    a1 = nu1 - 1
-    x_abs = math.sqrt(sa)
-    coef_S = math.comb(2 * K, K) * (sa / 4) ** K / (1 - 2 * sa / (a1 + K + 1))
-    # a power of 1/a1 underflows to 0 at a huge order, where a1's overflows
-    first_S = coef_S * (1 / (a1 - K)) ** (2 * K)
-    sum_S = coef_S * _zeta_upper(2 * K, N + 1 - kR * (1 + K), kR)
-    first_J = _J2_MAJORANT * max(1.0, x_abs / 2) ** 4 \
-        * math.exp(sa / (2 * (a1 + 1))) * (a1 + 2) / (2 * a1) \
-        * (np.e * x_abs / (2 * a1)) ** (2 * a1)
-    sum_J = first_J / (1 - 4.0 ** (-1 / kR))
-    sigma = (1 - sa / (nu1 * nu1 - K ** 2)) ** -0.5 - 1
-    if (first_S + first_J) / (1 - sigma) > 0.5:
-        return tail, math.inf
-    rho = 1 / max(2 * (K - 1) ** 2, 4 * sa)
-    log_max = -math.log(2 - (1 - 2 * sa * rho) ** -0.5)
-    cauchy = log_max / (1 - 1 / (nu1 * nu1 * rho)) \
-        * _zeta_upper(2 * _TAIL_ORDER + 2, N + 1, kR / math.sqrt(rho))
-    bound = 2 * (sum_S + sum_J) / (1 - sigma) + cauchy \
-        + float(np.abs(e) @ zeta_rem)
-    return tail, bound
+    w, v, sum_S = _cone_orders(kR, N).tail
+    powers = np.repeat(np.array(s)[:, None], _TAIL_ORDER, axis=1).cumprod(axis=1)
+    K, nu1, sum_J = _TAIL_TERMS, (N + 1) / kR, 1 / (1 - 4.0 ** (-1 / kR))
+    a1, bounds = nu1 - 1, []
+    for sa, zeta_rem in zip(map(abs, s), (np.abs(powers) * v).sum(axis=1).tolist()):
+        coef_S = math.comb(2 * K, K) * (sa / 4) ** K / (1 - 2 * sa / (a1 + K + 1))
+        first_J = _J2_MAJORANT * max(1.0, math.sqrt(sa) / 2) ** 4 \
+            * math.exp(sa / (2 * (a1 + 1))) * (a1 + 2) / (2 * a1) \
+            * (np.e * math.sqrt(sa) / (2 * a1)) ** (2 * a1)
+        # a power of 1/a1 underflows to 0 at a huge order, where a1's overflows
+        first = coef_S * (1 / (a1 - K)) ** (2 * K) + first_J
+        # sigma = (1 - u)^{-1/2} - 1 and log_max, without cancellation
+        sigma = math.expm1(-0.5 * math.log1p(-sa / (nu1 * nu1 - K ** 2)))
+        rho = 1 / max(2 * (K - 1) ** 2, 4 * sa)
+        log_max = -math.log1p(-math.expm1(-0.5 * math.log1p(-2 * sa * rho)))
+        bounds.append(math.inf if first / (1 - sigma) > 0.5 else
+                      2 * (coef_S * sum_S + first_J * sum_J) / (1 - sigma) + zeta_rem
+                      + log_max / (1 - 1 / (nu1 * nu1 * rho))
+                      * _zeta_upper(2 * _TAIL_ORDER + 2, N + 1, kR / math.sqrt(rho)))
+    return (powers * w).sum(axis=1).tolist(), bounds
 
 
 def detzeta_N_model(cone: ConeCircle, lam):
@@ -555,38 +572,48 @@ def detzeta_N_model(cone: ConeCircle, lam):
     otherwise), the small-lambda range the gluing constants are read from.
     The first N modes (``_tail_start``) are summed term by term, each P_n by
     the product split of ``_series_eps`` and mu_0 by the series of
-    ``jump_eigenvalue``, so no SciPy call is made.  The modes n > N are summed in closed form by
-    ``_tail``, whose error bound must stay below ``_TAIL_TOL``
-    (TruncationFailure otherwise).  Returns (log_det, diagnostics): "modes"
-    is N, "tail_bound" the bound, "series_x" the range _SERIES_X, and
-    "near_integer_certificate" that of ``_series_eps``.
+    ``jump_eigenvalue``, so no SciPy call is made.  The modes n > N are
+    summed in closed form by ``_tail``, whose error bound must stay below
+    ``_TAIL_TOL`` (TruncationFailure naming the lambda otherwise).
+
+    ``lam`` is a scalar or an array; the lambda on each axis are one pass
+    (more if they hold over _BLOCK lambda-modes), equal to the bit to one
+    call per lambda.  Returns (log_det, diagnostics): log_det, "mu0", "tail",
+    "tail_bound" and "near_integer_certificate" shaped like ``lam`` (Python
+    numbers for a scalar), "modes" N and "series_x".
     """
-    lam = _spectral_parameter(lam)
-    pure_imag = _on_imag_axis(lam)
-    kR = cone.k * cone.R
-    # x on the imaginary axis is exactly i t R, so that s = -(t R)^2
-    x = 1j * lam.imag * cone.R if pure_imag else lam * cone.R
-    if not abs(x) <= _SERIES_X:
-        raise DomainError(
-            f"the mode sum needs |lambda R| <= {_SERIES_X}, got {abs(x):.6g}")
-    mu0 = jump_eigenvalue(0, cone, lam)
-    N = _tail_start(kR)
-    eps, cert = _series_eps(_cone_orders(kR, N), x, pure_imag)
-    tail, bound = _tail((x * x).real if pure_imag else x * x, kR, N)
-    if not bound <= _TAIL_TOL:
-        raise TruncationFailure(
-            f"mode-sum tail bound {bound:.2e} > {_TAIL_TOL}")
-    log_det = np.log(mu0) + np.log(np.pi * cone.k * cone.R ** 2) \
-        + 2 * (np.sum(eps) + tail)
-    diag = {
-        "mu0": complex(mu0),
-        "tail": complex(tail),
-        "modes": N,
-        "tail_bound": bound,
-        "series_x": _SERIES_X,
-        "near_integer_certificate": cert,
-    }
-    return complex(log_det), diag
+    lam = np.asarray(lam)
+    lams = [_spectral_parameter(v) for v in lam.ravel().tolist()]
+    kR, N = cone.k * cone.R, _tail_start(cone.k * cone.R)
+    log_area = np.log(np.pi * cone.k * cone.R ** 2) if cone.R > 1e-150 \
+        else np.log(np.pi * cone.k) + 2 * np.log(cone.R)   # R^2 underflows
+    rows, groups, step = [None] * len(lams), {}, max(1, _BLOCK // N)
+    for i, v in enumerate(lams):
+        # x on the imaginary axis is exactly i t R, so that s = -(t R)^2
+        axis = _on_imag_axis(v)
+        x = 1j * v.imag * cone.R if axis else v * cone.R
+        if not abs(x) <= _SERIES_X:
+            raise DomainError(f"the mode sum needs |lambda R| <= {_SERIES_X}, "
+                              f"got {abs(x):.6g} at lambda = {v}")
+        groups.setdefault(axis, []).append((i, x))
+    for axis, group in groups.items():
+        for j in range(0, len(group), step):
+            block, x = zip(*group[j:j + step])
+            tail, bound = _tail([(v * v).real if axis else v * v for v in x], kR, N)
+            for i, b in zip(block, bound):
+                if not b <= _TAIL_TOL:
+                    raise TruncationFailure(f"mode-sum tail bound {b:.2e} > "
+                                            f"{_TAIL_TOL} at lambda = {lams[i]}")
+            eps, cert = _series_eps(_cone_orders(kR, N), x, axis)
+            for i, e, t, b, c in zip(block, eps.sum(axis=-1).tolist(), tail, bound, cert):
+                mu0 = jump_eigenvalue(0, cone, lams[i])
+                rows[i] = (complex(np.log(mu0) + log_area + 2 * (e + t)), complex(mu0),
+                           complex(t), b, c)
+    log_det, mu0, tail, bound, cert = rows[0] if not lam.ndim else (
+        np.array(c, k).reshape(lam.shape) for c, k in
+        zip(zip(*rows) if rows else [()] * 5, (complex,) * 3 + (float,) * 2))
+    return log_det, {"mu0": mu0, "tail": tail, "modes": N, "tail_bound": bound,
+                     "series_x": _SERIES_X, "near_integer_certificate": cert}
 
 
 MU0_SUBLEADING_PI_GAMMA_HALF = "log(R/2) + pi*gamma/2 - i*pi/2"
@@ -656,24 +683,21 @@ def spectral_shift_asymptotic(circles, exponents=range(2, 8)):
 
 
 def _shift_fit(circles, exponents):
-    """(fit, log_dets): the report of :func:`spectral_shift_asymptotic` and
-    the sampled ln det N (summed over the cones), in sample order."""
+    """(fit, log_dets, mode_sums): :func:`spectral_shift_asymptotic`'s report,
+    the sampled ln det N (summed over the cones), and the worst "tail_bound"
+    and "near_integer" of the mode sums (one per cone), their "modes" summed."""
     if isinstance(circles, ConeCircle):
         circles = [circles]
     if min(exponents, default=1) < 1:
         raise DomainError("the shift fit samples lambda = 10^-j < 1: j >= 1")
     lams = np.array([10.0 ** (-j) for j in exponents])
-    xi, log_dets = [], []
-    for lm in lams:
-        per_cone = [detzeta_N_model(c, complex(lm))[0] for c in circles]
-        for log_det in per_cone:
-            if abs(log_det.imag) > np.pi:
-                raise PhaseUnwrappingFailure(
-                    f"unexpectedly large determinant phase {log_det.imag:.3f}")
-        log_det = sum(per_cone[1:], per_cone[0])
-        log_dets.append(log_det)
-        xi.append(log_det.imag / np.pi)
-    xi = np.array(xi)
+    log_dets, diags = zip(*(detzeta_N_model(c, lams) for c in circles))
+    phases = np.array([log_det.imag for log_det in log_dets]).T  # (sample, cone)
+    if (np.abs(phases) > np.pi).any():
+        raise PhaseUnwrappingFailure("unexpectedly large determinant phase "
+                                     f"{phases[np.abs(phases) > np.pi][0]:.3f}")
+    total = sum(log_dets[1:], log_dets[0])
+    xi = total.imag / np.pi
     V = np.vander(1.0 / np.log(lams ** 2), 2, increasing=True)
     sol, _, rank, _ = np.linalg.lstsq(V, xi, rcond=None)
     if rank < 2:
@@ -683,7 +707,10 @@ def _shift_fit(circles, exponents):
         "expected": float(len(circles)),
         "samples": {float(l): float(v) for l, v in zip(lams, xi)},
         "residual": float(np.max(np.abs(V @ sol - xi))),
-    }, log_dets
+    }, [complex(v) for v in total], {
+        "tail_bound": max(np.max(d["tail_bound"]).item() for d in diags),
+        "near_integer": max(np.max(d["near_integer_certificate"]).item() for d in diags),
+        "modes": sum(d["modes"] for d in diags)}
 
 
 def dtn_table(cone: ConeCircle, lam_values, n_values):

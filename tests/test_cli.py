@@ -335,11 +335,14 @@ _COVER = {"degree": 2, "sigma_infinity": [],
      "malformed point: ['nan', 0]"),
     ("cover validate", dict(_COVER, sigma_infinity=[[1.5, 2]]),
      "malformed cycles: [[1.5, 2]]"),
+    ("verify rauch", {"branch_points": 5}, "branch_points must be a list, got 5"),
+    ("tau poly", {"coefficients": 5}, "coefficients must be a list, got 5"),
 ], ids=["clue-9", "vardwa-9", "varodin-9", "rauch-2.5", "clue-negative",
         "vardwa-cubic-2", "clue-cubic", "varodin-cubic", "rauch-string-point",
         "genus1-short-point", "vardwa-long-a", "poly-top-level-list",
         "cover-top-level-list", "cover-degree-0", "cover-degree-1e8",
-        "cover-nan-string-value", "cover-float-cycle"])
+        "cover-nan-string-value", "cover-float-cycle", "rauch-points-not-a-list",
+        "poly-coefficients-not-a-list"])
 def test_malformed_curve_input_is_a_usage_error(command, data, message,
                                                 tmp_path, capsys):
     code, rep = run_cli([*command.split(), "--input",
@@ -379,6 +382,23 @@ def test_cone_shift_fit_command(tmp_path):
     assert rep["discrepancies"]["leading_rel"] < 0.1
 
 
+def test_cone_shift_fit_reports_the_mode_sums(tmp_path):
+    # the worst tail bound and near-integer certificate over the samples,
+    # and the modes summed term by term (N = 24 k R at k = 1, R = 1, every
+    # order an integer, so every sample takes the circle)
+    from hurwitztau import cones
+
+    code, rep = run_cli(["cone-shift-fit"], tmp_path)
+    assert code == 0 and rep["outputs"]["modes"] == 24
+    _, diag = cones.detzeta_N_model(cones.ConeCircle(1, 1.0),
+                                    np.array(list(rep["outputs"]["samples"]), float))
+    assert rep["certificates"] == {
+        "tail_bound": float(diag["tail_bound"].max()),
+        "near_integer": float(diag["near_integer_certificate"].max())}
+    assert 0 < rep["certificates"]["tail_bound"] <= cones._TAIL_TOL
+    assert 0 < rep["certificates"]["near_integer"] < 1e-13
+
+
 def test_cone_shift_fit_csv_rows_are_the_fit_samples(tmp_path, monkeypatch):
     # the CSV holds the determinants the fit sampled: no second mode sum
     from hurwitztau import cones
@@ -398,7 +418,8 @@ def test_cone_shift_fit_csv_rows_are_the_fit_samples(tmp_path, monkeypatch):
             (tmp_path / "report.csv").read_text().splitlines()[1:]]
     assert {float(r[0]): float(r[2]) / np.pi for r in rows} \
         == {float(lam): xi for lam, xi in samples.items()}
-    assert len(calls) == len(samples)
+    # one mode-sum pass over every sample
+    assert len(calls) == 1 and np.size(calls[0][1]) == len(samples)
 
 
 _UNKNOWNS = "samples, fewer than the {} unknowns of the fit"
@@ -440,7 +461,13 @@ def test_cone_radius_out_of_range_is_a_domain_error(argv, tmp_path):
     assert code == 1 and rep["error"] == "DomainError"
 
 
-@pytest.mark.parametrize("R", ["1e-31", "1e-100"])
+def test_cone_order_past_the_float_range_is_a_domain_error(tmp_path):
+    # argparse's int takes any integer; 2 pi k would raise OverflowError
+    code, rep = run_cli(["cone", "det-n0", "--k", "1" + "0" * 400], tmp_path)
+    assert code == 1 and rep["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("R", ["1e-31", "1e-100", "1e-200"])
 def test_cone_shift_fit_at_a_tiny_radius_reports(R, tmp_path):
     # orders nu = n / (k R) up to 1e100: the tail bound underflows instead
     # of overflowing, so the fit ends in a finite report (its leading

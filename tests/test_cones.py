@@ -224,8 +224,8 @@ def test_detzeta_flat_plane_structure():
 
     cone = ConeCircle(k=1, R=1.0)
     t = 0.5
-    eps, _ = cones._series_eps(cones._cone_orders(cone.k * cone.R, 3),
-                               1j * t * cone.R, True)
+    eps = cones._series_eps(cones._cone_orders(cone.k * cone.R, 3),
+                            [1j * t * cone.R], True)[0][0]
     for n in (0, 1, 3):
         closed = cones.jump_eigenvalue(0, cone, 1j * t) if n == 0 \
             else 2 * cone.nu(n) / (cone.R * np.exp(-eps[n - 1]))
@@ -256,8 +256,8 @@ def _assert_is_the_full_scan(cone, lam):
         return
     log_det, diag = cones.detzeta_N_model(cone, lam)
     N = diag["modes"]
-    series, _ = cones._series_eps(cones._cone_orders(cone.k * cone.R, N), x,
-                                  axis)
+    series = cones._series_eps(cones._cone_orders(cone.k * cone.R, N), [x],
+                               axis)[0][0]
     scipy_eps, good = mode_eps_scipy(cone, lam, 1, N)
     assert good.any()
     assert np.max(np.abs(series[good] - scipy_eps[good])) <= SERIES_TOL
@@ -361,7 +361,8 @@ def test_cone_modes_match_mp_oracle(k, R, mp_cone_eps):
         axis = cones._on_imag_axis(complex(lam))
         x = 1j * lam.imag * R if axis else lam * R
         N = min(cones.detzeta_N_model(cone, lam)[1]["modes"], MP_MODES)
-        eps, cert = cones._series_eps(cones._cone_orders(k * R, N), x, axis)
+        (eps,), (cert,) = cones._series_eps(cones._cone_orders(k * R, N), [x],
+                                            axis)
         want = np.array(mp_cone_eps[(k, R, lam)][:N])
         assert np.max(np.abs(eps - want)) <= 1e-13
         assert cert <= 1e-13
@@ -390,11 +391,76 @@ def test_tail_bound_over_tolerance_is_typed(monkeypatch):
 def test_tail_at_huge_orders_underflows(R):
     # nu_1 = 1 / (k R) up to 1e200: the bound's powers underflow to 0
     # instead of overflowing, and the log-det stays finite
-    tail, bound = cones._tail(1e-4, R, 1)
+    (tail,), (bound,) = cones._tail([1e-4], R, 1)
     assert np.isfinite(tail) and 0 <= bound < 1e-20
-    if R > 1e-150:      # past that the mode sum's own nu^2 overflows
-        log_det, diag = cones.detzeta_N_model(ConeCircle(1, R), 1e-2j)
+    # the mode sum too, on both axes, with no RuntimeWarning: nu^2 would
+    # overflow past nu ~ 1e154, and pi k R^2 underflow below R ~ 1e-154
+    for lam in (1e-2j, 1e-2):
+        log_det, diag = cones.detzeta_N_model(ConeCircle(1, R), lam)
         assert cmath.isfinite(log_det) and diag["tail_bound"] < 1e-20
+
+
+# the samples of the shift fit, lambda = 10^-j, j = 2..7
+SHIFT_LAMS = np.array([10.0 ** -j for j in range(2, 8)])
+
+
+def _assert_vector_is_the_scalar_calls(cone, lams):
+    """One call over ``lams`` gives, bitwise, what one call per lambda does."""
+    log_dets, diag = cones.detzeta_N_model(cone, lams)
+    assert log_dets.shape == np.shape(lams) and log_dets.dtype == complex
+    for i, lam in enumerate(lams):
+        log_det, one = cones.detzeta_N_model(cone, lam)
+        assert type(log_det) is complex and log_det == log_dets[i]
+        for key in ("mu0", "tail", "tail_bound", "near_integer_certificate"):
+            assert one[key] == diag[key][i], key
+        assert one["modes"] == diag["modes"] and one["series_x"] == diag["series_x"]
+
+
+@pytest.mark.parametrize("R", [0.5, 0.77, 1.06, 1.47])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_vector_call_is_the_scalar_calls_bitwise(k, R):
+    # every sample of the shift fit, one call per axis
+    for lams in (SHIFT_LAMS, 1j * SHIFT_LAMS):
+        _assert_vector_is_the_scalar_calls(ConeCircle(k, R), lams)
+
+
+@pytest.mark.parametrize("R, circle", [
+    (1.2, [True] * 5),                          # nu_6 = 5: every lambda
+    (1 / 1.01, [True, False, False, False, False]),   # nu_1 = 1.01: 0.4 alone
+])
+def test_vector_call_with_circle_lambdas_is_the_scalar_calls(R, circle):
+    # the near-integer circle runs at the lambda whose orders need it, and
+    # a vector holding such lambda and others equals the scalar calls
+    cone = ConeCircle(1, R)
+    lams = np.array([0.4, 0.1, 1e-2, 1e-3, 1e-5])
+    for axis in (lams, 1j * lams):
+        _, diag = cones.detzeta_N_model(cone, axis)
+        assert list(diag["near_integer_certificate"] > 0) == circle
+        _assert_vector_is_the_scalar_calls(cone, axis)
+
+
+def test_vector_call_mixes_axes_and_blocks(monkeypatch):
+    # lambda on both axes in one vector, and passes of one lambda each
+    cone = ConeCircle(3, 0.77)
+    lams = np.array([1e-2, 1e-2j, 1e-3j, 1e-3, 0.3 * cmath.exp(0.4j)])
+    _assert_vector_is_the_scalar_calls(cone, lams)
+    log_dets, diag = cones.detzeta_N_model(cone, lams.reshape(5, 1))
+    assert log_dets.shape == diag["tail_bound"].shape == (5, 1)
+    monkeypatch.setattr(cones, "_BLOCK", 1)
+    assert np.array_equal(cones.detzeta_N_model(cone, lams)[0], log_dets[:, 0])
+
+
+def test_vector_tail_bound_miss_names_the_lambda(monkeypatch):
+    cone = ConeCircle(1, 1.3)
+    lams = np.array([1e-3, 0.1, 1e-2])
+    _, diag = cones.detzeta_N_model(cone, lams)
+    bound = diag["tail_bound"]
+    assert 0 < bound[0] < bound[2] < bound[1]
+    # only lambda = 0.1 misses
+    monkeypatch.setattr(cones, "_TAIL_TOL", (bound[1] + bound[2]) / 2)
+    with pytest.raises(TruncationFailure, match=r"at lambda = \(0\.1\+0j\)"):
+        cones.detzeta_N_model(cone, lams)
+    cones.detzeta_N_model(cone, lams[[0, 2]])
 
 
 def test_mu0_fit_adjudicates_subleading():
@@ -457,8 +523,11 @@ def test_spectral_shift_cone_additivity():
 def test_shift_fit_unwraps_each_cone_phase(monkeypatch, phases, raises):
     circles = [ConeCircle(1, 1.0 + i) for i in range(len(phases))]
     by_cone = dict(zip(circles, phases))
+    # one call per cone with every sample, as the fit makes it
+    diag = {"tail_bound": 0.0, "near_integer_certificate": 0.0, "modes": 1}
     monkeypatch.setattr(cones, "detzeta_N_model",
-                        lambda c, lam: (complex(0.0, by_cone[c]), {}))
+                        lambda c, lam: (np.full(np.shape(lam),
+                                                complex(0.0, by_cone[c])), diag))
     if raises:
         with pytest.raises(PhaseUnwrappingFailure):
             cones.spectral_shift_asymptotic(circles)
@@ -492,8 +561,11 @@ def test_spectral_shift_additivity_over_distinct_cones():
 
 
 def test_cone_validation():
-    with pytest.raises(DomainError):
-        ConeCircle(k=0, R=1.0)
+    # an order not positive, or past the float range (where 2 pi k would
+    # raise OverflowError)
+    for k in (0, 10 ** 400):
+        with pytest.raises(DomainError):
+            ConeCircle(k=k, R=1.0)
     with pytest.raises(DomainError):
         ConeCircle(k=1, R=-1.0)
     # a non-finite R, or a 2 pi k R^2 past the float range
