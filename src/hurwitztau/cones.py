@@ -36,8 +36,6 @@ __all__ = [
     "detzeta_N_model",
     "mu0_asymptotic_fit",
     "spectral_shift_asymptotic",
-    "MU0_SUBLEADING_PI_GAMMA_HALF",
-    "MU0_SUBLEADING_GAMMA",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -616,18 +614,6 @@ def detzeta_N_model(cone: ConeCircle, lam):
                      "series_x": _SERIES_X, "near_integer_certificate": cert}
 
 
-MU0_SUBLEADING_PI_GAMMA_HALF = "log(R/2) + pi*gamma/2 - i*pi/2"
-MU0_SUBLEADING_GAMMA = "log(R/2) + gamma - i*pi/2"
-
-
-def _mu0_candidates(R):
-    # two closed-form candidates for the subleading constant, differing in
-    # whether the Euler-constant term carries a pi/2 factor
-    pi_gamma_half = np.log(R / 2.0) + np.pi * EULER_GAMMA / 2.0 - 1j * np.pi / 2.0
-    gamma = np.log(R / 2.0) + EULER_GAMMA - 1j * np.pi / 2.0
-    return pi_gamma_half, gamma
-
-
 def mu0_asymptotic_fit(cone: ConeCircle, exponents=range(2, 9)):
     """Fit mu_0(i t) (-R log lambda) = a0 + a1 / log lambda + a2 / log^2 lambda
     over a geometric sequence t = 10^-j.
@@ -652,7 +638,10 @@ def mu0_asymptotic_fit(cone: ConeCircle, exponents=range(2, 9)):
     if rank < 3:
         raise FitUnstable("mu0 regression is rank deficient")
     subleading_sharp = complex(sharp[-1])
-    pi_gamma_half, gamma_cand = _mu0_candidates(cone.R)
+    # the two closed-form candidates for the subleading constant, differing
+    # in whether the Euler-constant term carries a pi/2 factor
+    pi_gamma_half = np.log(cone.R / 2.0) + np.pi * EULER_GAMMA / 2.0 - 1j * np.pi / 2.0
+    gamma_cand = np.log(cone.R / 2.0) + EULER_GAMMA - 1j * np.pi / 2.0
     d_pgh = abs(subleading_sharp - pi_gamma_half)
     d_gamma = abs(subleading_sharp - gamma_cand)
     return {

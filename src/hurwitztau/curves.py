@@ -24,6 +24,7 @@ Conventions (fixed, documented):
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -176,8 +177,8 @@ _PERIOD_TARGET = 1e-10    # pair-loop period certificate
 _PANEL_DIV = 3            # branch-point distance / straight-path panel length
 
 # Curves built in this process, keyed on the branch-point bytes and the final
-# hub: an equal key reuses the period data and shares every cache container
-# (not the instance dict), least recently used entry evicted first.
+# hub: an equal key reuses the period data and shares the memo (not the
+# instance dict), least recently used entry evicted first.
 _CURVE_TABLE = OrderedDict()
 _CURVE_TABLE_SIZE = 8
 
@@ -215,14 +216,17 @@ class HyperellipticCurve:
         self.marking = "standard"
         self.hub = hub
         self.y_hub = complex(np.sqrt(np.prod(self.hub - e)))
-        self._abel_cache = {}
-        self._branch_cache = {}
-        self._pair_cache = {}
-        self._lazy_cache = {}     # "grad", "inf", "K", "probes", ("tau", zeta)
+        self._memo = {}
         self._build_periods()
         _CURVE_TABLE[key] = dict(self.__dict__)
         if len(_CURVE_TABLE) > _CURVE_TABLE_SIZE:
             _CURVE_TABLE.popitem(last=False)
+
+    def _memoized(self, key, build):
+        """Memo value under ``key``: ``build()`` once, kept only if it returns."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # ------------------------------------------------------------------
     # fiber
@@ -254,7 +258,8 @@ class HyperellipticCurve:
         tracking is needed.  A certificate that misses ``_PERIOD_TARGET``
         raises."""
         n = n or self.g
-        if (i, j, n) not in self._pair_cache:
+
+        def build():
             c, d = (self.e[i] + self.e[j]) / 2, (self.e[j] - self.e[i]) / 2
             others = np.delete(self.e, [i, j])
             s_c = np.sqrt(np.prod(c - others))
@@ -272,8 +277,8 @@ class HyperellipticCurve:
                     f"pair loop ({i}, {j}): period certificate {cert:.2e} "
                     f"misses {_PERIOD_TARGET:.0e} at {N} nodes: another branch "
                     f"point lies on or near the segment from e_{i} to e_{j}")
-            self._pair_cache[i, j, n] = (val, cert)
-        return self._pair_cache[i, j, n]
+            return val, cert
+        return self._memoized(("pair", i, j, n), build)
 
     def _build_periods(self):
         g = self.g
@@ -331,17 +336,12 @@ class HyperellipticCurve:
         self.B = RiemannMatrix(-Bsym[c] if flip[c] else Bsym[c])
 
     def swap_marking(self):
-        """Curve with (a, b) -> (b, -a); same raw contours, new normalization."""
-        other = HyperellipticCurve.__new__(HyperellipticCurve)
-        other.__dict__.update({
-            "e": self.e, "_others": self._others, "g": self.g,
-            "scale": self.scale,
-            "hub": self.hub, "y_hub": self.y_hub,
-            "marking": "swapped" if self.marking == "standard" else "standard",
-            "_pair_cache": self._pair_cache,
-            "_abel_cache": {},
-            "_branch_cache": {}, "_lazy_cache": {},
-        })
+        """Curve with (a, b) -> (b, -a); same raw contours, new normalization:
+        its memo keeps the pair loops alone, the one marking-free entry."""
+        other = copy.copy(self)
+        other.marking = "swapped" if self.marking == "standard" else "standard"
+        other._memo = {k: v for k, v in self._memo.items()
+                       if isinstance(k, tuple) and k[0] == "pair"}
         other._build_periods()
         return other
 
@@ -423,10 +423,9 @@ class HyperellipticCurve:
 
     def abel_from_hub(self, z):
         """Abel vector of the point over z reached by the straight hub path."""
-        key = complex(z)
-        if key not in self._abel_cache:
-            self._abel_cache[key] = self.abel_segment(self.hub, self.y_hub, key)
-        return self._abel_cache[key]
+        z = complex(z)
+        return self._memoized(("abel", z),
+                              lambda: self.abel_segment(self.hub, self.y_hub, z))
 
     # ------------------------------------------------------------------
     # distinguished charts at branch points and at infinity
@@ -456,20 +455,18 @@ class HyperellipticCurve:
         x_h = complex(np.sqrt(zh - zm))
         if abs(x_h ** 2 - (zh - zm)) > 1e-9 * abs(zh - zm):
             raise ChartBranchInconsistency(
-                "distinguished-chart square root failed to match the handoff"
-            )
+                "distinguished-chart square root failed to match the handoff")
         return complex(zh), x_h
 
     def _divisor_abel(self):
-        """Abel data of the divisor of df in two :meth:`_chart_path` calls,
-        memos filled only once both succeed.  One holds every hub leg: each
-        :meth:`_handoff`, the ray towards 1 + 0.3i out to 8 (scale + |hub|)
-        and, for g >= 2, the 3 K and 2 transport probes of
-        :meth:`riemann_constants` (drawn once, kept as "probes").  The other
-        holds every chart leg (40 panels of 16 nodes): each handoff to its
-        branch point, and the ray's end to zeta = 1/z = 0, where
-        w = y zeta^(g+1) has w^2 = prod(1 - e_i zeta) and
-        v = -sum coef zeta^(g-1-k) dzeta / w."""
+        """Memo record "divisor" of the divisor of df ("branch", "inf",
+        "probes", "probe_abel"), from two :meth:`_chart_path` calls.  One
+        holds every hub leg: each :meth:`_handoff`, the ray towards 1 + 0.3i
+        out to 8 (scale + |hub|) and, for g >= 2, the 3 K and 2 transport
+        probes of :meth:`riemann_constants` (drawn once).  The other holds
+        every chart leg (40 panels of 16 nodes): each handoff to its branch
+        point, and the ray's end to zeta = 1/z = 0, where w = y zeta^(g+1)
+        has w^2 = prod(1 - e_i zeta) and v = -sum coef zeta^(g-1-k) dzeta/w."""
         e, g, n = self.e, self.g, len(self.e)
         zh, x_h = zip(*map(self._handoff, range(n)))
         d = (1.0 + 0.3j) / abs(1.0 + 0.3j)
@@ -501,34 +498,30 @@ class HyperellipticCurve:
                   for m, s_m in enumerate(map(complex, root[:n]))}
         a_first = vec[n] + leg[n]
         v_lead = -self.coef[:, g - 1]
-        self._abel_cache.update(zip(ends, zip(vec, y)))
-        self._branch_cache.update(branch)
-        self._lazy_cache["probes"] = probes
-        self._lazy_cache["inf"] = (
-            InfinityEnd(abel=a_first, sign=sign, v_lead=v_lead / sign),
-            InfinityEnd(abel=2 * branch[0].abel - a_first, sign=-sign,
-                        v_lead=v_lead / -sign))
+        return {"branch": branch, "probes": probes, "probe_abel": vec[n + 1:],
+                "inf": (InfinityEnd(abel=a_first, sign=sign,
+                                    v_lead=v_lead / sign),
+                        InfinityEnd(abel=2 * branch[0].abel - a_first,
+                                    sign=-sign, v_lead=v_lead / -sign))}
 
     def branch_data(self, m):
         """Abel vector of branch point m plus the distinguished-chart branch:
         x = (z - e_m)^(1/2) with y = x sqrt_h, sqrt_h the root of
         prod_{i != m}(z - e_i) tracked along the hub approach.  The first
         request fills every branch point (:meth:`_divisor_abel`)."""
-        if m not in self._branch_cache:
-            self._divisor_abel()
-        return self._branch_cache[m]
+        return self._memoized("divisor", self._divisor_abel)["branch"][m]
 
     def _chart_points(self, m, xs):
-        """(z, y) at the chart values xs (shape (n,)) near branch point m:
-        z = e_m + x^2 and y = x sqrt_h(z), sqrt_h tracked along 24 evenly
-        spaced z from e_m, one chain per node."""
-        bd = self.branch_data(m)
-        zm = self.e[m]
+        """(z, y) at the chart values xs (shape (n,)) near branch point m: z =
+        e_m + x^2, y = x sqrt_h prod_{i != m} sqrt((z - e_i) / (e_m - e_i)) in
+        principal roots.  Each ratio runs straight from 1 along the ray, so it
+        meets the cut only at a branch point: an end ratio on the cut raises."""
+        sqrt_h, zm, others = self.branch_data(m).sqrt_h, self.e[m], self._others[m]
         z = zm + _cmul(xs, xs)
-        chain_z = zm + np.linspace(0.0, 1.0, 24) * (z - zm)[:, None]
-        hv = np.prod(chain_z[..., None] - self._others[m], axis=-1)
-        sq = _tracked_sqrt(hv, seed=bd.sqrt_h)
-        return z, _cmul(xs, sq[:, -1])
+        r = (z[:, None] - others) / (zm - others)
+        if np.any((r.real <= 0) & (np.abs(r.imag) <= 1e-12 * np.abs(r))):
+            raise SheetTrackingLoss(f"chart ray from e_{m} meets a branch point")
+        return z, _cmul(xs, sqrt_h * np.prod(np.sqrt(r), axis=1))
 
     def _chart_rows(self, m, xs):
         """(Abel vectors, distinguished-chart differentials), each (n, g), at
@@ -557,11 +550,9 @@ class HyperellipticCurve:
 
     def infinity_data(self):
         """Both points over z = infinity with sheet markers +1 and -1: the
-        first through a hub ray and a 1/z-chart leg (:meth:`_divisor_abel`),
-        the second its involution image, A(sigma P) = 2 A(e_0) - A(P)."""
-        if "inf" not in self._lazy_cache:
-            self._divisor_abel()
-        return self._lazy_cache["inf"]
+        first through a hub ray and a 1/z-chart leg (:meth:`_divisor_abel`), the
+        second its involution image, A(sigma P) = 2 A(e_0) - A(P)."""
+        return self._memoized("divisor", self._divisor_abel)["inf"]
 
     # ------------------------------------------------------------------
     # theta layer
@@ -574,17 +565,16 @@ class HyperellipticCurve:
         return riemann_theta_bundle(t, self.B, char=char, derivs_list=derivs_list)
 
     def odd_char_gradients(self):
-        """All odd characteristics with their theta gradients at 0; cached."""
-        if "grad" not in self._lazy_cache:
+        """All odd characteristics with their theta gradients at 0; memoized."""
+        def build():
             odd = _odd_characteristics(self.g)
-            basis = [tuple(np.eye(self.g)[i]) for i in range(self.g)]
             grads = self.theta_bundle(np.zeros((len(odd), self.g)), char=odd,
-                                      derivs_list=[(b,) for b in basis])
+                                      derivs_list=_w_specs(self.g)[1:self.g + 1])
             out = list(zip(odd, grads))
             if not any(np.linalg.norm(gr) > 1e-10 for _, gr in out):
                 raise CharacteristicSingular("all odd theta gradients vanish")
-            self._lazy_cache["grad"] = out
-        return self._lazy_cache["grad"]
+            return out
+        return self._memoized("grad", build)
 
     def _w_char(self):
         """Fixed odd characteristic for the bidifferential kernel."""
@@ -635,13 +625,13 @@ class HyperellipticCurve:
         return rho1, rho2, rho1 * np.exp(1j * th), rho2 * np.exp(1j * th)
 
     def _klein_baker(self):
-        """(lam, kappa), cached: y^2 = sum lam_k z^k (lam zero past 2g + 2) and
+        """(lam, kappa), memoized: y^2 = sum lam_k z^k (lam zero past 2g + 2) and
         kappa = -A^-1 I R / 4, I[a, p] the integral of z^p dz / y (p <= 2g)
         over the curve's own a-cycle a, A = I[:, :g], and R[p, q] =
         max(p - q, 0) lam_{p+q+2} Baker's second-kind coefficients:
         (F(x, z) - 2 y^2(x) - (z - x) (y^2)'(x)) / (z - x)^2 = sum R[p, q]
         x^p z^q, the rest of F dx / (4 y (x - z)^2) being exact in x."""
-        if "kb" not in self._lazy_cache:
+        def build():
             g, n = self.g, 2 * self.g + 1
             if self.marking == "standard":
                 I = np.array([self._pair_loop_integrals(2 * i, 2 * i + 1, n)[0]
@@ -653,8 +643,8 @@ class HyperellipticCurve:
             lam = np.concatenate((np.poly(self.e)[::-1], np.zeros(g)))
             p, q = np.arange(n)[:, None], np.arange(g)
             R = np.maximum(p - q, 0) * lam[p + q + 2]
-            self._lazy_cache["kb"] = lam, -np.linalg.solve(I[:, :g], I @ R) / 4
-        return self._lazy_cache["kb"]
+            return lam, -np.linalg.solve(I[:, :g], I @ R) / 4
+        return self._memoized("kb", build)
 
     def _klein_baker_kernel(self, z1, y1, z2, y2):
         """Klein-Baker W / (dz dz) at every pair (z1_i, y1_i), (z2_j, y2_j)
@@ -678,21 +668,18 @@ class HyperellipticCurve:
         rho1, rho2, xs, ys = self._torus(m, 16)
         (z1, y1), (z2, y2) = self._chart_points(m, xs), self._chart_points(m, ys)
         W = self._klein_baker_kernel(z1, y1, z2, y2) * 4 * xs[:, None] * ys
-        H, cert = h_taylor_torus(W - 1.0 / (xs[:, None] - ys) ** 2, rho1, rho2,
-                                 1)
+        H, cert = h_taylor_torus(W - 1.0 / (xs[:, None] - ys) ** 2, rho1, rho2, 1)
         return 6.0 * complex(H[0, 0]), cert
 
     def h_taylor_branch(self, m, order=1, n_fft=16):
         """Taylor coefficients H_{pq} (p, q < order) of H(x, y) = W(x, y) -
         (x - y)^{-2} at branch point m, W from the theta kernel on the torus
         of :meth:`_torus`, read by :func:`h_taylor_torus`.  Every order is
-        read from one grid per (m, n_fft), kept in ``_lazy_cache``."""
+        read from one grid per (m, n_fft), memoized."""
         rho1, rho2, xs, ys = self._torus(m, n_fft)
-        key = ("h_grid", m, n_fft)
-        if key not in self._lazy_cache:
-            self._lazy_cache[key] = self.w_hat_branch_chart_grid(m, xs, ys) \
-                - 1.0 / (xs[:, None] - ys[None, :]) ** 2
-        return h_taylor_torus(self._lazy_cache[key], rho1, rho2, order)
+        grid = self._memoized(("h_grid", m, n_fft), lambda: (
+            self.w_hat_branch_chart_grid(m, xs, ys) - 1.0 / (xs[:, None] - ys) ** 2))
+        return h_taylor_torus(grid, rho1, rho2, order)
 
     def imB_inv(self):
         return np.linalg.inv(self.B.B.imag)
@@ -727,8 +714,7 @@ class HyperellipticCurve:
         ci = int(np.argmax(scores))
         if scores[ci] < 1e-10:
             raise CharacteristicSingular(
-                "no odd characteristic is nonsingular at both endpoints"
-            )
+                "no odd characteristic is nonsingular at both endpoints")
         return ci
 
     def _omega_values(self, v_values):
@@ -767,30 +753,26 @@ class HyperellipticCurve:
         alpha_i, beta_i as bits 2i, 2i + 1 of k.  With ``index`` (a candidate
         frozen at a base configuration) that the search has not already
         chosen, only that candidate is certified on the probes, a residual
-        above 1e-6 raises, and the search cache is left unfilled.  The rows
+        above 1e-6 raises, and the search is left unrun.  The rows
         ``extra(K)`` are certified too (their worst residual joins K's), in
         a frozen candidate's call or else in one of their own.  Returns
         (K, residual)."""
-        cached = self._lazy_cache.get("K")
-        if cached is not None and index in (None, cached[0]):
-            K, resid = cached[1:]
-        else:
-            g = self.g
-            a0 = self.branch_data(0).abel
-            bits = np.arange(4 ** g)[:, None] >> (2 * np.arange(g))
-            Kc = (bits & 1) @ self.B.B.T / 2 + ((bits >> 1) & 1) / 2
-            offsets = np.zeros((1, g)) if g == 1 else \
-                np.array([self.abel_from_hub(z)[0] - a0
-                          for z in self._lazy_cache["probes"][:3]])
-            if index is not None:
-                vals = self._theta_over_reference(
-                    np.vstack([offsets + Kc[index], extra(Kc[index])]))
-                resid = float(vals[:len(offsets)].max())
-                if not resid <= 1e-6:
-                    raise LatticeResolutionFailure(
-                        f"frozen half period {index} no longer satisfies the "
-                        f"vanishing property (residual {resid:.2e})")
-                return Kc[index], float(vals.max())
+        g, div = self.g, self._memoized("divisor", self._divisor_abel)
+        bits = np.arange(4 ** g)[:, None] >> (2 * np.arange(g))
+        Kc = (bits & 1) @ self.B.B.T / 2 + ((bits >> 1) & 1) / 2
+        offsets = np.zeros((1, g)) if g == 1 else \
+            div["probe_abel"][:3] - div["branch"][0].abel
+        if index not in (None, self._memo.get("K", (None,))[0]):
+            vals = self._theta_over_reference(
+                np.vstack([offsets + Kc[index], extra(Kc[index])]))
+            resid = float(vals[:len(offsets)].max())
+            if not resid <= 1e-6:
+                raise LatticeResolutionFailure(
+                    f"frozen half period {index} no longer satisfies the "
+                    f"vanishing property (residual {resid:.2e})")
+            return Kc[index], float(vals.max())
+
+        def search():       # (index, K, residual) of the best candidate
             t = (offsets[None, :, :] + Kc[:, None, :]).reshape(-1, g)
             worst = self._theta_over_reference(t).reshape(len(Kc), -1) \
                 .max(axis=1)
@@ -799,16 +781,21 @@ class HyperellipticCurve:
             if resid > 1e-6:
                 raise LatticeResolutionFailure(
                     f"no half period satisfies the vanishing property "
-                    f"(best residual {resid:.2e})"
-                )
+                    f"(best residual {resid:.2e})")
             if worst[order[1]] < 10 * resid:
                 raise LatticeResolutionFailure(
                     "half-period identification ambiguous")
-            self._lazy_cache["K"] = (int(order[0]), K, resid)
+            return int(order[0]), K, resid
+        _, K, resid = self._memoized("K", search)
         t = extra(K)
         if len(t):
             resid = max(resid, float(self._theta_over_reference(t).max()))
         return K, resid
+
+    def half_period_index(self):
+        """Index of the half period that the K search chooses."""
+        self._half_period_K()
+        return self._memo["K"][0]
 
     def riemann_constants(self, z_base=None, half_index=None):
         """Vector of Riemann constants for the given basepoint.
@@ -823,11 +810,15 @@ class HyperellipticCurve:
         if z_base is None:
             return self._half_period_K(half_index)
         a_base = self.abel_from_hub(z_base)[0]
-        shift = (self.g - 1) * (a_base - self.branch_data(0).abel)
-        K0, resid = self._half_period_K(half_index, lambda K: np.reshape(
-            [self.abel_from_hub(zc)[0] - a_base + (K + shift)
-             for zc in self._lazy_cache["probes"][3:]], (-1, self.g)))
+        div = self._memoized("divisor", self._divisor_abel)
+        shift = (self.g - 1) * (a_base - div["branch"][0].abel)
+        K0, resid = self._half_period_K(half_index, lambda K: (
+            div["probe_abel"][3:] - a_base + (K + shift)))
         return K0 + shift, resid
+
+    def unfrozen_tau(self, zeta, build):
+        """Unfrozen :func:`taufn.tau_genus2` at zeta, ``build()`` run once."""
+        return self._memoized(("tau", complex(zeta)), build)
 
     def lattice_fit(self, vec, tol=1e-6):
         """Nearest lattice vector B Z + Z' to vec; raises when the residual
@@ -839,8 +830,7 @@ class HyperellipticCurve:
         resid = float(np.max(np.abs(vec - B @ Z - Zp)))
         if not resid <= tol:
             raise LatticeResolutionFailure(
-                f"lattice identification residual {resid:.2e} > {tol}"
-            )
+                f"lattice identification residual {resid:.2e} > {tol}")
         return Z.astype(int), Zp.astype(int), resid
 
 

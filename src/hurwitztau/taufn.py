@@ -403,14 +403,18 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
     results are kept per configuration and zeta (the same objects come back:
     treat them as read-only); a frozen call is always evaluated.
     """
-    g = curve.g
-    if g < 2:
+    if curve.g < 2:
         raise DegenerateInput("use tau_genus1 for genus 1")
     if not np.isfinite(zeta_z):
         raise DomainError(f"zeta must be finite, got {zeta_z}")
-    memo = ("tau", complex(zeta_z))
-    if frozen is None and memo in curve._lazy_cache:
-        return curve._lazy_cache[memo]
+    if frozen is not None:
+        return _tau_genus2(curve, zeta_z, frozen)
+    return curve.unfrozen_tau(zeta_z, lambda: _tau_genus2(curve, zeta_z, None))
+
+
+def _tau_genus2(curve, zeta_z, frozen):
+    """:func:`tau_genus2` evaluated, with no memo."""
+    g = curve.g
     points = _divisor_tables(curve)
     DivisorData(orders=tuple(d for _, _, d, _ in points), genus=g)
     names = [nm for nm, _, _, _ in points]
@@ -442,7 +446,7 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
                     om_table[names[i]], om_table[names[j]])
         char_zeta = {nm: curve._choose_char(om_zeta, om_table[nm]) for nm in names}
         # the candidate index that the unfrozen K search above chose
-        frozen_out = {"Z": Z, "K_half": curve._lazy_cache["K"][0],
+        frozen_out = {"Z": Z, "K_half": curve.half_period_index(),
                       "char_pairs": char_pairs, "char_zeta": char_zeta}
     else:
         char_pairs = frozen["char_pairs"]
@@ -488,6 +492,4 @@ def tau_genus2(curve: HyperellipticCurve, zeta_z, frozen=None):
             "K_certificate": K_resid, "zeta": complex(zeta_z),
         },
     )
-    if frozen is None:
-        curve._lazy_cache[memo] = (tv, ing)
     return tv, ing

@@ -28,8 +28,10 @@ def _assert_batch_is_per_leg(cur):
         assert end.sign == sign
         assert np.array_equal(end.v_lead, v_lead)
     assert len(probes) == (0 if cur.g == 1 else 5)
-    for z, vec in probes.items():
-        assert np.array_equal(cur.abel_from_hub(z)[0], vec)
+    record = cur._memo["divisor"]
+    assert record["probes"] == list(probes)
+    for row, vec in zip(record["probe_abel"], probes.values()):
+        assert np.array_equal(row, vec)
 
 
 @pytest.mark.parametrize("name", ["curve_genus1", "curve_genus2"])
@@ -78,8 +80,8 @@ def test_failed_batch_leaves_no_memo_entry():
                     cur.riemann_constants):
         with pytest.raises(SheetTrackingLoss):
             request()
-        assert not cur._abel_cache and not cur._branch_cache
-        assert "inf" not in cur._lazy_cache
+        # the pair loops of the periods alone: no Abel row, no divisor record
+        assert all(key[0] == "pair" for key in cur._memo)
 
 
 def test_probe_points_drawn_once_per_configuration(monkeypatch):
@@ -118,7 +120,7 @@ def test_batch_replaces_a_rejected_transport_probe(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", Scripted)
     cur = HyperellipticCurve(points)
     cur.branch_data(0)
-    transport = cur._lazy_cache["probes"][3:]
+    transport = cur._memo["divisor"]["probes"][3:]
     assert len(transport) == 2 and cur.e[5] not in transport
     assert np.min(np.abs(np.subtract.outer(transport, cur.e))) > 0.15 * scale
     K, resid = cur.riemann_constants(0.9 + 1.7j)

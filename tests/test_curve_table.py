@@ -1,11 +1,11 @@
 """The process-wide table of built curves: an equal key (branch-point bytes
-and final hub) shares the period data and the caches, anything else builds
+and final hub) shares the period data and the memo, anything else builds
 afresh, and the table holds at most ``_CURVE_TABLE_SIZE`` curves."""
 
 import numpy as np
 import pytest
 
-from hurwitztau import HyperellipticCurve, curves
+from hurwitztau import HyperellipticCurve, curves, tau_genus2
 from hurwitztau.errors import CurveGeometryError
 
 PTS = [-2.1, -1.0, -0.2 + 0.3j, 0.7, 1.5 + 0.1j, 2.4]
@@ -25,17 +25,27 @@ def quadratures(monkeypatch):
     return calls
 
 
-def test_equal_key_runs_no_second_quadrature(quadratures):
+def test_equal_key_runs_no_second_quadrature(quadratures, monkeypatch):
     first = HyperellipticCurve(PTS)
     assert len(quadratures) == 4          # two pair loops per row at g = 2
     # the hub that the first build chose, passed explicitly, is the same key
     again = HyperellipticCurve(np.array(PTS), hub=first.hub)
     assert len(quadratures) == 4
     assert again is not first and again.B is first.B
-    # lazily filled caches are shared both ways
+    # lazily filled memo entries are shared both ways
     ends = first.infinity_data()
     assert again.infinity_data() is ends
     assert again.branch_data(2) is first.branch_data(2)
+    # kappa runs the two a-cycle loops at n = 2g + 1 once
+    kappa = again._klein_baker()
+    assert len(quadratures) == 6
+    assert first._klein_baker() is kappa and len(quadratures) == 6
+    H = first.h_taylor_branch(1)[0]
+    tau = tau_genus2(again, 0.9 + 1.7j)
+    monkeypatch.setattr(HyperellipticCurve, "w_hat_branch_chart_grid",
+                        lambda *args: pytest.fail("torus sampled twice"))
+    assert again.h_taylor_branch(1)[0].tobytes() == H.tobytes()
+    assert tau_genus2(first, 0.9 + 1.7j) is tau
 
 
 def test_moved_point_or_other_hub_builds_afresh(quadratures):
@@ -81,12 +91,19 @@ def test_swap_marking_is_unaffected():
     curves._CURVE_TABLE.clear()
     base = HyperellipticCurve(PTS)
     shared = HyperellipticCurve(PTS)
+    for fill in (base.infinity_data, base.odd_char_gradients,
+                 base._klein_baker):
+        fill()
     swapped = shared.swap_marking()
     assert swapped.marking == "swapped" and base.marking == "standard"
     assert swapped.B.B.tobytes() == fresh.B.B.tobytes()
     assert swapped.coef.tobytes() == fresh.coef.tobytes()
-    # the swapped curve has its own caches and never enters the table
-    assert swapped._lazy_cache is not base._lazy_cache
+    # the swapped curve has its own memo, which starts with the shared
+    # configuration's pair loops alone, and never enters the table
+    assert swapped._memo is not base._memo
+    loops = {key for key in base._memo if key[0] == "pair"}
+    assert set(swapped._memo) == loops and len(loops) < len(base._memo)
+    assert all(swapped._memo[key] is base._memo[key] for key in loops)
     assert len(curves._CURVE_TABLE) == 1
     assert HyperellipticCurve(PTS).B is base.B
 

@@ -11,7 +11,7 @@ from hurwitztau.errors import (
     PeriodQuadratureFailure,
     SheetTrackingLoss,
 )
-from chart_reference import chart_rows_per_node
+from chart_reference import chart_points_tracked, chart_rows_per_node
 from curve_inputs import load_fixture, random_branch_points
 from oracles import (
     abel_between,
@@ -326,8 +326,8 @@ def test_klein_baker_nan_certificate_raises(genus1_curve, monkeypatch):
 
 
 def test_h_taylor_nan_certificate_raises(genus1_curve, monkeypatch):
-    # an empty grid memo, so the torus is sampled through the patched kernel
-    monkeypatch.setattr(genus1_curve, "_lazy_cache", {})
+    # an empty memo, so the torus is sampled through the patched kernel
+    monkeypatch.setattr(genus1_curve, "_memo", {})
     monkeypatch.setattr(genus1_curve, "w_hat_branch_chart_grid",
                         lambda m, xs, ys: np.full((len(xs), len(ys)),
                                                   np.nan + 0j))
@@ -651,8 +651,8 @@ def test_batched_chart_rows_match_per_node_reference(m):
 @pytest.mark.parametrize("name", ["curve_genus1", "curve_genus2"])
 def test_chart_v_rows_match_chart_points(name):
     # v from the root the chart path tracks against v_hat * 2x at the
-    # (z, y) of the separate tracking chain of _chart_points, on every torus
-    # node at every branch point
+    # (z, y) of the per-factor principal roots of _chart_points, on every
+    # torus node at every branch point
     cur = HyperellipticCurve([complex(*p)
                               for p in load_fixture(name)["branch_points"]])
     for m in range(len(cur.e)):
@@ -662,6 +662,40 @@ def test_chart_v_rows_match_chart_points(name):
         z, y = cur._chart_points(m, nodes)
         want = cur.v_poly(z) / y[:, None] * (2.0 * nodes)[:, None]
         assert np.max(np.abs(v - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["curve_genus1", "curve_genus2"])
+def test_chart_points_match_the_tracked_chain(name):
+    # y from principal roots against sqrt_h tracked along each node's ray,
+    # on every torus node at every branch point
+    cur = HyperellipticCurve([complex(*p)
+                              for p in load_fixture(name)["branch_points"]])
+    for m in range(len(cur.e)):
+        _, _, xs, ys = cur._torus(m, 16)
+        nodes = np.concatenate((xs, ys))
+        y = cur._chart_points(m, nodes)[1]
+        y_ref = chart_points_tracked(cur, m, nodes)[1]
+        assert np.max(np.abs(y - y_ref) / np.abs(y_ref)) <= 1e-14
+
+
+def test_chart_rays_beside_a_branch_point_end_on_opposite_sheets():
+    # rays from e_1 that pass e_2 just on either side: a fine chain agrees
+    # with each root, where the 24-step chain loses the sheet
+    cur = HyperellipticCurve([-1.9, -0.85, 0.6 + 0.25j, 1.7])
+    xs = np.sqrt(2 * (cur.e[2] - cur.e[1])) * np.exp([1e-3j, -1e-3j])
+    y = cur._chart_points(1, xs)[1]
+    assert abs(y[0] + y[1]) < 0.05 * abs(y[0])
+    y_ref = chart_points_tracked(cur, 1, xs, steps=4000)[1]
+    assert np.max(np.abs(y - y_ref) / np.abs(y_ref)) <= 1e-14
+    with pytest.raises(SheetTrackingLoss, match="refine the sampling"):
+        chart_points_tracked(cur, 1, xs)
+
+
+def test_chart_ray_through_a_branch_point_raises():
+    cur = HyperellipticCurve([-1.9, -0.85, 0.6 + 0.25j, 1.7])
+    for x in (np.sqrt(2 * (cur.e[2] - cur.e[1])), np.sqrt(cur.e[2] - cur.e[1])):
+        with pytest.raises(SheetTrackingLoss, match="meets a branch point"):
+            cur.branch_chart_point(1, x)
 
 
 def test_chart_batch_with_lost_row_raises():

@@ -89,12 +89,11 @@ def test_graded_panels_agree_at_half_the_panel_length(g, data):
     ref = _hub_numbers(coarse)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curves, "_PANEL_DIV", 2 * curves._PANEL_DIV)
-        # an empty curve table: the fine pass builds and fills its own caches
+        # an empty curve table: the fine pass builds and fills its own memo
         # instead of sharing the coarse curve's
         mp.setattr(curves, "_CURVE_TABLE", OrderedDict())
         fine_cur = HyperellipticCurve(points)
         fine = _hub_numbers(fine_cur)
-    for name in ("_abel_cache", "_branch_cache", "_lazy_cache"):
-        assert getattr(fine_cur, name) is not getattr(coarse, name)
+    assert fine_cur._memo is not coarse._memo
     for a, b in zip(ref, fine):
         assert np.max(np.abs(a - b)) < 1e-14

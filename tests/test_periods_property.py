@@ -57,6 +57,6 @@ def test_no_symplectic_lift_signs_is_rejected():
                        "reorder the branch points"):
         HyperellipticCurve(pts)
     cur = HyperellipticCurve.__new__(HyperellipticCurve)
-    cur.e, cur.g, cur.marking, cur._pair_cache = np.array(pts), 2, "standard", {}
+    cur.e, cur.g, cur.marking, cur._memo = np.array(pts), 2, "standard", {}
     with pytest.raises(CurveGeometryError, match="no lift-sign assignment"):
         lift_signs_per_candidate(cur)

@@ -348,7 +348,7 @@ def test_frozen_half_period_that_no_longer_vanishes_raises():
     wrong = dict(ing.frozen, K_half=(ing.frozen["K_half"] + 1) % 16)
     with pytest.raises(LatticeResolutionFailure, match="frozen half period"):
         tau_genus2(moved, 0.9 + 1.7j, frozen=wrong)
-    assert "K" not in moved._lazy_cache
+    assert "K" not in moved._memo
 
 
 def test_unfrozen_search_runs_after_a_frozen_call(monkeypatch):
@@ -360,10 +360,10 @@ def test_unfrozen_search_runs_after_a_frozen_call(monkeypatch):
     # one call: the reference row, the frozen candidate on the three probes
     # and the two transport probes
     assert rows == [6]
-    assert "K" not in moved._lazy_cache
+    assert "K" not in moved._memo
     K, _ = moved.riemann_constants(0.9 + 1.7j)
     # all 4^g candidates on the three probes plus the reference row, then
     # the two transport probes plus the reference row
     assert rows == [6, 49, 3]
-    assert moved._lazy_cache["K"][0] == k
+    assert moved._memo["K"][0] == k
     assert K.tobytes() == K_frozen.tobytes()
